@@ -7,6 +7,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .constructive import best_of_est_ect, construct_ect, construct_est
@@ -39,23 +40,21 @@ def _load(args):
 
 
 def _meta_config(args) -> MetaConfig:
-    cfg = MetaConfig.calibrated(args.algo, args.neighborhood)
     overrides = {
         "time_budget": args.time_limit,
         "max_iterations": args.iterations,
         "seed": args.seed,
         "no_improve_limit": args.no_improve,
         "target_makespan": args.target,
+        "ils_perturb_min": args.perturb_min,
+        "ils_perturb_max": args.perturb_max,
+        "grasp_alpha": args.rcl_alpha,
+        "ts_factor": args.tabu_factor,
     }
-    if args.perturb_min is not None:
-        overrides["ils_perturb_min"] = args.perturb_min
-    if args.perturb_max is not None:
-        overrides["ils_perturb_max"] = args.perturb_max
-    if args.rcl_alpha is not None:
-        overrides["grasp_alpha"] = args.rcl_alpha
-    if args.tabu_factor is not None:
-        overrides["ts_factor"] = args.tabu_factor
-    return MetaConfig.calibrated(cfg.algo, cfg.mode, **overrides)
+    return MetaConfig.calibrated(
+        args.algo, args.neighborhood,
+        **{key: value for key, value in overrides.items() if value is not None},
+    )
 
 
 def main(argv=None) -> int:
@@ -215,16 +214,8 @@ def main(argv=None) -> int:
                     "error": str(exc),
                 }
             else:
-                stats["wilcoxon"] = {
-                    "methods": [name_a, name_b],
-                    "r_plus": outcome.r_plus,
-                    "r_minus": outcome.r_minus,
-                    "w": outcome.w,
-                    "n": outcome.n,
-                    "z": outcome.z,
-                    "p_value": outcome.p_value,
-                    "small_sample": outcome.small_sample,
-                }
+                stats["wilcoxon"] = {"methods": [name_a, name_b],
+                                     **asdict(outcome)}
         json.dump(stats, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0

@@ -10,11 +10,11 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 from .instance import Instance, import_classical_fjs, parse_instance
-from .metaheuristics import MetaConfig, RunRecord, run
+from .metaheuristics import RunRecord, run
 
 __all__ = [
     "WilcoxonOutcome",
@@ -65,8 +65,7 @@ def load_instance_file(path, fmt: str = "native",
 
 
 def _one_run(args):
-    path, fmt, learning_rate, cfg = args
-    inst = load_instance_file(path, fmt, learning_rate)
+    inst, cfg = args
     record = run(inst, cfg)
     record.instance_id = inst.name
     return record
@@ -77,8 +76,10 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
                   workers: int = 1, sink=None) -> list:
     """Execute every (instance, config) pair ``runs`` times.
 
-    Seeds are ``seed_base + run_index``.  Unreadable instances produce a
-    failed record (stop_reason ``error``) and the batch continues.
+    Seeds are ``seed_base + run_index``.  Each instance file is parsed
+    once and the parsed instance is handed to its runs.  Unreadable
+    instances produce a failed record (stop_reason ``error``) and the
+    batch continues.
     ``workers > 1`` dispatches runs over a process pool; oversubscription
     beyond the CPU count is refused so per-run wall-clock budgets stay
     honest.
@@ -90,7 +91,7 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     records = []
     for path in instance_paths:
         try:
-            load_instance_file(path, fmt, learning_rate)
+            inst = load_instance_file(path, fmt, learning_rate)
         except (OSError, ValueError) as exc:
             for cfg in configs:
                 records.append(RunRecord(
@@ -100,8 +101,7 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
             continue
         for cfg in configs:
             for r in range(runs):
-                seeded = MetaConfig(**{**_cfg_dict(cfg), "seed": seed_base + r})
-                jobs.append((str(path), fmt, learning_rate, seeded))
+                jobs.append((inst, replace(cfg, seed=seed_base + r)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_run, jobs))
@@ -112,11 +112,6 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
         if sink is not None:
             sink(record)
     return records
-
-
-def _cfg_dict(cfg: MetaConfig) -> dict:
-    d = asdict(cfg)
-    return d
 
 
 def gap_stats(records) -> dict:
@@ -236,7 +231,7 @@ def emit_results(records, stats=None, fmt: str = "csv", path="results.csv",
             if stats is not None:
                 payload["stats"] = stats
             if configs is not None:
-                payload["configs"] = [_cfg_dict(c) for c in configs]
+                payload["configs"] = [asdict(c) for c in configs]
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")

@@ -18,6 +18,7 @@ renumbering operations globally and chaining each job's operations.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Instance",
@@ -56,11 +57,21 @@ class Instance:
     def eligible_machines(self, op: int) -> tuple:
         return self.eligible[op - 1]
 
+    @cached_property
+    def _precedence_lists(self) -> tuple:
+        """(predecessors, successors) of every operation, built from the
+        precedence arcs once per instance, in their iteration order."""
+        preds, succs = {}, {}
+        for i, j in self.precedence_arcs:
+            preds.setdefault(j, []).append(i)
+            succs.setdefault(i, []).append(j)
+        return preds, succs
+
     def predecessors(self, op: int) -> list:
-        return [i for (i, j) in self.precedence_arcs if j == op]
+        return list(self._precedence_lists[0].get(op, ()))
 
     def successors(self, op: int) -> list:
-        return [j for (i, j) in self.precedence_arcs if i == op]
+        return list(self._precedence_lists[1].get(op, ()))
 
     def with_learning_rate(self, alpha: float) -> "Instance":
         return Instance(

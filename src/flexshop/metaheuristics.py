@@ -16,6 +16,7 @@ from .instance import Instance
 from .graph import Schedule
 from .moves import (
     NEIGHBORHOOD_MODES,
+    enumerate_neighbors,
     feasible_window,
     insert_op,
     remove_op,
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("ils", "grasp", "ts", "sa")
+
+CHECK_EVERY = 64  # wall-clock poll interval, in candidate evaluations
 
 # calibrated parameter defaults, keyed by (algorithm, neighborhood mode)
 _CALIBRATED = {
@@ -66,7 +69,6 @@ class MetaConfig:
     sa_delta: float = 0.82
     target_makespan: int | None = None  # stop once the incumbent reaches it
     no_improve_limit: float | None = None  # seconds; opt-in secondary stop
-    check_every: int = 64  # wall-clock poll interval, in candidate evals
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -140,7 +142,7 @@ class _Run:
         """Count one candidate evaluation; True when the run must stop."""
         self.neighbors += 1
         self._ticks += 1
-        if self._ticks >= self.cfg.check_every:
+        if self._ticks >= CHECK_EVERY:
             self._ticks = 0
             return self.out_of_time()
         return False
@@ -254,14 +256,13 @@ def run_grasp(inst: Instance, cfg: MetaConfig,
 
 def run_ts(inst: Instance, cfg: MetaConfig,
            rng: random.Random | None = None) -> RunRecord:
-    """Tabu search over the reduced (or cropped) neighborhood.
+    """Tabu search over the configured neighborhood (``cfg.mode``).
 
     The chosen move's (operation, machine) pair becomes tabu; a tabu move
     is still admissible when it beats both the scan's best and the
     incumbent.  A scan with no admissible move evicts the oldest tabu
     entry and is counted as stalled.
     """
-    rng = rng or random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
@@ -269,36 +270,21 @@ def run_ts(inst: Instance, cfg: MetaConfig,
     tabu: list = []
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
-        if cfg.mode == "cropped":
-            critical = set(current.critical_path)
-            candidates = [v for v in inst.operations if v in critical]
-        else:
-            candidates = list(inst.operations)
         best: Schedule | None = None
         chosen = None
         interrupted = False
-        for v in candidates:
-            rs = remove_op(inst, current, v)
-            for k in sorted(inst.eligible_machines(v)):
-                window = feasible_window(rs, k, True, current.makespan)
-                for gamma in window.positions:
-                    cand = insert_op(inst, rs, v, k, gamma)
-                    if run.record_candidate():
-                        interrupted = True
-                        break
-                    best_len = math.inf if best is None else best.makespan
-                    admissible = (
-                        (cand.makespan < best_len and (v, k) not in tabu)
-                        or cand.makespan < min(best_len,
-                                               run.incumbent.makespan)
-                    )
-                    if admissible:
-                        best = cand
-                        chosen = (v, k)
-                if interrupted:
-                    break
-            if interrupted:
+        for v, k, _, cand in enumerate_neighbors(inst, current, cfg.mode):
+            if run.record_candidate():
+                interrupted = True
                 break
+            best_len = math.inf if best is None else best.makespan
+            admissible = (
+                (cand.makespan < best_len and (v, k) not in tabu)
+                or cand.makespan < min(best_len, run.incumbent.makespan)
+            )
+            if admissible:
+                best = cand
+                chosen = (v, k)
         run.iterations += 1
         if interrupted and best is None:
             break

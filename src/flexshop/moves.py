@@ -51,8 +51,6 @@ class ReducedState:
     f_minus: dict
     q_minus: tuple
     w_minus: dict
-    adjacency_minus: tuple
-    path_minus: tuple
     xi: int
     reach_to_v: set
     reach_from_v: set
@@ -111,12 +109,11 @@ def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
     adjacency = build_arcs(inst, q_minus)
     _, reach_to_v = topological_sort_plus(adjacency, SOURCE, target=v)
     reach_from_v = reachable_from(adjacency, v)
-    path, xi, tau = critical_path(
+    _, xi, tau = critical_path(
         adjacency, w_minus, q_minus, f_minus, inst.num_machines
     )
     return ReducedState(
-        v, f_minus, q_minus, w_minus, adjacency, path, xi, reach_to_v,
-        reach_from_v, tau,
+        v, f_minus, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau
     )
 
 

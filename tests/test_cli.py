@@ -3,6 +3,8 @@ import json
 import pytest
 
 from flexshop.cli import main
+from flexshop.harness import emit_results
+from flexshop.metaheuristics import RunRecord
 
 from conftest import FIG1_OPTIMUM, FIG1_TEXT
 
@@ -84,6 +86,23 @@ def test_bench_and_stats(instance_file, tmp_path, capsys):
     assert "fig1" in stats["per_instance"]
     assert "wilcoxon" in stats  # may be absent only if undefined
     assert stats["wilcoxon"]["methods"] == ["ils-reduced", "sa-reduced"]
+
+
+def test_stats_wilcoxon_keys(tmp_path, capsys):
+    # method b is worse than a by i + 1 on instance i: a defined test
+    records = [
+        RunRecord(f"i{i}", algo, 0, 100 + (i + 1) * (algo == "b"),
+                  0.0, 0.0, 1, 1, 0, "iteration-cap")
+        for i in range(4) for algo in ("a", "b")
+    ]
+    out = tmp_path / "results.csv"
+    emit_results(records, path=out)
+    assert main(["stats", "--in", str(out), "--wilcoxon", "a,b"]) == 0
+    outcome = json.loads(capsys.readouterr().out)["wilcoxon"]
+    assert set(outcome) == {"methods", "r_plus", "r_minus", "w", "n", "z",
+                            "p_value", "small_sample"}
+    assert outcome["methods"] == ["a", "b"]
+    assert outcome["n"] == 4 and outcome["r_plus"] == 10
 
 
 def test_bench_json_output(instance_file, tmp_path, capsys):

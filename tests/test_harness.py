@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import flexshop.harness
 from flexshop import MetaConfig, emit_results, gap_stats, run_benchmark, wilcoxon
 from flexshop.harness import CSV_COLUMNS, load_instance_file, read_results_csv
 from flexshop.metaheuristics import RunRecord
@@ -180,3 +181,31 @@ def test_run_benchmark_sink_sees_every_record(tmp_path):
     records = run_benchmark([path], [MetaConfig(max_iterations=1)], runs=3,
                             sink=seen.append)
     assert len(seen) == len(records) == 3
+
+
+def test_run_benchmark_parses_each_instance_once(tmp_path, monkeypatch):
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(FIG1_TEXT)
+        paths.append(path)
+    loads, runs = [], []
+
+    def load(path, fmt="native", learning_rate=None):
+        loads.append(path)
+        return load_instance_file(path, fmt, learning_rate)
+
+    def run(inst, cfg):
+        runs.append((inst.name, cfg.algo, cfg.seed))
+        return _record(inst.name, f"{cfg.algo}-{cfg.mode}", cfg.seed, 1)
+
+    monkeypatch.setattr(flexshop.harness, "load_instance_file", load)
+    monkeypatch.setattr(flexshop.harness, "run", run)
+    configs = [MetaConfig(algo="ils"), MetaConfig(algo="sa")]
+    records = run_benchmark(paths, configs, runs=3, seed_base=7)
+    assert loads == paths
+    assert sorted(runs) == sorted(
+        (p.stem, cfg.algo, 7 + r)
+        for p in paths for cfg in configs for r in range(3)
+    )
+    assert len(records) == 12

@@ -6,6 +6,7 @@ import pytest
 from flexshop import (
     MetaConfig,
     best_of_est_ect,
+    enumerate_neighbors,
     perturb,
     run,
     run_grasp,
@@ -178,6 +179,16 @@ def test_cropped_mode_runs(fig1):
         record = run(fig1, cfg)
         assert record.algorithm == f"{algo}-cropped"
         assert validate_schedule(fig1, record.schedule) == []
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced", "cropped"])
+def test_ts_scans_its_configured_neighborhood(fig1, mode):
+    # one tabu iteration evaluates exactly the neighborhood of the start
+    cfg = MetaConfig(algo="ts", mode=mode, max_iterations=1)
+    expected = len(list(enumerate_neighbors(fig1, best_of_est_ect(fig1), mode)))
+    assert run_ts(fig1, cfg).neighbors_evaluated == expected
+    if mode == "full":
+        assert expected == 15
 
 
 def test_sa_always_accepts_improvements():

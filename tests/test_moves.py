@@ -41,8 +41,8 @@ def test_remove_retimes_shifted_operations(fig1, fig2a):
 def test_remove_preserves_precedence_arcs(fig1, fig2a):
     # removing op 2 must not drop the precedence arcs 1->2 and 2->3
     rs = remove_op(fig1, fig2a, 2)
-    assert 2 in rs.adjacency_minus[1]
-    assert 3 in rs.adjacency_minus[2]
+    assert 1 in rs.reach_to_v
+    assert 3 in rs.reach_from_v
 
 
 def test_remove_single_operation_gives_zero_length():
