@@ -134,7 +134,7 @@ def main(argv=None) -> int:
             sched = construct_ect(inst, args.rcl_alpha, rng)
         else:
             sched = best_of_est_ect(inst)
-        sys.stdout.write(schedule_to_json(sched))
+        sys.stdout.write(schedule_to_json(inst, sched))
         return 0
 
     if args.command == "localsearch":
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         cfg = LocalSearchConfig(args.neighborhood, args.strategy,
                                 args.time_limit)
         result = local_search(inst, best_of_est_ect(inst), cfg)
-        sys.stdout.write(schedule_to_json(result.schedule))
+        sys.stdout.write(schedule_to_json(inst, result.schedule))
         print(f"iterations: {result.iterations}", file=sys.stderr)
         print(f"neighbors evaluated: {result.neighbors_evaluated}",
               file=sys.stderr)
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     if args.command == "solve":
         inst = _load(args)
         record = run(inst, _meta_config(args))
-        sys.stdout.write(schedule_to_json(record.schedule))
+        sys.stdout.write(schedule_to_json(inst, record.schedule))
         print(
             f"makespan {record.best_makespan} after {record.iterations} "
             f"iterations ({record.stop_reason}), "
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         except OracleLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        sys.stdout.write(schedule_to_json(result.schedule))
+        sys.stdout.write(schedule_to_json(inst, result.schedule))
         print(f"optimal makespan {result.optimal_makespan} "
               f"({result.feasible_count} feasible solutions)",
               file=sys.stderr)

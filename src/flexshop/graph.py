@@ -42,7 +42,7 @@ class ScheduleError(ValueError):
 
 @dataclass
 class Schedule:
-    """A feasible solution together with its solution graph.
+    """A feasible solution with its timing and critical path.
 
     ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``;
     ``assignment[i]`` the machine of operation ``i``; ``actual_times[i]``
@@ -53,14 +53,13 @@ class Schedule:
     assignment: dict
     sequences: tuple
     actual_times: dict
-    adjacency: tuple
     critical_path: tuple
     makespan: int
     tau: tuple = field(default=())
 
     @property
     def sink(self) -> int:
-        return len(self.adjacency) - 1
+        return len(self.assignment) + 1
 
     def position_of(self, op: int) -> int:
         """1-based position of ``op`` in its machine sequence."""
@@ -224,7 +223,7 @@ def build_schedule(inst: Instance, assignment, sequences) -> Schedule:
     path, length, tau = critical_path(
         adjacency, weights, sequences, assignment, inst.num_machines
     )
-    return Schedule(assignment, sequences, weights, adjacency, path, length, tau)
+    return Schedule(assignment, sequences, weights, path, length, tau)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list:
@@ -256,8 +255,6 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
                     f"{sched.actual_times.get(op)} (expected {expected})"
                 )
     adjacency = build_arcs(inst, sched.sequences)
-    if tuple(adjacency) != tuple(sched.adjacency):
-        violations.append("stored arcs disagree with assignment/sequences")
     try:
         path, length, tau = critical_path(
             adjacency,
@@ -276,15 +273,16 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
     return violations
 
 
-def start_completion_times(sched: Schedule) -> dict:
+def start_completion_times(inst: Instance, sched: Schedule) -> dict:
     """Earliest start/completion per operation from a forward pass."""
-    order, _ = topological_sort_plus(sched.adjacency, SOURCE)
+    adjacency = build_arcs(inst, sched.sequences)
+    order, _ = topological_sort_plus(adjacency, SOURCE)
     start = {SOURCE: 0}
     for i in order:
         if i not in start:
             continue
         done = start[i] + sched.actual_times.get(i, 0)
-        for j in sched.adjacency[i]:
+        for j in adjacency[i]:
             if start.get(j, -1) < done:
                 start[j] = done
     return {
@@ -293,8 +291,8 @@ def start_completion_times(sched: Schedule) -> dict:
     }
 
 
-def schedule_to_dict(sched: Schedule) -> dict:
-    times = start_completion_times(sched)
+def schedule_to_dict(inst: Instance, sched: Schedule) -> dict:
+    times = start_completion_times(inst, sched)
     return {
         "assignment": {str(op): k for op, k in sorted(sched.assignment.items())},
         "sequences": [list(seq) for seq in sched.sequences],
@@ -304,7 +302,8 @@ def schedule_to_dict(sched: Schedule) -> dict:
     }
 
 
-def schedule_to_json(sched: Schedule) -> str:
+def schedule_to_json(inst: Instance, sched: Schedule) -> str:
     import json
 
-    return json.dumps(schedule_to_dict(sched), indent=2, sort_keys=True) + "\n"
+    return json.dumps(schedule_to_dict(inst, sched), indent=2,
+                      sort_keys=True) + "\n"

@@ -17,6 +17,7 @@ operation count followed by ``(machine, time)`` alternatives) is imported by
 renumbering operations globally and chaining each job's operations.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -114,6 +115,8 @@ def validate_instance(inst: Instance) -> list:
         violations.append("instance must have at least one machine")
     if not inst.learning_rate > 0:
         violations.append(f"learning_rate must be > 0, got {inst.learning_rate}")
+    elif not math.isfinite(inst.learning_rate):
+        violations.append(f"learning_rate must be finite, got {inst.learning_rate}")
     if len(inst.eligible) != inst.num_operations:
         violations.append(
             f"eligible has {len(inst.eligible)} entries for "
@@ -125,6 +128,11 @@ def validate_instance(inst: Instance) -> list:
         machines = inst.eligible[op - 1]
         if not machines:
             violations.append(f"operation {op} has an empty eligibility set")
+        if len(set(machines)) != len(machines):
+            for k in sorted({k for k in machines if machines.count(k) > 1}):
+                violations.append(
+                    f"operation {op} lists machine {k} more than once"
+                )
         for k in machines:
             if not 1 <= k <= inst.num_machines:
                 violations.append(f"operation {op}: machine id {k} out of range")

@@ -3,7 +3,9 @@
 Six variants: {full, reduced, cropped} neighborhood x {best, first}
 improvement.  Best improvement scans the whole neighborhood and keeps the
 first-encountered strict minimum; first improvement accepts the first
-strictly improving neighbor and restarts the scan.
+strictly improving neighbor and restarts the scan.  Neighbors are compared
+by their incrementally computed makespan; a Schedule is built only for the
+move that is applied.
 """
 
 import time
@@ -59,15 +61,15 @@ def local_search(inst: Instance, start: Schedule,
         timed_out = False
         for move in enumerate_neighbors(inst, current, cfg.mode):
             result.neighbors_evaluated += 1
-            if best is None or move.schedule.makespan < best.makespan:
-                best = move.schedule
+            if best is None or move.makespan < best.makespan:
+                best = move
             if cfg.strategy == "first" and best.makespan < current.makespan:
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 timed_out = True
                 break
         if best is not None and best.makespan < current.makespan:
-            current = best
+            current = best.schedule
             result.iterations += 1
             result.trajectory.append(current.key())
             if timed_out:

@@ -16,6 +16,7 @@ from .instance import Instance
 from .graph import Schedule
 from .moves import (
     NEIGHBORHOOD_MODES,
+    Move,
     enumerate_neighbors,
     feasible_window,
     insert_op,
@@ -270,21 +271,20 @@ def run_ts(inst: Instance, cfg: MetaConfig,
     tabu: list = []
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
-        best: Schedule | None = None
-        chosen = None
+        best: Move | None = None
         interrupted = False
-        for v, k, _, cand in enumerate_neighbors(inst, current, cfg.mode):
+        for move in enumerate_neighbors(inst, current, cfg.mode):
             if run.record_candidate():
                 interrupted = True
                 break
             best_len = math.inf if best is None else best.makespan
             admissible = (
-                (cand.makespan < best_len and (v, k) not in tabu)
-                or cand.makespan < min(best_len, run.incumbent.makespan)
+                (move.makespan < best_len
+                 and (move.operation, move.machine) not in tabu)
+                or move.makespan < min(best_len, run.incumbent.makespan)
             )
             if admissible:
-                best = cand
-                chosen = (v, k)
+                best = move
         run.iterations += 1
         if interrupted and best is None:
             break
@@ -293,12 +293,13 @@ def run_ts(inst: Instance, cfg: MetaConfig,
             if tabu:
                 tabu.pop(0)
             continue
+        chosen = (best.operation, best.machine)
         if chosen in tabu:
             tabu.remove(chosen)
         tabu.append(chosen)
         if len(tabu) > t_max:
             tabu.pop(0)
-        current = best
+        current = best.schedule
         if run.offer(current):
             break
         if interrupted:

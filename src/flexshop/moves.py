@@ -7,10 +7,16 @@ improve the makespan: if the longest path of the reduced graph is already
 at least as long as the current makespan and the insertion happens after
 the last critical position of the target machine, the surviving path is
 untouched.
+
+A neighbor is priced without building its graph: the scan times the reduced
+graph once per removed operation and re-times, per insertion, only what lies
+downstream of the inserted operation.  The neighbor's ``Schedule`` is built
+on demand, for the move a search applies.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import islice
+from typing import Iterator
 
 from .instance import Instance
 from .learning import actual_time
@@ -55,6 +61,7 @@ class ReducedState:
     reach_to_v: set
     reach_from_v: set
     tau: tuple
+    adjacency: tuple  # arcs of the reduced graph
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,32 @@ class InsertionWindow:
         return range(self.lower + 1, self.upper + 1)
 
 
-class Move(NamedTuple):
-    operation: int
-    machine: int
-    position: int
-    schedule: Schedule
+class Move:
+    """One neighbor: ``operation`` reinserted at ``position`` of ``machine``.
+
+    ``makespan`` is exact; ``schedule`` is built by ``insert_op`` on first
+    access.
+    """
+
+    __slots__ = ("operation", "machine", "position", "makespan", "_inst",
+                 "_rs", "_schedule")
+
+    def __init__(self, operation: int, machine: int, position: int,
+                 makespan: int, inst: Instance, rs: ReducedState):
+        self.operation = operation
+        self.machine = machine
+        self.position = position
+        self.makespan = makespan
+        self._inst = inst
+        self._rs = rs
+        self._schedule = None
+
+    @property
+    def schedule(self) -> Schedule:
+        if self._schedule is None:
+            self._schedule = insert_op(self._inst, self._rs, self.operation,
+                                       self.machine, self.position)
+        return self._schedule
 
 
 def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
@@ -113,7 +141,8 @@ def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
         adjacency, w_minus, q_minus, f_minus, inst.num_machines
     )
     return ReducedState(
-        v, f_minus, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau
+        v, f_minus, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau,
+        adjacency,
     )
 
 
@@ -159,13 +188,126 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     return build_schedule(inst, f_plus, q_plus)
 
 
+class _Timing:
+    """Earliest start and completion of every vertex of a reduced graph,
+    with its predecessor lists and a topological order.
+
+    Inserting the removed operation ``v`` changes the timing of ``v``, of
+    the operations it pushes one position later and of their descendants
+    only: everything else keeps its reduced-graph times.
+    """
+
+    __slots__ = ("removed", "succs", "preds", "order", "rank", "start",
+                 "completion", "weight")
+
+    def __init__(self, rs: ReducedState):
+        succs = rs.adjacency
+        size = len(succs)
+        preds = [[] for _ in range(size)]
+        for i, out in enumerate(succs):
+            for j in out:
+                preds[j].append(i)
+        missing = [len(p) for p in preds]
+        start = [0] * size
+        completion = [0] * size
+        weight = rs.w_minus
+        order = []
+        ready = [SOURCE]
+        while ready:  # Kahn's algorithm, timing each vertex as it is ready
+            i = ready.pop()
+            order.append(i)
+            done = completion[i] = start[i] + weight[i]
+            for j in succs[i]:
+                if start[j] < done:
+                    start[j] = done
+                missing[j] -= 1
+                if not missing[j]:
+                    ready.append(j)
+        rank = [0] * size
+        for idx, u in enumerate(order):
+            rank[u] = idx
+        self.removed = rs.removed
+        self.succs = succs
+        self.preds = preds
+        self.order = order
+        self.rank = rank
+        self.start = start
+        self.completion = completion
+        self.weight = weight
+
+    def makespan(self, seq: tuple, later: list, gamma: int,
+                 time_v: int) -> int:
+        """Makespan once the removed operation, taking ``time_v``, sits at
+        position ``gamma`` of the machine sequence ``seq``; ``later[i]`` is
+        the time of ``seq[i]`` one position further back.
+
+        ``gamma`` must lie in the cycle-free window: then no predecessor of
+        the inserted operation is re-timed, and the reduced graph's order
+        still holds for every vertex below it.  A re-timed vertex pushes a
+        later completion to its successors; one that finishes earlier makes
+        a successor whose start it set take the maximum over all its
+        predecessors again.
+        """
+        v = self.removed
+        start, completion = self.start, self.completion
+        succs, preds, order = self.succs, self.preds, self.order
+        begin = start[v]
+        if gamma > 1 and completion[seq[gamma - 2]] > begin:
+            begin = completion[seq[gamma - 2]]
+        done_v = begin + time_v
+        moved = seq[gamma - 1:]
+        moved_time = dict(zip(moved, later[gamma - 1:]))
+        follower = moved[0] if moved else None
+        # pending vertex -> latest completion pushed to it by a predecessor
+        pushed = dict.fromkeys(moved, 0)
+        if moved:
+            pushed[follower] = done_v
+        for j in succs[v]:
+            if done_v > start[j]:
+                pushed[j] = done_v
+        if not pushed:
+            return completion[-1]
+        new = completion.copy()
+        new[v] = done_v
+        repull = set()
+        weight = self.weight
+        pop = pushed.pop
+        for u in islice(order, min(map(self.rank.__getitem__, pushed)), None):
+            latest = pop(u, None)
+            if latest is None:
+                continue
+            if u in repull:
+                latest = max(map(new.__getitem__, preds[u]))
+                if u == follower and done_v > latest:
+                    latest = done_v
+            elif start[u] > latest:
+                latest = start[u]
+            done = latest + moved_time.get(u, weight[u])
+            old = completion[u]
+            if done > old:
+                new[u] = done
+                for j in succs[u]:
+                    if done > start[j] and pushed.get(j, 0) < done:
+                        pushed[j] = done
+            elif done < old:
+                new[u] = done
+                for j in succs[u]:
+                    if start[j] == old:
+                        repull.add(j)
+                        pushed.setdefault(j, 0)
+            if not pushed:
+                break
+        return new[-1]
+
+
 def enumerate_neighbors(inst: Instance, sched: Schedule,
                         mode: str = "reduced") -> Iterator[Move]:
     """All neighbors of a schedule, in deterministic (v, k, gamma) order.
 
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
-    operation to the current critical path.
+    operation to the current critical path.  Each neighbor's makespan is
+    computed incrementally from the timing of the reduced graph.
     """
     if mode not in NEIGHBORHOOD_MODES:
         raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -175,9 +317,22 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     else:
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
+    alpha = inst.learning_rate
     for v in candidates:
         rs = remove_op(inst, sched, v)
+        timing = None
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
+            if not window.positions:
+                continue
+            if timing is None:
+                timing = _Timing(rs)
+            seq = rs.q_minus[k - 1]
+            later = [actual_time(inst.std_time[(op, k)], pos, alpha)
+                     for pos, op in enumerate(seq, start=2)]
+            p_v = inst.std_time[(v, k)]
             for gamma in window.positions:
-                yield Move(v, k, gamma, insert_op(inst, rs, v, k, gamma))
+                makespan = timing.makespan(
+                    seq, later, gamma, actual_time(p_v, gamma, alpha)
+                )
+                yield Move(v, k, gamma, makespan, inst, rs)

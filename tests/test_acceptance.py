@@ -204,7 +204,7 @@ def test_criterion_9_determinism(fig1):
         for algo in ("ils", "grasp", "ts", "sa"):
             cfg = MetaConfig.calibrated(algo, "reduced", max_iterations=12,
                                         seed=9)
-            batch.append(schedule_to_json(run(fig1, cfg).schedule))
+            batch.append(schedule_to_json(fig1, run(fig1, cfg).schedule))
         serializations.append(batch)
     ok = serializations[0] == serializations[1]
     _report(9, ok)

@@ -44,7 +44,7 @@ def test_respects_precedence_and_learning(fig1):
         assert validate_schedule(fig1, sched) == []
         from flexshop import start_completion_times
 
-        times = start_completion_times(sched)
+        times = start_completion_times(fig1, sched)
         for i, j in fig1.precedence_arcs:
             assert times[i][1] <= times[j][0]
 

@@ -81,17 +81,18 @@ def test_build_schedule_rejects_inconsistency(fig1, assignment, sequences,
         build_schedule(fig1, assignment, sequences)
 
 
-def test_topological_sort_reach_sets(fig2a):
-    order, reach = topological_sort_plus(fig2a.adjacency, SOURCE, target=2)
+def test_topological_sort_reach_sets(fig1, fig2a):
+    adjacency = build_arcs(fig1, fig2a.sequences)
+    order, reach = topological_sort_plus(adjacency, SOURCE, target=2)
     assert reach == {0, 1, 2}
     assert order.index(1) < order.index(2)
     assert order[0] == SOURCE
-    assert reachable_from(fig2a.adjacency, 4) == {4, 5, 3, 6}
-    assert reachable_from(fig2a.adjacency, 1) == {1, 2, 3, 4, 5, 6}
+    assert reachable_from(adjacency, 4) == {4, 5, 3, 6}
+    assert reachable_from(adjacency, 1) == {1, 2, 3, 4, 5, 6}
 
 
-def test_forward_pass_matches_critical_path(fig2a):
-    times = start_completion_times(fig2a)
+def test_forward_pass_matches_critical_path(fig1, fig2a):
+    times = start_completion_times(fig1, fig2a)
     assert max(c for _, c in times.values()) == fig2a.makespan
     assert times[1] == (0, 100)
     assert times[4] == (100, 600)
@@ -144,12 +145,12 @@ def test_validate_detects_wrong_makespan(fig1, fig2b):
     assert any("makespan" in v for v in violations)
 
 
-def test_schedule_serialization(fig2b):
-    d = schedule_to_dict(fig2b)
+def test_schedule_serialization(fig1, fig2b):
+    d = schedule_to_dict(fig1, fig2b)
     assert d["makespan"] == 528
     assert d["sequences"] == [[], [1, 2, 4, 5, 3]]
     assert d["completion"]["3"] == 528
-    text = schedule_to_json(fig2b)
+    text = schedule_to_json(fig1, fig2b)
     assert text.endswith("\n")
     import json
 

@@ -60,6 +60,9 @@ def test_round_trip_random_instances():
         ("2 1 1.0\n1 1 5\n1 1 5\n2\n1 2\n2 1", "cycle"),
         ("1 1 1.0\n0\n0", "empty eligibility"),
         ("1 1 0.0\n1 1 5\n0", "learning_rate"),
+        ("1 1 inf\n1 1 5\n0", "learning_rate must be finite, got inf"),
+        ("2 1 1.0\n2 1 5 1 7\n1 1 5\n0",
+         "operation 1 lists machine 1 more than once"),
         ("1 1 1.0\n1 2 5\n0", "out of range"),
         ("2 1 1.0\n1 1 5\n1 1 5\n1\n1 3", "out of range"),
     ],
@@ -83,6 +86,22 @@ def test_validate_reports_all_violations():
     assert "empty eligibility" in text
     assert "negative standard time" in text
     assert "cycle" in text
+
+
+def test_validate_rejects_duplicate_machine_and_infinite_rate():
+    inst = Instance(2, 2, ((1, 2), (2, 1, 2)),
+                    {(1, 1): 3, (1, 2): 4, (2, 1): 5, (2, 2): 6},
+                    frozenset(), float("inf"))
+    assert validate_instance(inst) == [
+        "learning_rate must be finite, got inf",
+        "operation 2 lists machine 2 more than once",
+    ]
+
+
+def test_classical_import_rejects_duplicate_machine():
+    with pytest.raises(InstanceError,
+                       match="operation 2 lists machine 1 more than once"):
+        import_classical_fjs("1 2\n2  1 1 4  2 1 5 1 7\n")
 
 
 def test_validate_clean_instance(fig1):

@@ -92,6 +92,28 @@ def test_descent_is_monotone(fig1, fig2a):
     assert all(b < a for a, b in zip(makespans, makespans[1:]))
 
 
+def test_descent_builds_one_schedule_per_applied_move(fig1, fig2a,
+                                                     monkeypatch):
+    import flexshop.moves
+
+    calls = []
+    build = flexshop.moves.build_schedule
+    monkeypatch.setattr(flexshop.moves, "build_schedule",
+                        lambda *args: calls.append(args) or build(*args))
+    rng = random.Random(47)
+    cases = [(fig1, fig2a)]
+    for _ in range(10):
+        inst = random_instance(rng)
+        cases.append((inst, best_of_est_ect(inst)))
+    applied = 0
+    for inst, start in cases:
+        calls.clear()
+        result = local_search(inst, start, LocalSearchConfig("reduced", "best"))
+        assert len(calls) == result.iterations
+        applied += result.iterations
+    assert applied >= 2  # fig2a alone descends twice
+
+
 def test_time_budget_zero_keeps_start_feasible(fig1, fig2a):
     result = local_search(fig1, fig2a, LocalSearchConfig("full", "best", 0.0))
     assert result.schedule.makespan <= fig2a.makespan

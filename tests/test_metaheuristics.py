@@ -191,6 +191,20 @@ def test_ts_scans_its_configured_neighborhood(fig1, mode):
         assert expected == 15
 
 
+def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
+    # neighbors are priced without a Schedule; only the applied move has one
+    import flexshop.moves
+
+    calls = []
+    build = flexshop.moves.build_schedule
+    monkeypatch.setattr(flexshop.moves, "build_schedule",
+                        lambda *args: calls.append(args) or build(*args))
+    record = run_ts(fig1, MetaConfig(algo="ts", mode="full", max_iterations=1))
+    assert record.neighbors_evaluated == 15
+    assert record.stalled_iterations == 0
+    assert len(calls) == 1
+
+
 def test_sa_always_accepts_improvements():
     cfg = MetaConfig(algo="sa")
     temperature = cfg.sa_tf  # coldest possible

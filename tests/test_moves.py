@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexshop import (
     CycleError,
@@ -9,10 +10,12 @@ from flexshop import (
     feasible_window,
     insert_op,
     parse_instance,
+    perturb,
     remove_op,
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
+from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance
 
@@ -168,3 +171,29 @@ def test_scan_order_is_deterministic(fig1, fig2a):
             for m in enumerate_neighbors(fig1, fig2a, "reduced")]
     assert seq1 == seq2
     assert seq1 == sorted(seq1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(NEIGHBORHOOD_MODES),
+       arc_prob=st.sampled_from((0.0, 0.15, 0.3, 0.6)), walk=st.integers(0, 3))
+def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk):
+    """Every neighbor's incremental makespan equals the one of its rebuilt
+    graph, and its materialized Schedule is valid."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, max_ops=12, max_machines=4, arc_prob=arc_prob)
+    sched = best_of_est_ect(inst)
+    for _ in range(walk):  # leave the constructive start's structure
+        sched = perturb(inst, sched, rng)
+    for move in enumerate_neighbors(inst, sched, mode):
+        v, k, gamma = move.operation, move.machine, move.position
+        reference = insert_op(inst, remove_op(inst, sched, v), v, k, gamma)
+        assert move.makespan == reference.makespan
+        sequences = [list(seq) for seq in sched.sequences]
+        sequences[sched.assignment[v] - 1].remove(v)
+        sequences[k - 1].insert(gamma - 1, v)
+        assignment = {op: (k if op == v else m)
+                      for op, m in sched.assignment.items()}
+        rebuilt = build_schedule(inst, assignment, sequences)
+        assert move.makespan == rebuilt.makespan
+        assert validate_schedule(inst, move.schedule) == []
+        assert move.schedule.key() == rebuilt.key()
