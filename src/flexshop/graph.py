@@ -9,6 +9,7 @@ path; its length is the makespan.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .instance import Instance
 from .learning import actual_time
@@ -21,6 +22,8 @@ __all__ = [
     "build_arcs",
     "topological_sort_plus",
     "reachable_from",
+    "Timing",
+    "time_graph",
     "critical_path",
     "build_schedule",
     "validate_schedule",
@@ -93,13 +96,9 @@ def build_arcs(inst: Instance, sequences) -> tuple:
     return tuple(tuple(sorted(s)) for s in succ)
 
 
-def topological_sort_plus(adjacency, start: int = SOURCE, target: int | None = None):
-    """Topological order of the vertices reachable from ``start``.
-
-    Returns ``(order, reach)`` where ``reach`` is the set of vertices from
-    which ``target`` is reachable (including ``target``), or None when no
-    target is given.  Raises CycleError on a directed cycle.
-    """
+def topological_sort_plus(adjacency, start: int = SOURCE) -> list:
+    """Topological order (reversed DFS postorder) of the vertices reachable
+    from ``start``.  Raises CycleError on a directed cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {}
     order = []
@@ -123,17 +122,12 @@ def topological_sort_plus(adjacency, start: int = SOURCE, target: int | None = N
             color[v] = BLACK
             order.append(v)
     order.reverse()
-    if target is None:
-        return order, None
-    reach = {target}
-    for v in reversed(order):
-        if v not in reach and any(j in reach for j in adjacency[v]):
-            reach.add(v)
-    return order, reach
+    return order
 
 
 def reachable_from(adjacency, v: int) -> set:
-    """Vertices reachable from ``v`` (including ``v`` itself)."""
+    """Vertices reachable from ``v`` (including ``v`` itself); over
+    predecessor lists, the vertices that reach ``v``."""
     seen = {v}
     stack = [v]
     while stack:
@@ -145,44 +139,66 @@ def reachable_from(adjacency, v: int) -> set:
     return seen
 
 
-def critical_path(adjacency, weights, sequences, assignment, num_machines: int):
-    """Longest ``s -> t`` path by dynamic programming over a topological order.
+class Timing(NamedTuple):
+    """Longest-path timing of a solution graph, indexed by vertex."""
+
+    succs: tuple  # adjacency lists, as given
+    order: list  # topological_sort_plus's order
+    preds: list  # predecessor lists, in that order
+    start: list  # earliest start: the latest completion of a predecessor
+    completion: list
+    setter: list  # first predecessor, in order, whose completion is the start
+
+
+def time_graph(adjacency, weights) -> Timing:
+    """Earliest start and completion of every vertex by one forward pass.
+
+    ``weights`` maps vertices to processing times; the dummies must weigh
+    0.  Raises CycleError on a directed cycle.
+    """
+    order = topological_sort_plus(adjacency, SOURCE)
+    size = len(adjacency)
+    preds = [[] for _ in range(size)]
+    start = [-1] * size  # below any completion: the first predecessor sets it
+    start[SOURCE] = 0
+    completion = [0] * size
+    setter = [SOURCE] * size
+    for i in order:
+        done = completion[i] = start[i] + weights[i]
+        for j in adjacency[i]:
+            preds[j].append(i)
+            if start[j] < done:
+                start[j] = done
+                setter[j] = i
+    return Timing(adjacency, order, preds, start, completion, setter)
+
+
+def critical_path(timing: Timing, sequences, assignment, num_machines: int):
+    """The longest ``s -> t`` path, walked back from ``t`` along the
+    predecessors that set each start.
 
     Returns ``(path, length, tau)`` where ``path`` runs from ``s`` to ``t``
     and ``tau[k-1]`` is the position in ``sequences[k-1]`` of the last
-    operation of the path on machine ``k`` (0 if none).  ``weights`` maps
-    vertices to processing times; the dummies must weigh 0.  Operations
-    absent from ``assignment`` (e.g. a removed one) never contribute to tau.
+    operation of the path on machine ``k`` (0 if none).  Operations absent
+    from ``assignment`` (e.g. a removed one) never contribute to tau.
     """
-    order, _ = topological_sort_plus(adjacency, SOURCE)
-    sink = len(adjacency) - 1
-    d = {SOURCE: 0}
-    pi = {}
-    for i in order:
-        if i not in d:
-            continue
-        base = d[i] + weights[i]
-        for j in adjacency[i]:
-            if j not in d or d[j] < base:
-                d[j] = base
-                pi[j] = i
-    length = d[sink]
+    sink = len(timing.start) - 1
     position = {}
     for seq in sequences:
         for idx, op in enumerate(seq, start=1):
             position[op] = idx
     tau = [0] * num_machines
     path = [sink]
-    i = pi[sink]
+    i = timing.setter[sink]
     while i != SOURCE:
         k = assignment.get(i)
         if k is not None and tau[k - 1] == 0:
             tau[k - 1] = position[i]
         path.append(i)
-        i = pi[i]
+        i = timing.setter[i]
     path.append(SOURCE)
     path.reverse()
-    return tuple(path), length, tuple(tau)
+    return tuple(path), timing.start[sink], tuple(tau)
 
 
 def build_schedule(inst: Instance, assignment, sequences) -> Schedule:
@@ -219,9 +235,9 @@ def build_schedule(inst: Instance, assignment, sequences) -> Schedule:
     for k, seq in enumerate(sequences, start=1):
         for pos, op in enumerate(seq, start=1):
             weights[op] = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
-    adjacency = build_arcs(inst, sequences)
+    timing = time_graph(build_arcs(inst, sequences), weights)
     path, length, tau = critical_path(
-        adjacency, weights, sequences, assignment, inst.num_machines
+        timing, sequences, assignment, inst.num_machines
     )
     return Schedule(assignment, sequences, weights, path, length, tau)
 
@@ -254,15 +270,10 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
                     f"operation {op}: stale actual time "
                     f"{sched.actual_times.get(op)} (expected {expected})"
                 )
-    adjacency = build_arcs(inst, sched.sequences)
+    sink = inst.num_operations + 1
+    weights = [sched.actual_times.get(v, 0) for v in range(sink + 1)]
     try:
-        path, length, tau = critical_path(
-            adjacency,
-            {v: sched.actual_times.get(v, 0) for v in range(inst.num_operations + 2)},
-            sched.sequences,
-            sched.assignment,
-            inst.num_machines,
-        )
+        length = time_graph(build_arcs(inst, sched.sequences), weights).start[sink]
     except CycleError:
         violations.append("solution graph contains a cycle")
         return violations
@@ -275,19 +286,9 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
 
 def start_completion_times(inst: Instance, sched: Schedule) -> dict:
     """Earliest start/completion per operation from a forward pass."""
-    adjacency = build_arcs(inst, sched.sequences)
-    order, _ = topological_sort_plus(adjacency, SOURCE)
-    start = {SOURCE: 0}
-    for i in order:
-        if i not in start:
-            continue
-        done = start[i] + sched.actual_times.get(i, 0)
-        for j in adjacency[i]:
-            if start.get(j, -1) < done:
-                start[j] = done
+    timing = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
     return {
-        op: (start[op], start[op] + sched.actual_times[op])
-        for op in sched.assignment
+        op: (timing.start[op], timing.completion[op]) for op in sched.assignment
     }
 
 

@@ -56,7 +56,9 @@ def load_instance_file(path, fmt: str = "native",
     text = Path(path).read_text()
     name = Path(path).stem
     if fmt == "classical":
-        inst = import_classical_fjs(text, learning_rate or 1.0, name)
+        inst = import_classical_fjs(
+            text, 1.0 if learning_rate is None else learning_rate, name
+        )
     else:
         inst = parse_instance(text, name)
         if learning_rate is not None:
@@ -64,9 +66,17 @@ def load_instance_file(path, fmt: str = "native",
     return inst
 
 
+def _error_record(name: str, cfg, seed: int, exc: Exception) -> RunRecord:
+    return RunRecord(name, f"{cfg.algo}-{cfg.mode}", seed, -1, 0.0, 0.0,
+                     0, 0, 0, f"error: {exc}")
+
+
 def _one_run(args):
     inst, cfg = args
-    record = run(inst, cfg)
+    try:
+        record = run(inst, cfg)
+    except Exception as exc:  # one failed run must not sink the batch
+        return _error_record(inst.name, cfg, cfg.seed, exc)
     record.instance_id = inst.name
     return record
 
@@ -78,8 +88,8 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
 
     Seeds are ``seed_base + run_index``.  Each instance file is parsed
     once and the parsed instance is handed to its runs.  Unreadable
-    instances produce a failed record (stop_reason ``error``) and the
-    batch continues.
+    instances and runs that raise produce a failed record (stop_reason
+    ``error: ...``) and the batch continues.
     ``workers > 1`` dispatches runs over a process pool; oversubscription
     beyond the CPU count is refused so per-run wall-clock budgets stay
     honest.
@@ -93,11 +103,8 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
         try:
             inst = load_instance_file(path, fmt, learning_rate)
         except (OSError, ValueError) as exc:
-            for cfg in configs:
-                records.append(RunRecord(
-                    Path(path).stem, f"{cfg.algo}-{cfg.mode}", -1, -1,
-                    0.0, 0.0, 0, 0, 0, f"error: {exc}",
-                ))
+            records.extend(_error_record(Path(path).stem, cfg, -1, exc)
+                           for cfg in configs)
             continue
         for cfg in configs:
             for r in range(runs):

@@ -18,7 +18,7 @@ renumbering operations globally and chaining each job's operations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 __all__ = [
@@ -75,15 +75,8 @@ class Instance:
         return list(self._precedence_lists[1].get(op, ()))
 
     def with_learning_rate(self, alpha: float) -> "Instance":
-        return Instance(
-            self.num_operations,
-            self.num_machines,
-            self.eligible,
-            self.std_time,
-            self.precedence_arcs,
-            alpha,
-            self.name,
-        )
+        """The same instance with learning rate ``alpha``, validated."""
+        return _check(replace(self, learning_rate=alpha))
 
 
 def _topological_order(num_ops: int, arcs) -> list | None:

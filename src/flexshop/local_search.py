@@ -58,7 +58,6 @@ def local_search(inst: Instance, start: Schedule,
     result = LocalSearchResult(current, 0, 0, [current.key()])
     while True:
         best = None
-        timed_out = False
         for move in enumerate_neighbors(inst, current, cfg.mode):
             result.neighbors_evaluated += 1
             if best is None or move.makespan < best.makespan:
@@ -66,14 +65,11 @@ def local_search(inst: Instance, start: Schedule,
             if cfg.strategy == "first" and best.makespan < current.makespan:
                 break
             if deadline is not None and time.monotonic() >= deadline:
-                timed_out = True
                 break
         if best is not None and best.makespan < current.makespan:
             current = best.schedule
             result.iterations += 1
             result.trajectory.append(current.key())
-            if timed_out:
-                break
         else:
             break
         if deadline is not None and time.monotonic() >= deadline:

@@ -41,8 +41,10 @@ def fig2b(fig1):
 
 
 def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
-                    alphas=(0.1, 0.2, 0.3), arc_prob: float = 0.3) -> Instance:
-    """Small random instance with a random DAG of precedence arcs."""
+                    alphas=(0.1, 0.2, 0.3), arc_prob: float = 0.3,
+                    max_time: int = 10) -> Instance:
+    """Small random instance with a random DAG of precedence arcs and
+    standard times in ``1..max_time`` (2 makes many paths tie)."""
     n = rng.randint(1, max_ops)
     m = rng.randint(1, max_machines)
     eligible = []
@@ -51,7 +53,7 @@ def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
         machines = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
         eligible.append(tuple(machines))
         for k in machines:
-            std_time[(op, k)] = rng.randint(1, 10)
+            std_time[(op, k)] = rng.randint(1, max_time)
     arcs = {
         (i, j)
         for i in range(1, n + 1)
@@ -60,6 +62,23 @@ def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
     }
     return Instance(n, m, tuple(eligible), std_time, frozenset(arcs),
                     rng.choice(list(alphas)), f"rand-{n}x{m}")
+
+
+def random_schedule(rng: random.Random, inst: Instance):
+    """A random precedence-compatible schedule: operations are appended, in
+    a random topological order, to a random eligible machine."""
+    assignment = {}
+    seqs = [[] for _ in range(inst.num_machines)]
+    pending = set(inst.operations)
+    while pending:
+        ready = [v for v in sorted(pending)
+                 if not any(i in pending for i in inst.predecessors(v))]
+        v = rng.choice(ready)
+        k = rng.choice(inst.eligible_machines(v))
+        assignment[v] = k
+        seqs[k - 1].append(v)
+        pending.remove(v)
+    return build_schedule(inst, assignment, seqs)
 
 
 def simulate_makespan(inst: Instance, sched) -> int:

@@ -14,9 +14,9 @@ from flexshop import (
     reachable_from,
     validate_schedule,
 )
-from flexshop.graph import SOURCE, build_arcs
+from flexshop.graph import SOURCE, build_arcs, time_graph
 
-from conftest import random_instance, simulate_makespan
+from conftest import random_instance, random_schedule, simulate_makespan
 
 
 def test_fig2a_golden(fig1, fig2a):
@@ -83,8 +83,9 @@ def test_build_schedule_rejects_inconsistency(fig1, assignment, sequences,
 
 def test_topological_sort_reach_sets(fig1, fig2a):
     adjacency = build_arcs(fig1, fig2a.sequences)
-    order, reach = topological_sort_plus(adjacency, SOURCE, target=2)
-    assert reach == {0, 1, 2}
+    order = topological_sort_plus(adjacency, SOURCE)
+    preds = time_graph(adjacency, fig2a.actual_times).preds
+    assert reachable_from(preds, 2) == {0, 1, 2}
     assert order.index(1) < order.index(2)
     assert order[0] == SOURCE
     assert reachable_from(adjacency, 4) == {4, 5, 3, 6}
@@ -99,24 +100,22 @@ def test_forward_pass_matches_critical_path(fig1, fig2a):
     assert times[3][1] == 658
 
 
+def test_critical_path_tie_break_follows_dfs_order():
+    """Two paths of length 274 tie; the path and tau follow the depth-first
+    topological order (a Kahn order would pick 0-4-1-5 and tau (2, 0))."""
+    inst = parse_instance("4 2 0.2\n2 1 2 2 2\n1 2 2\n1 2 1\n1 1 1\n0\n")
+    sched = build_schedule(inst, {1: 1, 2: 2, 3: 2, 4: 1}, [[4, 1], [3, 2]])
+    assert sched.makespan == 274
+    assert sched.critical_path == (0, 3, 2, 5)
+    assert sched.tau == (0, 2)
+
+
 def test_simulation_oracle_on_random_schedules():
     """Longest-path makespan equals an event-driven forward simulation."""
     rng = random.Random(11)
     for _ in range(40):
         inst = random_instance(rng)
-        assignment = {}
-        seqs = [[] for _ in range(inst.num_machines)]
-        # random precedence-compatible construction
-        pending = set(inst.operations)
-        while pending:
-            ready = [v for v in sorted(pending)
-                     if not any(i in pending for i in inst.predecessors(v))]
-            v = rng.choice(ready)
-            k = rng.choice(inst.eligible_machines(v))
-            assignment[v] = k
-            seqs[k - 1].append(v)
-            pending.remove(v)
-        sched = build_schedule(inst, assignment, seqs)
+        sched = random_schedule(rng, inst)
         assert validate_schedule(inst, sched) == []
         assert simulate_makespan(inst, sched) == sched.makespan
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 import flexshop.harness
-from flexshop import MetaConfig, emit_results, gap_stats, run_benchmark, wilcoxon
+from flexshop import (
+    InstanceError, MetaConfig, emit_results, gap_stats, run_benchmark, wilcoxon,
+)
 from flexshop.harness import CSV_COLUMNS, load_instance_file, read_results_csv
 from flexshop.metaheuristics import RunRecord
 
@@ -138,6 +140,20 @@ def test_load_instance_file(tmp_path):
     assert load_instance_file(path, learning_rate=0.3).learning_rate == 0.3
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("fmt, text", [
+    ("native", FIG1_TEXT),
+    ("classical", "1 1\n2 1 1 5 1 1 3\n"),
+])
+def test_load_instance_file_rejects_bad_learning_rate(tmp_path, fmt, text,
+                                                      alpha):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    assert load_instance_file(path, fmt, 0.5).learning_rate == 0.5
+    with pytest.raises(InstanceError, match="learning_rate"):
+        load_instance_file(path, fmt, alpha)
+
+
 def test_run_benchmark_cardinality_and_seeds(tmp_path):
     path = tmp_path / "fig1.txt"
     path.write_text(FIG1_TEXT)
@@ -161,6 +177,27 @@ def test_run_benchmark_survives_bad_instance(tmp_path):
     by_instance = {r.instance_id: r for r in records}
     assert by_instance["broken"].stop_reason.startswith("error:")
     assert by_instance["fig1"].best_makespan > 0
+
+
+def test_run_benchmark_survives_failing_run(tmp_path, monkeypatch):
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    real_run = flexshop.harness.run
+
+    def run(inst, cfg):
+        if cfg.seed == 1:
+            raise RuntimeError("boom")
+        return real_run(inst, cfg)
+
+    monkeypatch.setattr(flexshop.harness, "run", run)
+    configs = [MetaConfig.calibrated("ils", "reduced", max_iterations=1)]
+    records = run_benchmark([path], configs, runs=3)
+    by_seed = {r.seed: r for r in records}
+    assert sorted(by_seed) == [0, 1, 2]
+    assert by_seed[1].stop_reason == "error: boom"
+    assert by_seed[1].best_makespan == -1
+    assert by_seed[1].instance_id == "fig1"
+    assert all(by_seed[s].best_makespan > 0 for s in (0, 2))
 
 
 def test_run_benchmark_refuses_oversubscription(tmp_path):
