@@ -7,11 +7,16 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .constructive import best_of_est_ect, construct_ect, construct_est
-from .graph import build_schedule, schedule_to_json, validate_schedule
+from .graph import (
+    ScheduleError,
+    build_schedule,
+    schedule_to_json,
+    validate_schedule,
+)
 from .harness import (
     emit_results,
     gap_stats,
@@ -20,6 +25,7 @@ from .harness import (
     run_benchmark,
     wilcoxon,
 )
+from .instance import InstanceError
 from .local_search import LocalSearchConfig, local_search
 from .metaheuristics import ALGORITHMS, MetaConfig, run
 from .oracle import OracleLimitError, solve_exhaustive
@@ -37,6 +43,20 @@ def _add_instance_args(parser):
 
 def _load(args):
     return load_instance_file(args.instance, args.format, args.alpha)
+
+
+def _read_solution(path) -> tuple:
+    """The assignment, machine sequences and makespan (None if absent) that
+    a schedule JSON file declares; ScheduleError when it declares none."""
+    try:
+        data = json.loads(Path(path).read_text())
+        assignment = {int(op): k for op, k in data["assignment"].items()}
+        sequences = [list(seq) for seq in data["sequences"]]
+        return assignment, sequences, data.get("makespan")
+    except KeyError as exc:
+        raise ScheduleError(f"solution {path} has no {exc} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScheduleError(f"solution {path} is not a schedule: {exc}") from None
 
 
 def _meta_config(args) -> MetaConfig:
@@ -124,7 +144,14 @@ def main(argv=None) -> int:
     p.add_argument("--solution", required=True, help="schedule JSON file")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (OSError, InstanceError, OracleLimitError, ScheduleError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _dispatch(args) -> int:
     if args.command == "construct":
         inst = _load(args)
         rng = random.Random(args.seed) if args.rcl_alpha > 0 else None
@@ -162,11 +189,7 @@ def main(argv=None) -> int:
 
     if args.command == "oracle":
         inst = _load(args)
-        try:
-            result = solve_exhaustive(inst, args.limit)
-        except OracleLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result = solve_exhaustive(inst, args.limit)
         sys.stdout.write(schedule_to_json(inst, result.schedule))
         print(f"optimal makespan {result.optimal_makespan} "
               f"({result.feasible_count} feasible solutions)",
@@ -222,17 +245,18 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         inst = _load(args)
-        data = json.loads(Path(args.solution).read_text())
-        assignment = {int(op): k for op, k in data["assignment"].items()}
+        assignment, sequences, makespan = _read_solution(args.solution)
         try:
-            sched = build_schedule(inst, assignment, data["sequences"])
+            sched = build_schedule(inst, sequences)
         except ValueError as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return 1
-        violations = validate_schedule(inst, sched)
-        if data.get("makespan") not in (None, sched.makespan):
+        # the declared assignment must be the one the sequences imply
+        declared = replace(sched, assignment=assignment)
+        violations = validate_schedule(inst, declared)
+        if makespan not in (None, sched.makespan):
             violations.append(
-                f"declared makespan {data['makespan']} differs from "
+                f"declared makespan {makespan} differs from "
                 f"recomputed {sched.makespan}"
             )
         for v in violations:

@@ -32,7 +32,6 @@ class _State:
         self.machine_release = [0] * inst.num_machines
         self.next_position = [1] * inst.num_machines
         self.sequences = [[] for _ in range(inst.num_machines)]
-        self.assignment = {}
 
     def ready_pairs(self):
         """(operation, machine) pairs whose precedence predecessors are all
@@ -55,14 +54,13 @@ class _State:
 
     def place(self, v, k, completion):
         self.completion[v] = completion
-        self.assignment[v] = k
         self.machine_release[k - 1] = completion
         self.next_position[k - 1] += 1
         self.sequences[k - 1].append(v)
         self.unscheduled.remove(v)
 
     def finish(self) -> Schedule:
-        return build_schedule(self.inst, self.assignment, self.sequences)
+        return build_schedule(self.inst, self.sequences)
 
 
 def _pick(candidates, rcl_alpha, rng):

@@ -40,7 +40,7 @@ class CycleError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """Assignment and sequences are mutually inconsistent."""
+    """Machine sequences that are not a solution of the instance."""
 
 
 @dataclass
@@ -48,9 +48,10 @@ class Schedule:
     """A feasible solution with its timing and critical path.
 
     ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``;
-    ``assignment[i]`` the machine of operation ``i``; ``actual_times[i]``
-    its learning-adjusted processing time.  ``tau[k-1]`` is the position of
-    the last critical operation on machine ``k`` (0 if none).
+    ``assignment[i]``, derived from them, the machine of operation ``i``;
+    ``actual_times[i]`` its learning-adjusted processing time.  ``tau[k-1]``
+    is the position of the last critical operation on machine ``k`` (0 if
+    none).
     """
 
     assignment: dict
@@ -173,113 +174,121 @@ def time_graph(adjacency, weights) -> Timing:
     return Timing(adjacency, order, preds, start, completion, setter)
 
 
-def critical_path(timing: Timing, sequences, assignment, num_machines: int):
+def critical_path(timing: Timing, sequences):
     """The longest ``s -> t`` path, walked back from ``t`` along the
     predecessors that set each start.
 
     Returns ``(path, length, tau)`` where ``path`` runs from ``s`` to ``t``
     and ``tau[k-1]`` is the position in ``sequences[k-1]`` of the last
     operation of the path on machine ``k`` (0 if none).  Operations absent
-    from ``assignment`` (e.g. a removed one) never contribute to tau.
+    from ``sequences`` (e.g. a removed one) never contribute to tau.
     """
     sink = len(timing.start) - 1
-    position = {}
-    for seq in sequences:
-        for idx, op in enumerate(seq, start=1):
-            position[op] = idx
-    tau = [0] * num_machines
     path = [sink]
     i = timing.setter[sink]
     while i != SOURCE:
-        k = assignment.get(i)
-        if k is not None and tau[k - 1] == 0:
-            tau[k - 1] = position[i]
         path.append(i)
         i = timing.setter[i]
     path.append(SOURCE)
     path.reverse()
+    # a path meets a machine's operations in sequence order (machine arcs),
+    # so the last one on the path is the one at the highest position
+    on_path = set(path)
+    tau = []
+    for seq in sequences:
+        pos = len(seq)
+        while pos and seq[pos - 1] not in on_path:
+            pos -= 1
+        tau.append(pos)
     return tuple(path), timing.start[sink], tuple(tau)
 
 
-def build_schedule(inst: Instance, assignment, sequences) -> Schedule:
-    """Assemble a Schedule from an assignment and machine sequences.
+def _sequence_faults(inst: Instance, sequences) -> list:
+    """Why ``sequences`` are not one sequence per machine that together
+    hold every operation exactly once, each on an eligible machine."""
+    faults = []
+    if len(sequences) != inst.num_machines:
+        faults.append(
+            f"expected {inst.num_machines} machine sequences, got {len(sequences)}"
+        )
+    operations, eligible = inst.operations, inst.eligible
+    placed = set()
+    for k, seq in enumerate(sequences, start=1):
+        for op in seq:
+            if type(op) is not int or op not in operations:
+                faults.append(f"unknown operation {op!r} on machine {k}")
+            elif op in placed:
+                faults.append(f"operation {op} placed more than once")
+            else:
+                placed.add(op)
+                if k not in eligible[op - 1]:
+                    faults.append(f"operation {op} on ineligible machine {k}")
+    if len(placed) < len(operations):
+        faults.extend(f"operation {op} missing from every sequence"
+                      for op in operations if op not in placed)
+    return faults
 
-    Raises ScheduleError on inconsistent inputs and CycleError when the
+
+def _weigh(inst: Instance, sequences) -> tuple:
+    """Assignment and learning-adjusted times of well-formed ``sequences``,
+    the latter with the dummies' zero weights."""
+    assignment = {}
+    weights = {SOURCE: 0, inst.num_operations + 1: 0}
+    for k, seq in enumerate(sequences, start=1):
+        assignment.update(dict.fromkeys(seq, k))
+        for pos, op in enumerate(seq, start=1):
+            weights[op] = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
+    return assignment, weights
+
+
+def build_schedule(inst: Instance, sequences) -> Schedule:
+    """Assemble a Schedule from its machine sequences.
+
+    Raises ScheduleError on malformed sequences and CycleError when the
     machine arcs contradict the precedence DAG.
     """
     sequences = tuple(tuple(seq) for seq in sequences)
-    if len(sequences) != inst.num_machines:
-        raise ScheduleError(
-            f"expected {inst.num_machines} machine sequences, got {len(sequences)}"
-        )
-    seen = {}
-    for k, seq in enumerate(sequences, start=1):
-        for op in seq:
-            if op in seen:
-                raise ScheduleError(f"operation {op} appears on more than one machine")
-            seen[op] = k
-    for op in inst.operations:
-        k = seen.get(op)
-        if k is None:
-            raise ScheduleError(f"operation {op} missing from every sequence")
-        if assignment.get(op) != k:
-            raise ScheduleError(
-                f"operation {op}: assignment says machine {assignment.get(op)}, "
-                f"sequences say machine {k}"
-            )
-        if k not in inst.eligible_machines(op):
-            raise ScheduleError(f"operation {op} assigned to ineligible machine {k}")
-
-    assignment = {op: seen[op] for op in inst.operations}
-    weights = {SOURCE: 0, inst.num_operations + 1: 0}
-    for k, seq in enumerate(sequences, start=1):
-        for pos, op in enumerate(seq, start=1):
-            weights[op] = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
+    faults = _sequence_faults(inst, sequences)
+    if faults:
+        raise ScheduleError(faults[0])
+    assignment, weights = _weigh(inst, sequences)
     timing = time_graph(build_arcs(inst, sequences), weights)
-    path, length, tau = critical_path(
-        timing, sequences, assignment, inst.num_machines
-    )
+    path, length, tau = critical_path(timing, sequences)
     return Schedule(assignment, sequences, weights, path, length, tau)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list:
     """Every Schedule invariant, reported as a list of violations."""
-    violations = []
-    seen = {}
-    for k, seq in enumerate(sched.sequences, start=1):
-        for op in seq:
-            if op in seen:
-                violations.append(f"operation {op} appears on multiple machines")
-            seen[op] = k
-    for op in inst.operations:
-        k = seen.get(op)
-        if k is None:
-            violations.append(f"operation {op} missing from every sequence")
-            continue
-        if sched.assignment.get(op) != k:
-            violations.append(f"operation {op}: assignment/sequence mismatch")
-        if k not in inst.eligible_machines(op):
-            violations.append(f"operation {op} on ineligible machine {k}")
+    violations = _sequence_faults(inst, sched.sequences)
     if violations:
         return violations
-    for k, seq in enumerate(sched.sequences, start=1):
-        for pos, op in enumerate(seq, start=1):
-            expected = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
-            if sched.actual_times.get(op) != expected:
-                violations.append(
-                    f"operation {op}: stale actual time "
-                    f"{sched.actual_times.get(op)} (expected {expected})"
-                )
-    sink = inst.num_operations + 1
-    weights = [sched.actual_times.get(v, 0) for v in range(sink + 1)]
+    assignment, weights = _weigh(inst, sched.sequences)
+    for op, k in assignment.items():
+        if sched.assignment.get(op) != k:
+            violations.append(
+                f"operation {op}: assignment says machine "
+                f"{sched.assignment.get(op)}, sequences say machine {k}"
+            )
+    if len(sched.assignment) != len(assignment):
+        violations.append(
+            f"assignment lists {len(sched.assignment)} operations, "
+            f"the sequences {len(assignment)}"
+        )
+    for op in assignment:
+        if sched.actual_times.get(op) != weights[op]:
+            violations.append(
+                f"operation {op}: stale actual time "
+                f"{sched.actual_times.get(op)} (expected {weights[op]})"
+            )
     try:
-        length = time_graph(build_arcs(inst, sched.sequences), weights).start[sink]
+        timing = time_graph(build_arcs(inst, sched.sequences), weights)
     except CycleError:
         violations.append("solution graph contains a cycle")
         return violations
-    if sched.makespan != length:
+    if sched.makespan != timing.start[-1]:
         violations.append(
-            f"stored makespan {sched.makespan} differs from recomputed {length}"
+            f"stored makespan {sched.makespan} differs from recomputed "
+            f"{timing.start[-1]}"
         )
     return violations
 
@@ -288,7 +297,7 @@ def start_completion_times(inst: Instance, sched: Schedule) -> dict:
     """Earliest start/completion per operation from a forward pass."""
     timing = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
     return {
-        op: (timing.start[op], timing.completion[op]) for op in sched.assignment
+        op: (timing.start[op], timing.completion[op]) for op in inst.operations
     }
 
 

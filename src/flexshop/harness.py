@@ -26,18 +26,20 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "instance",
-    "algorithm",
-    "seed",
-    "best_makespan",
-    "time_to_best",
-    "total_runtime",
-    "iterations",
-    "neighbors_evaluated",
-    "stalled_iterations",
-    "stop_reason",
-)
+# results-file column -> (RunRecord field, type of its values)
+_COLUMNS = {
+    "instance": ("instance_id", str),
+    "algorithm": ("algorithm", str),
+    "seed": ("seed", int),
+    "best_makespan": ("best_makespan", int),
+    "time_to_best": ("time_to_best", float),
+    "total_runtime": ("total_runtime", float),
+    "iterations": ("iterations", int),
+    "neighbors_evaluated": ("neighbors_evaluated", int),
+    "stalled_iterations": ("stalled_iterations", int),
+    "stop_reason": ("stop_reason", str),
+}
+CSV_COLUMNS = tuple(_COLUMNS)
 
 
 @dataclass
@@ -74,11 +76,9 @@ def _error_record(name: str, cfg, seed: int, exc: Exception) -> RunRecord:
 def _one_run(args):
     inst, cfg = args
     try:
-        record = run(inst, cfg)
+        return run(inst, cfg)
     except Exception as exc:  # one failed run must not sink the batch
         return _error_record(inst.name, cfg, cfg.seed, exc)
-    record.instance_id = inst.name
-    return record
 
 
 def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
@@ -206,18 +206,8 @@ def wilcoxon(pairs) -> WilcoxonOutcome:
 
 
 def _record_row(rec: RunRecord) -> dict:
-    return {
-        "instance": rec.instance_id,
-        "algorithm": rec.algorithm,
-        "seed": rec.seed,
-        "best_makespan": rec.best_makespan,
-        "time_to_best": rec.time_to_best,
-        "total_runtime": rec.total_runtime,
-        "iterations": rec.iterations,
-        "neighbors_evaluated": rec.neighbors_evaluated,
-        "stalled_iterations": rec.stalled_iterations,
-        "stop_reason": rec.stop_reason,
-    }
+    return {column: getattr(rec, name)
+            for column, (name, _) in _COLUMNS.items()}
 
 
 def emit_results(records, stats=None, fmt: str = "csv", path="results.csv",
@@ -250,19 +240,9 @@ def emit_results(records, stats=None, fmt: str = "csv", path="results.csv",
 
 def read_results_csv(path) -> list:
     """Load records written by emit_results (CSV)."""
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(RunRecord(
-                row["instance"],
-                row["algorithm"],
-                int(row["seed"]),
-                int(row["best_makespan"]),
-                float(row["time_to_best"]),
-                float(row["total_runtime"]),
-                int(row["iterations"]),
-                int(row["neighbors_evaluated"]),
-                int(row["stalled_iterations"]),
-                row["stop_reason"],
-            ))
-    return records
+        return [
+            RunRecord(**{name: kind(row[column])
+                         for column, (name, kind) in _COLUMNS.items()})
+            for row in csv.DictReader(fh)
+        ]

@@ -79,28 +79,10 @@ class Instance:
         return _check(replace(self, learning_rate=alpha))
 
 
-def _topological_order(num_ops: int, arcs) -> list | None:
-    """Kahn's algorithm; returns None if the arcs contain a cycle."""
-    succ = {i: [] for i in range(1, num_ops + 1)}
-    indeg = {i: 0 for i in range(1, num_ops + 1)}
-    for i, j in arcs:
-        if i in succ and j in indeg:  # out-of-range ids reported elsewhere
-            succ[i].append(j)
-            indeg[j] += 1
-    ready = [i for i in range(1, num_ops + 1) if indeg[i] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for j in succ[v]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return order if len(order) == num_ops else None
-
-
 def validate_instance(inst: Instance) -> list:
     """Return a list of human-readable invariant violations (empty = valid)."""
+    from .graph import CycleError, topological_sort_plus  # graph imports instance
+
     violations = []
     if inst.num_operations < 1:
         violations.append("instance must have at least one operation")
@@ -136,13 +118,20 @@ def validate_instance(inst: Instance) -> list:
             violations.append(f"standard time given for non-eligible pair ({op}, {k})")
         elif p < 0:
             violations.append(f"negative standard time for pair ({op}, {k})")
+    ops = inst.operations
+    adjacency = [ops] + [[] for _ in ops]  # vertex 0 precedes every operation
     for i, j in inst.precedence_arcs:
-        for v in (i, j):
-            if not 1 <= v <= inst.num_operations:
-                violations.append(f"precedence arc ({i}, {j}): id {v} out of range")
+        if i in ops and j in ops:
+            adjacency[i].append(j)
+        else:
+            for v in (i, j):
+                if v not in ops:
+                    violations.append(f"precedence arc ({i}, {j}): id {v} out of range")
         if i == j:
             violations.append(f"self-loop precedence arc ({i}, {j})")
-    if _topological_order(inst.num_operations, inst.precedence_arcs) is None:
+    try:
+        topological_sort_plus(adjacency)
+    except CycleError:
         violations.append("precedence arcs contain a directed cycle")
     return violations
 

@@ -178,10 +178,10 @@ class _Run:
             return True
         return False
 
-    def finish(self, instance_id: str = "") -> RunRecord:
+    def finish(self) -> RunRecord:
         assert self.incumbent is not None
         return RunRecord(
-            instance_id or self.inst.name,
+            self.inst.name,
             f"{self.cfg.algo}-{self.cfg.mode}",
             self.cfg.seed,
             self.incumbent.makespan,
@@ -212,10 +212,9 @@ def _ls_config(run: _Run) -> LocalSearchConfig:
     return LocalSearchConfig(run.cfg.mode, "best", run.remaining())
 
 
-def run_ils(inst: Instance, cfg: MetaConfig,
-            rng: random.Random | None = None) -> RunRecord:
+def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Iterated local search: descend, perturb the local optimum, repeat."""
-    rng = rng or random.Random(cfg.seed)
+    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
@@ -233,13 +232,12 @@ def run_ils(inst: Instance, cfg: MetaConfig,
     return run.finish()
 
 
-def run_grasp(inst: Instance, cfg: MetaConfig,
-              rng: random.Random | None = None) -> RunRecord:
+def run_grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """GRASP: randomized construction plus local search, best kept.
 
     At least one iteration always runs so the incumbent is well defined.
     """
-    rng = rng or random.Random(cfg.seed)
+    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     while True:
         ect = construct_ect(inst, cfg.grasp_alpha, rng)
@@ -255,8 +253,7 @@ def run_grasp(inst: Instance, cfg: MetaConfig,
     return run.finish()
 
 
-def run_ts(inst: Instance, cfg: MetaConfig,
-           rng: random.Random | None = None) -> RunRecord:
+def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Tabu search over the configured neighborhood (``cfg.mode``).
 
     The chosen move's (operation, machine) pair becomes tabu; a tabu move
@@ -307,10 +304,9 @@ def run_ts(inst: Instance, cfg: MetaConfig,
     return run.finish()
 
 
-def run_sa(inst: Instance, cfg: MetaConfig,
-           rng: random.Random | None = None) -> RunRecord:
+def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Simulated annealing with geometric cooling on the relative gap."""
-    rng = rng or random.Random(cfg.seed)
+    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
@@ -344,7 +340,6 @@ def run_sa(inst: Instance, cfg: MetaConfig,
 _RUNNERS = {"ils": run_ils, "grasp": run_grasp, "ts": run_ts, "sa": run_sa}
 
 
-def run(inst: Instance, cfg: MetaConfig,
-        rng: random.Random | None = None) -> RunRecord:
+def run(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Dispatch to the configured metaheuristic."""
-    return _RUNNERS[cfg.algo](inst, cfg, rng)
+    return _RUNNERS[cfg.algo](inst, cfg)

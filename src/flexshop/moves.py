@@ -55,7 +55,6 @@ class ReducedState:
     """
 
     removed: int
-    f_minus: dict
     q_minus: tuple
     w_minus: dict
     xi: int
@@ -126,7 +125,6 @@ def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
     q_minus[old_machine - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     q_minus = tuple(q_minus)
 
-    f_minus = {op: k for op, k in sched.assignment.items() if op != v}
     w_minus = dict(sched.actual_times)
     w_minus[v] = 0
     for pos, op in enumerate(q_minus[old_machine - 1], start=1):
@@ -138,9 +136,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
     timing = time_graph(build_arcs(inst, q_minus), w_minus)
     reach_to_v = reachable_from(timing.preds, v)
     reach_from_v = reachable_from(timing.succs, v)
-    _, xi, tau = critical_path(timing, q_minus, f_minus, inst.num_machines)
+    _, xi, tau = critical_path(timing, q_minus)
     return ReducedState(
-        v, f_minus, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau, timing
+        v, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau, timing
     )
 
 
@@ -181,9 +179,7 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     q_plus = list(rs.q_minus)
     seq = q_plus[k - 1]
     q_plus[k - 1] = seq[:gamma - 1] + (v,) + seq[gamma - 1:]
-    f_plus = dict(rs.f_minus)
-    f_plus[v] = k
-    return build_schedule(inst, f_plus, q_plus)
+    return build_schedule(inst, q_plus)
 
 
 def _insertion_makespan(rs: ReducedState, rank: list, seq: tuple,

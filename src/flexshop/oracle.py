@@ -71,7 +71,7 @@ def solve_exhaustive(inst: Instance, limit: int = 1_000_000) -> OracleResult:
                 raise OracleLimitError(
                     f"enumeration limit of {limit} feasible solutions exceeded"
                 )
-            sched = build_schedule(inst, assignment, sequences)
+            sched = build_schedule(inst, sequences)
             if best is None or sched.makespan < best.makespan:
                 best = sched
     assert best is not None

@@ -29,15 +29,13 @@ def fig1():
 @pytest.fixture
 def fig2a(fig1):
     """Machine 1 runs [2]; machine 2 runs [1, 4, 5, 3].  Makespan 658."""
-    return build_schedule(fig1, {1: 2, 2: 1, 3: 2, 4: 2, 5: 2}, [[2], [1, 4, 5, 3]])
+    return build_schedule(fig1, [[2], [1, 4, 5, 3]])
 
 
 @pytest.fixture
 def fig2b(fig1):
     """Machine 2 runs [1, 2, 4, 5, 3].  Makespan 528."""
-    return build_schedule(
-        fig1, {1: 2, 2: 2, 3: 2, 4: 2, 5: 2}, [[], [1, 2, 4, 5, 3]]
-    )
+    return build_schedule(fig1, [[], [1, 2, 4, 5, 3]])
 
 
 def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
@@ -67,7 +65,6 @@ def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
 def random_schedule(rng: random.Random, inst: Instance):
     """A random precedence-compatible schedule: operations are appended, in
     a random topological order, to a random eligible machine."""
-    assignment = {}
     seqs = [[] for _ in range(inst.num_machines)]
     pending = set(inst.operations)
     while pending:
@@ -75,10 +72,9 @@ def random_schedule(rng: random.Random, inst: Instance):
                  if not any(i in pending for i in inst.predecessors(v))]
         v = rng.choice(ready)
         k = rng.choice(inst.eligible_machines(v))
-        assignment[v] = k
         seqs[k - 1].append(v)
         pending.remove(v)
-    return build_schedule(inst, assignment, seqs)
+    return build_schedule(inst, seqs)
 
 
 def simulate_makespan(inst: Instance, sched) -> int:

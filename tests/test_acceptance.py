@@ -45,8 +45,7 @@ def fig1():
 
 @pytest.fixture(scope="module")
 def fig2a(fig1):
-    return build_schedule(fig1, {1: 2, 2: 1, 3: 2, 4: 2, 5: 2},
-                          [[2], [1, 4, 5, 3]])
+    return build_schedule(fig1, [[2], [1, 4, 5, 3]])
 
 
 def test_criterion_1_learning_goldens():
@@ -60,8 +59,7 @@ def test_criterion_1_learning_goldens():
 
 
 def test_criterion_2_makespan_goldens(fig1, fig2a):
-    b = build_schedule(fig1, {i: 2 for i in range(1, 6)},
-                       [[], [1, 2, 4, 5, 3]])
+    b = build_schedule(fig1, [[], [1, 2, 4, 5, 3]])
     ok = (fig2a.makespan == 658
           and fig2a.critical_path == (0, 1, 4, 5, 3, 6)
           and b.makespan == 528

@@ -145,3 +145,81 @@ def test_validate_rejects_infeasible(instance_file, tmp_path, capsys):
     assert main(["validate", "--instance", str(instance_file),
                  "--solution", str(solution)]) == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+FIG2A_SEQUENCES = [[2], [1, 4, 5, 3]]
+FIG2A_ASSIGNMENT = {"1": 2, "2": 1, "3": 2, "4": 2, "5": 2}
+
+
+def _fails(argv, capsys, message):
+    """``argv`` exits with code 1 and one stderr line holding ``message``."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and message in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text, extra, message",
+    [
+        ("5 2 x\n", [], "error: line 1: expected learning rate, got 'x'"),
+        (FIG1_TEXT, ["--alpha", "0"], "error: learning_rate must be > 0"),
+    ],
+    ids=["bad-token", "alpha-0"],
+)
+def test_bad_instance_is_one_error_line(tmp_path, capsys, text, extra,
+                                        message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    _fails(["construct", "--instance", str(path)] + extra, capsys, message)
+
+
+def test_missing_instance_file_is_one_error_line(tmp_path, capsys):
+    _fails(["solve", "--algo", "ils", "--instance",
+            str(tmp_path / "absent.txt")], capsys, "error: ")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: "),
+        ("not json", "is not a schedule"),
+        (json.dumps({"assignment": FIG2A_ASSIGNMENT}),
+         "has no 'sequences' entry"),
+        (json.dumps({"sequences": FIG2A_SEQUENCES}),
+         "has no 'assignment' entry"),
+    ],
+    ids=["unreadable", "not-json", "no-sequences", "no-assignment"],
+)
+def test_validate_bad_solution_file_is_one_error_line(
+        instance_file, tmp_path, capsys, content, message):
+    solution = tmp_path / "solution.json"
+    if content is not None:
+        solution.write_text(content)
+    err = _fails(["validate", "--instance", str(instance_file),
+                  "--solution", str(solution)], capsys, message)
+    assert err.startswith("error: ")
+
+
+def test_validate_rejects_unknown_operation(instance_file, tmp_path, capsys):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({
+        "assignment": {**FIG2A_ASSIGNMENT, "7": 1},
+        "sequences": [[2, 7], [1, 4, 5, 3]],
+    }))
+    _fails(["validate", "--instance", str(instance_file),
+            "--solution", str(solution)], capsys,
+           "infeasible: unknown operation 7 on machine 1")
+
+
+def test_validate_rejects_assignment_that_contradicts_sequences(
+        instance_file, tmp_path, capsys):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({
+        "assignment": {**FIG2A_ASSIGNMENT, "2": 2},
+        "sequences": FIG2A_SEQUENCES,
+    }))
+    _fails(["validate", "--instance", str(instance_file),
+            "--solution", str(solution)], capsys,
+           "operation 2: assignment says machine 2, sequences say machine 1")

@@ -4,6 +4,7 @@ import pytest
 
 from flexshop import (
     CycleError,
+    Schedule,
     ScheduleError,
     build_schedule,
     parse_instance,
@@ -45,7 +46,7 @@ def test_fig2b_golden(fig1, fig2b):
 
 def test_single_operation_schedule():
     inst = parse_instance("1 1 1.0\n1 1 3\n0")
-    sched = build_schedule(inst, {1: 1}, [[1]])
+    sched = build_schedule(inst, [[1]])
     assert sched.makespan == 300
     assert sched.critical_path == (0, 1, 2)
     assert sched.tau == (1,)
@@ -63,22 +64,49 @@ def test_build_arcs_fig2a(fig1, fig2a):
 def test_machine_order_against_precedence_raises(fig1):
     # machine sequence [2, 1] contradicts precedence arc 1 -> 2
     with pytest.raises(CycleError):
-        build_schedule(fig1, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, [[2, 1, 3], [4, 5]])
+        build_schedule(fig1, [[2, 1, 3], [4, 5]])
 
 
 @pytest.mark.parametrize(
-    "assignment, sequences, fragment",
+    "sequences, fragment",
     [
-        ({1: 1, 2: 1, 3: 1, 4: 1}, [[1, 2, 3, 4], []], "missing"),
-        ({i: 2 for i in range(1, 6)}, [[1], [1, 2, 3, 4, 5]], "more than one"),
-        ({i: 2 for i in range(1, 6)}, [[], [1, 2, 3, 4, 5], []], "expected 2"),
-        ({1: 1, 2: 2, 3: 2, 4: 2, 5: 2}, [[], [1, 2, 3, 4, 5]], "assignment"),
+        ([[1, 2, 3, 4], []], "missing"),
+        ([[1], [1, 2, 3, 4, 5]], "more than once"),
+        ([[], [1, 2, 3, 4, 5], []], "expected 2"),
     ],
 )
-def test_build_schedule_rejects_inconsistency(fig1, assignment, sequences,
-                                              fragment):
+def test_build_schedule_rejects_inconsistency(fig1, sequences, fragment):
     with pytest.raises(ScheduleError, match=fragment):
-        build_schedule(fig1, assignment, sequences)
+        build_schedule(fig1, sequences)
+
+
+# operation 1 runs only on machine 1, operation 2 on either machine
+PAIR_TEXT = "2 2 1.0\n1 1 3\n2 1 2 2 2\n0\n"
+
+
+@pytest.mark.parametrize(
+    "sequences, first",
+    [
+        ([[1, 2], [], []], "expected 2 machine sequences, got 3"),
+        ([[1, 7], [2]], "unknown operation 7 on machine 1"),
+        ([[0, 1], [2]], "unknown operation 0 on machine 1"),
+        ([["1"], [2]], "unknown operation '1' on machine 1"),
+        ([[1.0, 2], []], "unknown operation 1.0 on machine 1"),
+        ([[True], [2]], "unknown operation True on machine 1"),
+        ([[1, 2], [2]], "operation 2 placed more than once"),
+        ([[1], []], "operation 2 missing from every sequence"),
+        ([[2], [1]], "operation 1 on ineligible machine 2"),
+    ],
+    ids=["extra-sequence", "id-7", "id-0", "id-str", "id-float", "id-bool",
+         "duplicate", "missing", "ineligible"],
+)
+def test_build_and_validate_agree_on_malformed_sequences(sequences, first):
+    inst = parse_instance(PAIR_TEXT)
+    with pytest.raises(ScheduleError) as raised:
+        build_schedule(inst, sequences)
+    assert str(raised.value) == first
+    sched = Schedule({}, tuple(map(tuple, sequences)), {}, (), 0)
+    assert validate_schedule(inst, sched)[0] == first
 
 
 def test_topological_sort_reach_sets(fig1, fig2a):
@@ -104,7 +132,7 @@ def test_critical_path_tie_break_follows_dfs_order():
     """Two paths of length 274 tie; the path and tau follow the depth-first
     topological order (a Kahn order would pick 0-4-1-5 and tau (2, 0))."""
     inst = parse_instance("4 2 0.2\n2 1 2 2 2\n1 2 2\n1 2 1\n1 1 1\n0\n")
-    sched = build_schedule(inst, {1: 1, 2: 2, 3: 2, 4: 1}, [[4, 1], [3, 2]])
+    sched = build_schedule(inst, [[4, 1], [3, 2]])
     assert sched.makespan == 274
     assert sched.critical_path == (0, 3, 2, 5)
     assert sched.tau == (0, 2)
@@ -138,6 +166,18 @@ def test_validate_detects_stale_times(fig1, fig2a):
     assert any("stale" in v for v in violations)
 
 
+def test_validate_detects_assignment_mismatch(fig1, fig2b):
+    fig2b.assignment[2] = 1
+    assert validate_schedule(fig1, fig2b) == [
+        "operation 2: assignment says machine 1, sequences say machine 2"
+    ]
+    del fig2b.assignment[2]
+    assert validate_schedule(fig1, fig2b) == [
+        "operation 2: assignment says machine None, sequences say machine 2",
+        "assignment lists 4 operations, the sequences 5",
+    ]
+
+
 def test_validate_detects_wrong_makespan(fig1, fig2b):
     fig2b.makespan = 1
     violations = validate_schedule(fig1, fig2b)
@@ -157,6 +197,5 @@ def test_schedule_serialization(fig1, fig2b):
 
 
 def test_schedule_key_identity(fig1, fig2a):
-    same = build_schedule(fig1, dict(fig2a.assignment),
-                          [list(s) for s in fig2a.sequences])
+    same = build_schedule(fig1, [list(s) for s in fig2a.sequences])
     assert same.key() == fig2a.key()

@@ -98,16 +98,19 @@ def test_gap_stats_skips_failed_records():
 
 
 def test_csv_round_trip(tmp_path):
-    records = [_record("b", "m1", 1, 200), _record("a", "m1", 0, 100)]
+    failed = RunRecord("c", "ils-reduced", -1, -1, 0.0, 0.0, 0, 0, 0,
+                       'error: line 2: expected "x", got 1.5')
+    records = [_record("b", "m1", 1, 200), failed, _record("a", "m1", 0, 100)]
     out = tmp_path / "results.csv"
     emit_results(records, fmt="csv", path=out)
     text = out.read_text().splitlines()
     assert text[0] == ",".join(CSV_COLUMNS)
     loaded = read_results_csv(out)
     # rows come back sorted by (instance, algorithm, seed)
-    assert [r.instance_id for r in loaded] == ["a", "b"]
+    assert [r.instance_id for r in loaded] == ["a", "b", "c"]
     assert loaded[1].best_makespan == 200
     assert loaded[0].stop_reason == "iteration-cap"
+    assert loaded == [records[2], records[0], failed]
 
 
 def test_json_emission(tmp_path):

@@ -98,6 +98,27 @@ def test_validate_rejects_duplicate_machine_and_infinite_rate():
     ]
 
 
+CYCLE = "precedence arcs contain a directed cycle"
+
+
+@pytest.mark.parametrize(
+    "arcs, expected",
+    [
+        ({(2, 2)}, ["self-loop precedence arc (2, 2)", CYCLE]),
+        ({(1, 2), (2, 1)}, [CYCLE]),
+        ({(1, 2), (2, 3), (3, 1)}, [CYCLE]),
+        ({(1, 2), (2, 1), (3, 9)},
+         ["precedence arc (3, 9): id 9 out of range", CYCLE]),
+        ({(1, 2), (2, 3), (3, 9)}, ["precedence arc (3, 9): id 9 out of range"]),
+    ],
+    ids=["self-loop", "2-cycle", "3-cycle", "out-of-range-arc", "acyclic"],
+)
+def test_validate_reports_precedence_cycles(arcs, expected):
+    inst = Instance(3, 1, ((1,),) * 3, {(op, 1): 1 for op in (1, 2, 3)},
+                    frozenset(arcs), 0.5)
+    assert validate_instance(inst) == expected
+
+
 def test_classical_import_rejects_duplicate_machine():
     with pytest.raises(InstanceError,
                        match="operation 2 lists machine 1 more than once"):

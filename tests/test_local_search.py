@@ -85,8 +85,8 @@ def test_descent_is_monotone(fig1, fig2a):
 
     result = local_search(fig1, fig2a, LocalSearchConfig("full", "best"))
     makespans = []
-    for assignment_items, sequences in result.trajectory:
-        sched = build_schedule(fig1, dict(assignment_items), sequences)
+    for _, sequences in result.trajectory:
+        sched = build_schedule(fig1, sequences)
         makespans.append(sched.makespan)
     assert makespans[0] == 658
     assert all(b < a for a, b in zip(makespans, makespans[1:]))
