@@ -25,7 +25,6 @@ from .harness import (
     run_benchmark,
     wilcoxon,
 )
-from .instance import InstanceError
 from .local_search import LocalSearchConfig, local_search
 from .metaheuristics import ALGORITHMS, MetaConfig, run
 from .oracle import OracleLimitError, solve_exhaustive
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (OSError, InstanceError, OracleLimitError, ScheduleError) as exc:
+    except (OSError, ValueError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
-from .instance import Instance, import_classical_fjs, parse_instance
+from .instance import (
+    Instance,
+    InstanceError,
+    import_classical_fjs,
+    parse_instance,
+)
 from .metaheuristics import RunRecord, run
 
 __all__ = [
@@ -55,7 +60,10 @@ class WilcoxonOutcome:
 
 def load_instance_file(path, fmt: str = "native",
                        learning_rate: float | None = None) -> Instance:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path} is not a text file: {exc}") from None
     name = Path(path).stem
     if fmt == "classical":
         inst = import_classical_fjs(

@@ -12,12 +12,14 @@ Native text format (whitespace separated)::
     next line:         num_arcs
     next arc lines:    i j        (operation i precedes operation j)
 
-The classical Brandimarte FJSP layout (header ``jobs machines``; per job an
-operation count followed by ``(machine, time)`` alternatives) is imported by
-renumbering operations globally and chaining each job's operations.
+``#`` starts a comment.  The classical Brandimarte FJSP layout (a header
+line ``jobs machines ...``, then per job an operation count followed by that
+many ``m  k1 p1 ... km pm`` blocks) is imported by renumbering operations
+globally and chaining each job's operations.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -97,9 +99,8 @@ def validate_instance(inst: Instance) -> list:
             f"eligible has {len(inst.eligible)} entries for "
             f"{inst.num_operations} operations"
         )
-    for op in inst.operations:
-        if op > len(inst.eligible):
-            break
+    listed = min(inst.num_operations, len(inst.eligible))
+    for op in range(1, listed + 1):
         machines = inst.eligible[op - 1]
         if not machines:
             violations.append(f"operation {op} has an empty eligibility set")
@@ -114,7 +115,7 @@ def validate_instance(inst: Instance) -> list:
             if (op, k) not in inst.std_time:
                 violations.append(f"missing standard time for pair ({op}, {k})")
     for (op, k), p in inst.std_time.items():
-        if not (1 <= op <= inst.num_operations and k in inst.eligible[op - 1]):
+        if not (1 <= op <= listed and k in inst.eligible[op - 1]):
             violations.append(f"standard time given for non-eligible pair ({op}, {k})")
         elif p < 0:
             violations.append(f"negative standard time for pair ({op}, {k})")
@@ -143,53 +144,75 @@ def _check(inst: Instance) -> Instance:
     return inst
 
 
+class _Tokens:
+    """The whitespace-separated tokens of a text, read in order; errors name
+    the line.  ``#`` starts a comment that runs to the end of its line."""
+
+    __slots__ = ("_words", "_ends", "_pos")
+
+    def __init__(self, text: str):
+        self._words = []
+        self._ends = []  # _ends[i] = number of tokens on lines 1..i+1
+        for line in text.splitlines():
+            self._words += line.split("#", 1)[0].split()
+            self._ends.append(len(self._words))
+        self._pos = 0
+
+    def _line(self, pos: int) -> int:
+        return bisect_right(self._ends, pos) + 1
+
+    def take(self, kind, what: str):
+        """The next token converted by ``kind``; InstanceError naming
+        ``what`` when there is none or it does not convert."""
+        pos = self._pos
+        if pos >= len(self._words):
+            raise InstanceError(f"unexpected end of file while reading {what}")
+        self._pos = pos + 1
+        try:
+            return kind(self._words[pos])
+        except ValueError:
+            raise InstanceError(f"line {self._line(pos)}: expected {what}, "
+                                f"got {self._words[pos]!r}") from None
+
+    def skip_line(self) -> None:
+        """Drop the tokens left on the line of the last token taken."""
+        self._pos = self._ends[bisect_right(self._ends, self._pos - 1)]
+
+    def finish(self) -> None:
+        """InstanceError when a token is left unread."""
+        if self._pos < len(self._words):
+            raise InstanceError(
+                f"line {self._line(self._pos)}: trailing content starting at "
+                f"{self._words[self._pos]!r}"
+            )
+
+    def operation(self, op: int, std_time: dict) -> tuple:
+        """One operation block: a machine count, then that many
+        ``machine standard_time`` pairs.  Stores the times in ``std_time``
+        and returns the machines in file order."""
+        machines = []
+        for _ in range(self.take(int, f"eligibility count of operation {op}")):
+            k = self.take(int, "machine id")
+            std_time[(op, k)] = self.take(int, "standard time")
+            machines.append(k)
+        return tuple(machines)
+
+
 def parse_instance(text: str, name: str = "") -> Instance:
     """Parse the native text format into a validated Instance."""
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0]
-        for tok in stripped.split():
-            tokens.append((tok, lineno))
-    pos = 0
-
-    def take(kind, what):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InstanceError(f"unexpected end of file while reading {what}")
-        tok, lineno = tokens[pos]
-        pos += 1
-        try:
-            return kind(tok)
-        except ValueError:
-            raise InstanceError(
-                f"line {lineno}: expected {what}, got {tok!r}"
-            ) from None
-
-    num_ops = take(int, "operation count")
-    num_machines = take(int, "machine count")
-    alpha = take(float, "learning rate")
-    eligible = []
+    tokens = _Tokens(text)
+    num_ops = tokens.take(int, "operation count")
+    num_machines = tokens.take(int, "machine count")
+    alpha = tokens.take(float, "learning rate")
     std_time = {}
-    for op in range(1, num_ops + 1):
-        m = take(int, f"eligibility count of operation {op}")
-        machines = []
-        for _ in range(m):
-            k = take(int, f"machine id for operation {op}")
-            p = take(int, f"standard time for operation {op}")
-            machines.append(k)
-            std_time[(op, k)] = p
-        eligible.append(tuple(machines))
-    num_arcs = take(int, "arc count")
+    eligible = tuple(tokens.operation(op, std_time)
+                     for op in range(1, num_ops + 1))
     arcs = set()
-    for _ in range(num_arcs):
-        i = take(int, "arc tail")
-        j = take(int, "arc head")
-        arcs.add((i, j))
-    if pos != len(tokens):
-        tok, lineno = tokens[pos]
-        raise InstanceError(f"line {lineno}: trailing content starting at {tok!r}")
+    for _ in range(tokens.take(int, "arc count")):
+        arcs.add((tokens.take(int, "arc tail"), tokens.take(int, "arc head")))
+    tokens.finish()
     return _check(
-        Instance(num_ops, num_machines, tuple(eligible), std_time,
+        Instance(num_ops, num_machines, eligible, std_time,
                  frozenset(arcs), alpha, name)
     )
 
@@ -214,57 +237,25 @@ def import_classical_fjs(text: str, learning_rate: float = 1.0,
                          name: str = "") -> Instance:
     """Import a Brandimarte-style FJSP file as a chain-precedence instance.
 
-    Operations are renumbered globally in job order; each job contributes a
-    chain of precedence arcs.  Some files carry a trailing float on the
-    header line (average flexibility); it is ignored.
+    The header line holds the job count and the machine count; the rest of
+    that line (often the average flexibility) is ignored.  Each job is an
+    operation count followed by that many operation blocks, as in the
+    native format.  Operations are renumbered globally in job order; each
+    job contributes a chain of precedence arcs.
     """
-    tokens = text.split()
-    pos = 0
-
-    def take(what):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InstanceError(f"unexpected end of file while reading {what}")
-        tok = tokens[pos]
-        pos += 1
-        try:
-            return int(tok)
-        except ValueError:
-            raise InstanceError(f"expected {what}, got {tok!r}") from None
-
-    try:
-        num_jobs = int(tokens[0])
-        num_machines = int(tokens[1])
-    except (IndexError, ValueError):
-        raise InstanceError("malformed header: expected 'jobs machines'") from None
-    pos = 2
-    # optional flexibility figure on the header line
-    if pos < len(tokens) and "." in tokens[pos]:
-        pos += 1
-
-    eligible = []
-    std_time = {}
-    arcs = set()
-    op = 0
+    tokens = _Tokens(text)
+    num_jobs = tokens.take(int, "job count")
+    num_machines = tokens.take(int, "machine count")
+    tokens.skip_line()
+    eligible, std_time, arcs = [], {}, set()
     for job in range(1, num_jobs + 1):
-        n_ops = take(f"operation count of job {job}")
-        prev = None
-        for _ in range(n_ops):
-            op += 1
-            n_alt = take(f"alternative count of operation {op}")
-            if n_alt == 0:
-                raise InstanceError(f"operation {op} (job {job}) has no alternatives")
-            machines = []
-            for _ in range(n_alt):
-                k = take("machine id")
-                p = take("processing time")
-                machines.append(k)
-                std_time[(op, k)] = p
-            eligible.append(tuple(machines))
-            if prev is not None:
-                arcs.add((prev, op))
-            prev = op
+        for step in range(tokens.take(int, f"operation count of job {job}")):
+            op = len(eligible) + 1
+            eligible.append(tokens.operation(op, std_time))
+            if step:
+                arcs.add((op - 1, op))
+    tokens.finish()
     return _check(
-        Instance(op, num_machines, tuple(eligible), std_time,
+        Instance(len(eligible), num_machines, tuple(eligible), std_time,
                  frozenset(arcs), learning_rate, name)
     )

@@ -41,6 +41,15 @@ ALGORITHMS = ("ils", "grasp", "ts", "sa")
 
 CHECK_EVERY = 64  # wall-clock poll interval, in candidate evaluations
 
+# simulated annealing: candidates per temperature step; the initial
+# temperature accepts a relative worsening of SA_T0_P with probability
+# SA_T0_M; geometric cooling by SA_DELTA down to the floor SA_TF
+SA_SWEEP = 3
+SA_T0_P = 0.78
+SA_T0_M = 0.79
+SA_TF = 1e-3
+SA_DELTA = 0.82
+
 # calibrated parameter defaults, keyed by (algorithm, neighborhood mode)
 _CALIBRATED = {
     ("ils", "reduced"): {"ils_perturb_min": 2, "ils_perturb_max": 4},
@@ -63,11 +72,6 @@ class MetaConfig:
     ils_perturb_max: int = 4
     grasp_alpha: float = 0.38
     ts_factor: float = 0.9
-    sa_sweep: int = 3
-    sa_t0_p: float = 0.78
-    sa_t0_m: float = 0.79
-    sa_tf: float = 1e-3
-    sa_delta: float = 0.82
     target_makespan: int | None = None  # stop once the incumbent reaches it
     no_improve_limit: float | None = None  # seconds; opt-in secondary stop
 
@@ -78,13 +82,6 @@ class MetaConfig:
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
         if not 1 <= self.ils_perturb_min <= self.ils_perturb_max:
             raise ValueError("need 1 <= ils_perturb_min <= ils_perturb_max")
-        if not 0 < self.sa_delta < 1:
-            raise ValueError("sa_delta must lie in (0, 1)")
-        if self.sa_tf <= 0 or self.sa_t0() < self.sa_tf:
-            raise ValueError("need T0 >= Tf > 0")
-
-    def sa_t0(self) -> float:
-        return -self.sa_t0_p / math.log(self.sa_t0_m)
 
     def ts_list_size(self, inst: Instance) -> int:
         return math.ceil((inst.num_operations + inst.num_machines) * self.ts_factor)
@@ -311,10 +308,10 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
-    temperature = cfg.sa_t0()
+    temperature = -SA_T0_P / math.log(SA_T0_M)
     while not run.exhausted():
         stop = False
-        for _ in range(cfg.sa_sweep):
+        for _ in range(SA_SWEEP):
             cand = perturb(inst, current, rng)
             delta = (cand.makespan - current.makespan) / current.makespan
             r = rng.random()
@@ -333,7 +330,7 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
         run.iterations += 1
         if stop:
             break
-        temperature = max(cfg.sa_delta * temperature, cfg.sa_tf)
+        temperature = max(SA_DELTA * temperature, SA_TF)
     return run.finish()
 
 

@@ -223,3 +223,30 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
     _fails(["validate", "--instance", str(instance_file),
             "--solution", str(solution)], capsys,
            "operation 2: assignment says machine 2, sequences say machine 1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--instance", "{fig1}", "--rule", "ect",
+          "--rcl-alpha", "2"], "error: rcl_alpha must lie in [0, 1], got 2.0"),
+        (["solve", "--instance", "{fig1}", "--algo", "ils",
+          "--perturb-min", "5", "--perturb-max", "2"],
+         "error: need 1 <= ils_perturb_min <= ils_perturb_max"),
+        (["bench", "--instances", "{dir}", "--algos", "bogus"],
+         "error: unknown algorithm 'bogus'"),
+    ],
+    ids=["rcl-alpha", "perturb-range", "unknown-algo"],
+)
+def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
+                                                 message):
+    argv = [a.format(fig1=instance_file, dir=instance_file.parent)
+            for a in argv]
+    _fails(argv, capsys, message)
+
+
+def test_non_text_instance_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe5\x002\x00")
+    _fails(["construct", "--instance", str(path)], capsys,
+           f"error: {path} is not a text file")

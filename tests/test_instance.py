@@ -154,6 +154,48 @@ def test_classical_import_rejects_truncation():
         import_classical_fjs("1 1\n2  1 1 5\n")
 
 
+@pytest.mark.parametrize(
+    "text, eligible, std_time, arcs",
+    [
+        ("1 2 1\n1  1 1 5\n", ((1,),), {(1, 1): 5}, set()),
+        ("2 2 2\n2  2 1 3 2 4  1 1 5\n1  2 1 2 2 6\n",
+         ((1, 2), (1,), (1, 2)),
+         {(1, 1): 3, (1, 2): 4, (2, 1): 5, (3, 1): 2, (3, 2): 6}, {(1, 2)}),
+        ("# jobs machines\n1 1 # two operations\n2  1 1 5\n1 1 3 # last\n",
+         ((1,), (1,)), {(1, 1): 5, (2, 1): 3}, {(1, 2)}),
+    ],
+    ids=["integer-figure", "two-jobs", "comments"],
+)
+def test_classical_import_ignores_rest_of_header_line(text, eligible, std_time,
+                                                      arcs):
+    inst = import_classical_fjs(text)
+    assert inst.eligible == eligible
+    assert inst.std_time == std_time
+    assert inst.precedence_arcs == frozenset(arcs)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1\n1  1 1 5\n7\n", "line 3: trailing content starting at '7'"),
+        ("1 2\n1  1 x 5\n", "line 2: expected machine id, got 'x'"),
+    ],
+    ids=["trailing", "bad-token"],
+)
+def test_classical_import_errors_name_the_line(text, message):
+    with pytest.raises(InstanceError) as info:
+        import_classical_fjs(text)
+    assert str(info.value) == message
+
+
+def test_validate_reports_short_eligibility_list():
+    inst = Instance(2, 1, ((1,),), {(1, 1): 1, (2, 1): 3}, frozenset(), 0.5)
+    assert validate_instance(inst) == [
+        "eligible has 1 entries for 2 operations",
+        "standard time given for non-eligible pair (2, 1)",
+    ]
+
+
 def test_with_learning_rate(fig1):
     other = fig1.with_learning_rate(0.2)
     assert other.learning_rate == 0.2

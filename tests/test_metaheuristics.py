@@ -16,6 +16,14 @@ from flexshop import (
     validate_schedule,
 )
 
+from flexshop.metaheuristics import (
+    SA_DELTA,
+    SA_SWEEP,
+    SA_T0_M,
+    SA_T0_P,
+    SA_TF,
+)
+
 from conftest import FIG1_OPTIMUM, random_instance
 
 
@@ -50,9 +58,8 @@ def test_calibrated_defaults():
     assert MetaConfig.calibrated("grasp", "cropped").grasp_alpha == 0.59
     assert MetaConfig.calibrated("ts", "reduced").ts_factor == 0.9
     assert MetaConfig.calibrated("ts", "cropped").ts_factor == 0.5
-    sa = MetaConfig.calibrated("sa", "reduced")
-    assert (sa.sa_sweep, sa.sa_t0_p, sa.sa_t0_m) == (3, 0.78, 0.79)
-    assert (sa.sa_tf, sa.sa_delta) == (1e-3, 0.82)
+    assert (SA_SWEEP, SA_T0_P, SA_T0_M) == (3, 0.78, 0.79)
+    assert (SA_TF, SA_DELTA) == (1e-3, 0.82)
     override = MetaConfig.calibrated("ts", "reduced", ts_factor=0.4, seed=7)
     assert override.ts_factor == 0.4
     assert override.seed == 7
@@ -65,20 +72,18 @@ def test_config_validation():
         MetaConfig(mode="bogus")
     with pytest.raises(ValueError):
         MetaConfig(ils_perturb_min=5, ils_perturb_max=3)
-    with pytest.raises(ValueError):
-        MetaConfig(sa_delta=1.0)
-    with pytest.raises(ValueError):
-        MetaConfig(sa_tf=0.0)
 
 
 def test_sa_initial_temperature():
-    cfg = MetaConfig(algo="sa")
-    assert cfg.sa_t0() == pytest.approx(-0.78 / math.log(0.79))
+    t = -SA_T0_P / math.log(SA_T0_M)
+    assert t == pytest.approx(-0.78 / math.log(0.79))
+    # a relative worsening of SA_T0_P is first accepted with probability SA_T0_M
+    assert math.exp(-SA_T0_P / t) == pytest.approx(SA_T0_M)
+    assert 0 < SA_DELTA < 1 and 0 < SA_TF < t
     # geometric cooling reaches and then sticks to the floor
-    t = cfg.sa_t0()
     for _ in range(200):
-        t = max(cfg.sa_delta * t, cfg.sa_tf)
-    assert t == cfg.sa_tf
+        t = max(SA_DELTA * t, SA_TF)
+    assert t == SA_TF
 
 
 def test_tabu_list_size(fig1):
@@ -206,8 +211,7 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
 
 
 def test_sa_always_accepts_improvements():
-    cfg = MetaConfig(algo="sa")
-    temperature = cfg.sa_tf  # coldest possible
+    temperature = SA_TF  # coldest possible
     for delta in (-0.5, -1e-9, 0.0):
         # acceptance draw r < 1 always passes for non-worsening moves
         assert math.exp(-delta / temperature) >= 0.999999
