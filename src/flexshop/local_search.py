@@ -20,6 +20,12 @@ __all__ = ["LocalSearchConfig", "LocalSearchResult", "local_search"]
 STRATEGIES = ("best", "first")
 
 
+def check_seconds(name: str, value) -> None:
+    """Reject a negative or NaN duration; ``None`` (no limit) and 0 pass."""
+    if value is not None and not value >= 0:
+        raise ValueError(f"{name} must be >= 0 seconds, got {value}")
+
+
 @dataclass(frozen=True)
 class LocalSearchConfig:
     mode: str = "reduced"
@@ -31,6 +37,7 @@ class LocalSearchConfig:
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        check_seconds("time_budget", self.time_budget)
 
 
 @dataclass

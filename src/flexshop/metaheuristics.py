@@ -22,7 +22,7 @@ from .moves import (
     insert_op,
     remove_op,
 )
-from .local_search import LocalSearchConfig, local_search
+from .local_search import LocalSearchConfig, check_seconds, local_search
 from .constructive import best_of_est_ect, construct_ect, construct_est
 
 __all__ = [
@@ -82,6 +82,14 @@ class MetaConfig:
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
         if not 1 <= self.ils_perturb_min <= self.ils_perturb_max:
             raise ValueError("need 1 <= ils_perturb_min <= ils_perturb_max")
+        if not (math.isfinite(self.ts_factor) and self.ts_factor > 0):
+            raise ValueError(
+                f"ts_factor must be finite and > 0, got {self.ts_factor}")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be >= 0, got {self.max_iterations}")
+        check_seconds("time_budget", self.time_budget)
+        check_seconds("no_improve_limit", self.no_improve_limit)
 
     def ts_list_size(self, inst: Instance) -> int:
         return math.ceil((inst.num_operations + inst.num_machines) * self.ts_factor)

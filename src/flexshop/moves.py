@@ -8,8 +8,13 @@ at least as long as the current makespan and the insertion happens after
 the last critical position of the target machine, the surviving path is
 untouched.
 
-A neighbor is priced without building its graph: ``remove_op`` times the
-reduced graph once, and that one pass gives the insertion windows, the
+A neighbor is priced without building its graph.  A scan times the
+schedule's own graph G once (``solution_graph``); each removal derives its
+reduced graph G⁻ from it by rewiring the removed operation's machine
+neighbours and re-timing only what lies after it in G's order.  When a
+vertex on G⁻'s critical path has two predecessors that finish at its
+start, τ would follow the order's tie-break, so G⁻ is timed again from
+scratch.  That one timing of G⁻ gives the insertion windows, the
 reduction's bounds and the times from which each insertion re-times only
 what lies downstream of the inserted operation.  The neighbor's
 ``Schedule`` is built on demand, for the move a search applies.
@@ -17,11 +22,12 @@ what lies downstream of the inserted operation.  The neighbor's
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .instance import Instance
 from .learning import actual_time
 from .graph import (
+    SOURCE,
     CycleError,
     Schedule,
     Timing,
@@ -36,6 +42,8 @@ __all__ = [
     "ReducedState",
     "InsertionWindow",
     "Move",
+    "SolutionGraph",
+    "solution_graph",
     "remove_op",
     "feasible_window",
     "insert_op",
@@ -62,6 +70,7 @@ class ReducedState:
     reach_from_v: set
     tau: tuple
     timing: Timing  # of the reduced graph
+    rank: list | None = None  # of each vertex in timing.order, if known
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,37 @@ class Move:
         return self._schedule
 
 
-def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
-    """Remove operation ``v`` from the schedule's solution graph."""
+class SolutionGraph(NamedTuple):
+    """The timing of a schedule's own solution graph G, from which a scan
+    derives every reduced graph, and the rank of each vertex in G's
+    order."""
+
+    timing: Timing
+    rank: list
+
+
+def solution_graph(inst: Instance, sched: Schedule) -> SolutionGraph:
+    """Time the schedule's solution graph once, for a scan's removals."""
+    timing = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
+    return SolutionGraph(timing, _rank(timing.order))
+
+
+def _rank(order: list) -> list:
+    rank = [0] * len(order)
+    for idx, u in enumerate(order):
+        rank[u] = idx
+    return rank
+
+
+def remove_op(inst: Instance, sched: Schedule, v: int,
+              graph: SolutionGraph | None = None) -> ReducedState:
+    """Remove operation ``v`` from the schedule's solution graph.
+
+    Without ``graph`` the reduced graph is built and timed from scratch.
+    With the schedule's ``solution_graph`` it is derived from G: the arcs,
+    times, reach sets, ξ and τ are the same, and ``rank`` is G's unless a
+    critical-path tie made the derivation time G⁻ from scratch.
+    """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
     old_machine = sched.assignment[v]
@@ -127,19 +165,93 @@ def remove_op(inst: Instance, sched: Schedule, v: int) -> ReducedState:
 
     w_minus = dict(sched.actual_times)
     w_minus[v] = 0
-    for pos, op in enumerate(q_minus[old_machine - 1], start=1):
-        if pos >= gamma:  # shifted one position earlier
-            w_minus[op] = actual_time(
-                inst.std_time[(op, old_machine)], pos, inst.learning_rate
-            )
+    shifted = old_seq[gamma:]  # one position earlier now
+    for pos, op in enumerate(shifted, start=gamma):
+        w_minus[op] = actual_time(
+            inst.std_time[(op, old_machine)], pos, inst.learning_rate
+        )
 
-    timing = time_graph(build_arcs(inst, q_minus), w_minus)
+    rank = None
+    if graph is None:
+        timing = time_graph(build_arcs(inst, q_minus), w_minus)
+    else:
+        prev = old_seq[gamma - 2] if gamma > 1 else None
+        timing = _derive_reduced(inst, graph, v, prev, shifted, w_minus)
+        if _tied_critical_path(timing):
+            # τ follows the tie-break, and so the order: use the rebuild's
+            timing = time_graph(timing.succs, w_minus)
+        else:
+            rank = graph.rank
     reach_to_v = reachable_from(timing.preds, v)
     reach_from_v = reachable_from(timing.succs, v)
     _, xi, tau = critical_path(timing, q_minus)
     return ReducedState(
-        v, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau, timing
+        v, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau, timing, rank
     )
+
+
+def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
+                    shifted: tuple, w_minus: dict) -> Timing:
+    """Timing of G⁻ in G's order, from G's timing.
+
+    Removing ``v`` from between ``prev`` and ``next`` (``shifted[0]``)
+    drops the machine arcs prev→v and v→next, unless they are precedence
+    arcs, and adds prev→next; the lists stay sorted, as ``build_arcs``
+    gives them.  G's order is topological for G⁻, because prev preceded
+    next through v.  Vertices before ``v`` in it keep G's times and
+    setters; ``v``, ``next``, the shifted operations and whatever their new
+    completions reach are re-timed.
+    """
+    base = graph.timing
+    succs = list(base.succs)
+    preds = base.preds.copy()
+    nxt = shifted[0] if shifted else None
+    arcs = inst.precedence_arcs
+    if prev is not None and (prev, v) not in arcs:
+        succs[prev] = tuple(j for j in succs[prev] if j != v)
+        preds[v] = [i for i in preds[v] if i != prev]
+    if nxt is not None and (v, nxt) not in arcs:
+        succs[v] = tuple(j for j in succs[v] if j != nxt)
+        preds[nxt] = [i for i in preds[nxt] if i != v]
+    if prev is not None and nxt is not None and (prev, nxt) not in arcs:
+        succs[prev] = tuple(sorted(succs[prev] + (nxt,)))
+        # predecessor lists follow the order, as time_graph leaves them
+        preds[nxt] = sorted(preds[nxt] + [prev], key=graph.rank.__getitem__)
+
+    start = base.start.copy()
+    completion = base.completion.copy()
+    setter = base.setter.copy()
+    stale = {v, *shifted}
+    for u in islice(base.order, graph.rank[v], None):
+        if u not in stale:
+            continue
+        stale.discard(u)
+        latest = -1
+        for i in preds[u]:
+            if completion[i] > latest:
+                latest = completion[i]
+                setter[u] = i
+        start[u] = latest
+        done = latest + w_minus[u]
+        if done != completion[u]:
+            completion[u] = done
+            stale.update(succs[u])
+        if not stale:
+            break
+    return Timing(tuple(succs), base.order, preds, start, completion, setter)
+
+
+def _tied_critical_path(timing: Timing) -> bool:
+    """Whether a vertex on the critical path has two predecessors that
+    finish at its start, so that another order could walk another path."""
+    finish = timing.completion.__getitem__
+    start, preds, setter = timing.start, timing.preds, timing.setter
+    u = len(start) - 1
+    while u != SOURCE:
+        if list(map(finish, preds[u])).count(start[u]) > 1:
+            return True
+        u = setter[u]
+    return False
 
 
 def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
@@ -267,17 +379,16 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
     alpha = inst.learning_rate
+    graph = solution_graph(inst, sched)
     for v in candidates:
-        rs = remove_op(inst, sched, v)
-        rank = None
+        rs = remove_op(inst, sched, v, graph)
+        rank = rs.rank
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
             if not window.positions:
                 continue
             if rank is None:
-                rank = [0] * len(rs.timing.succs)
-                for idx, u in enumerate(rs.timing.order):
-                    rank[u] = idx
+                rank = _rank(rs.timing.order)
             seq = rs.q_minus[k - 1]
             later = [actual_time(inst.std_time[(op, k)], pos, alpha)
                      for pos, op in enumerate(seq, start=2)]

@@ -1,0 +1,112 @@
+"""Byte-identity of the search behaviour.
+
+SHA-256 digests of every neighbor scan, every descent trajectory and a
+grid of seeded, iteration-capped metaheuristic runs on a fixed set of
+seeded random instances, half of them with standard times in {1, 2} so
+that many paths tie.  The digests were frozen from the code before the
+scan derived each reduced graph from the current one; a speed-up of the
+neighbor evaluation must leave all three unchanged.  A deliberate change
+of behaviour updates them and says why.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from flexshop import (
+    LocalSearchConfig,
+    MetaConfig,
+    best_of_est_ect,
+    enumerate_neighbors,
+    local_search,
+    perturb,
+    run,
+)
+from flexshop.moves import NEIGHBORHOOD_MODES
+
+from conftest import random_instance, random_schedule
+
+# iteration caps that keep the whole grid within a few seconds
+RUN_CAPS = {"ils": 3, "grasp": 2, "ts": 6, "sa": 12}
+
+FROZEN = {
+    "neighbors":
+        "5e32ba8aebcf26ccef281fe1b50fefcb61da0ceb2d9a69040fb423f043dfe2ef",
+    "descents":
+        "102004698399d1a4e35cbcf14dca7c17515f87da973d930a705ce2733a78f35c",
+    "runs":
+        "217be7bc91b7b28ae8715f8987eb648e3071851b641d2d8a04b135da57607065",
+}
+
+
+def _instances():
+    rng = random.Random(20260718)
+    out = []
+    for i in range(40):
+        inst = random_instance(rng, max_ops=14, max_machines=4,
+                               max_time=2 if i % 2 else 10)
+        out.append((inst, rng.randrange(2**32)))
+    return out
+
+
+def _starts(inst, seed):
+    """The constructive start, a random schedule and that schedule after
+    two and four perturbations."""
+    rng = random.Random(seed)
+    starts = [best_of_est_ect(inst), random_schedule(rng, inst)]
+    sched = starts[-1]
+    for walk in range(4):
+        sched = perturb(inst, sched, rng)
+        if walk % 2:
+            starts.append(sched)
+    return starts
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(repr(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return [(inst, _starts(inst, seed)) for inst, seed in _instances()]
+
+
+def test_neighbor_scans_are_unchanged(cases):
+    def lines():
+        for inst, starts in cases:
+            for sched in starts:
+                for mode in NEIGHBORHOOD_MODES:
+                    yield mode, [(m.operation, m.machine, m.position, m.makespan)
+                                 for m in enumerate_neighbors(inst, sched, mode)]
+    assert _digest(lines()) == FROZEN["neighbors"]
+
+
+def test_descent_trajectories_are_unchanged(cases):
+    def lines():
+        for inst, starts in cases:
+            for sched in starts[:2]:
+                for mode in NEIGHBORHOOD_MODES:
+                    result = local_search(inst, sched,
+                                          LocalSearchConfig(mode, "best"))
+                    yield (mode, result.iterations, result.neighbors_evaluated,
+                           result.trajectory)
+    assert _digest(lines()) == FROZEN["descents"]
+
+
+def test_capped_runs_are_unchanged(cases):
+    def lines():
+        for index, (inst, _) in enumerate(cases):
+            for algo, cap in RUN_CAPS.items():
+                for mode in NEIGHBORHOOD_MODES:
+                    cfg = MetaConfig.calibrated(algo, mode, seed=index,
+                                                max_iterations=cap)
+                    rec = run(inst, cfg)
+                    yield (algo, mode, rec.best_makespan, rec.iterations,
+                           rec.neighbors_evaluated, rec.stalled_iterations,
+                           rec.stop_reason, rec.schedule.key())
+    assert _digest(lines()) == FROZEN["runs"]

@@ -235,8 +235,22 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
          "error: need 1 <= ils_perturb_min <= ils_perturb_max"),
         (["bench", "--instances", "{dir}", "--algos", "bogus"],
          "error: unknown algorithm 'bogus'"),
+        (["solve", "--instance", "{fig1}", "--algo", "ts",
+          "--tabu-factor", "-1", "--iterations", "3"],
+         "error: ts_factor must be finite and > 0, got -1.0"),
+        (["solve", "--instance", "{fig1}", "--algo", "sa",
+          "--iterations", "-3"], "error: max_iterations must be >= 0, got -3"),
+        (["solve", "--instance", "{fig1}", "--algo", "ils",
+          "--time-limit", "-1"],
+         "error: time_budget must be >= 0 seconds, got -1.0"),
+        (["solve", "--instance", "{fig1}", "--algo", "ils",
+          "--no-improve", "-1", "--iterations", "2"],
+         "error: no_improve_limit must be >= 0 seconds, got -1.0"),
+        (["localsearch", "--instance", "{fig1}", "--time-limit", "-5"],
+         "error: time_budget must be >= 0 seconds, got -5.0"),
     ],
-    ids=["rcl-alpha", "perturb-range", "unknown-algo"],
+    ids=["rcl-alpha", "perturb-range", "unknown-algo", "tabu-factor",
+         "iterations", "time-limit", "no-improve", "localsearch-time-limit"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):

@@ -125,3 +125,6 @@ def test_config_validation():
         LocalSearchConfig("bogus", "best")
     with pytest.raises(ValueError):
         LocalSearchConfig("full", "bogus")
+    for bad in (-5, -1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            LocalSearchConfig("full", "best", bad)

@@ -72,6 +72,15 @@ def test_config_validation():
         MetaConfig(mode="bogus")
     with pytest.raises(ValueError):
         MetaConfig(ils_perturb_min=5, ils_perturb_max=3)
+    nan = float("nan")
+    for bad in ({"ts_factor": -1}, {"ts_factor": 0}, {"ts_factor": nan},
+                {"ts_factor": math.inf}, {"max_iterations": -3},
+                {"time_budget": -1}, {"time_budget": nan},
+                {"no_improve_limit": -1}, {"no_improve_limit": nan}):
+        with pytest.raises(ValueError):
+            MetaConfig(**bad)
+    # zero budgets and caps stay legal: the run still returns its start
+    MetaConfig(time_budget=0.0, max_iterations=0, no_improve_limit=0.0)
 
 
 def test_sa_initial_temperature():

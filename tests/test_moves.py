@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from flexshop import (
     CycleError,
+    Instance,
     build_schedule,
     enumerate_neighbors,
     feasible_window,
@@ -15,7 +16,7 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.moves import NEIGHBORHOOD_MODES
+from flexshop.moves import NEIGHBORHOOD_MODES, solution_graph
 
 from conftest import random_instance
 
@@ -194,3 +195,63 @@ def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk):
         assert move.makespan == rebuilt.makespan
         assert validate_schedule(inst, move.schedule) == []
         assert move.schedule.key() == rebuilt.key()
+
+
+def _chain_instance(rng: random.Random, max_time: int) -> Instance:
+    """Jobs of 1-4 chained operations on up to 4 machines."""
+    m = rng.randint(1, 4)
+    eligible, std_time, arcs = [], {}, set()
+    for _ in range(rng.randint(1, 4)):
+        for step in range(rng.randint(1, 4)):
+            op = len(eligible) + 1
+            machines = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)))
+            eligible.append(tuple(machines))
+            std_time.update({(op, k): rng.randint(1, max_time)
+                             for k in machines})
+            if step:
+                arcs.add((op - 1, op))
+    return Instance(len(eligible), m, tuple(eligible), std_time,
+                    frozenset(arcs), rng.choice((0.1, 0.2, 0.3)), "chain")
+
+
+def test_derived_reduced_state_matches_rebuild():
+    """For every removal, the reduced graph a scan derives from the
+    schedule's own graph has the rebuilt one's arcs, times, reach sets, ξ
+    and τ; both the derivation and its rebuild on a critical-path tie run
+    on this fuzz set."""
+    rng = random.Random(7)
+    derived = rebuilt = 0
+    for case in range(160):
+        max_time = 2 if case % 4 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        sched = best_of_est_ect(inst)
+        for _ in range(case % 3):
+            sched = perturb(inst, sched, rng)
+        graph = solution_graph(inst, sched)
+        for v in inst.operations:
+            want = remove_op(inst, sched, v)
+            got = remove_op(inst, sched, v, graph)
+            assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
+            assert (got.xi, got.tau) == (want.xi, want.tau)
+            assert got.reach_to_v == want.reach_to_v
+            assert got.reach_from_v == want.reach_from_v
+            assert got.timing.succs == want.timing.succs
+            assert got.timing.start == want.timing.start
+            assert got.timing.completion == want.timing.completion
+            assert ([sorted(p) for p in got.timing.preds]
+                    == [sorted(p) for p in want.timing.preds])
+            if got.rank is None:  # rebuilt: exactly remove_op's timing
+                assert got.timing == want.timing
+                rebuilt += 1
+            else:  # derived: in G's order, which must suit G⁻
+                assert got.timing.order == graph.timing.order
+                rank = got.rank
+                assert all(rank[u] < rank[j]
+                           for u, succs in enumerate(got.timing.succs)
+                           for j in succs)
+                derived += 1
+    assert derived > 0 and rebuilt > 0
