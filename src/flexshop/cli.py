@@ -58,6 +58,23 @@ def _read_solution(path) -> tuple:
         raise ScheduleError(f"solution {path} is not a schedule: {exc}") from None
 
 
+def _method_pair(spec: str, records) -> tuple:
+    """The two distinct methods named by ``A,B``, each present in
+    ``records``."""
+    names = [name.strip() for name in spec.split(",")]
+    if len(names) != 2 or not all(names):
+        raise ValueError(
+            f"--wilcoxon expects two method names as A,B, got {spec!r}")
+    if names[0] == names[1]:
+        raise ValueError(
+            f"--wilcoxon compares a method with itself: {names[0]!r}")
+    present = {rec.algorithm for rec in records}
+    for name in names:
+        if name not in present:
+            raise ValueError(f"method {name!r} is not in the results")
+    return tuple(names)
+
+
 def _meta_config(args) -> MetaConfig:
     overrides = {
         "time_budget": args.time_limit,
@@ -221,7 +238,7 @@ def _dispatch(args) -> int:
         records = read_results_csv(args.infile)
         stats = gap_stats(records)
         if args.wilcoxon:
-            name_a, name_b = (s.strip() for s in args.wilcoxon.split(","))
+            name_a, name_b = _method_pair(args.wilcoxon, records)
             per_instance = stats["per_instance"]
             pairs = [
                 (tbl[name_a]["best"], tbl[name_b]["best"])

@@ -102,6 +102,10 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     beyond the CPU count is refused so per-run wall-clock budgets stay
     honest.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cpu = os.cpu_count() or 1
     if workers > cpu:
         raise ValueError(f"workers={workers} exceeds the {cpu} available CPUs")

@@ -3,8 +3,10 @@
 Six variants: {full, reduced, cropped} neighborhood x {best, first}
 improvement.  Best improvement scans the whole neighborhood and keeps the
 first-encountered strict minimum; first improvement accepts the first
-strictly improving neighbor and restarts the scan.  Neighbors are compared
-by their incrementally computed makespan; a Schedule is built only for the
+strictly improving neighbor and restarts the scan.  A neighbor counts only
+if it beats a cutoff: the best improving makespan found so far in the scan,
+or the current one.  Its lower bound is tested first, so a neighbor that
+cannot beat the cutoff is never priced; a Schedule is built only for the
 move that is applied.
 """
 
@@ -65,20 +67,21 @@ def local_search(inst: Instance, start: Schedule,
     result = LocalSearchResult(current, 0, 0, [current.key()])
     while True:
         best = None
+        cutoff = current.makespan
         for move in enumerate_neighbors(inst, current, cfg.mode):
             result.neighbors_evaluated += 1
-            if best is None or move.makespan < best.makespan:
+            if move.bound < cutoff and move.makespan < cutoff:
                 best = move
-            if cfg.strategy == "first" and best.makespan < current.makespan:
-                break
+                cutoff = move.makespan
+                if cfg.strategy == "first":
+                    break
             if deadline is not None and time.monotonic() >= deadline:
                 break
-        if best is not None and best.makespan < current.makespan:
-            current = best.schedule
-            result.iterations += 1
-            result.trajectory.append(current.key())
-        else:
+        if best is None:
             break
+        current = best.schedule
+        result.iterations += 1
+        result.trajectory.append(current.key())
         if deadline is not None and time.monotonic() >= deadline:
             break
     result.schedule = current

@@ -82,6 +82,9 @@ class MetaConfig:
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
         if not 1 <= self.ils_perturb_min <= self.ils_perturb_max:
             raise ValueError("need 1 <= ils_perturb_min <= ils_perturb_max")
+        if not 0 <= self.grasp_alpha <= 1:
+            raise ValueError(
+                f"grasp_alpha must lie in [0, 1], got {self.grasp_alpha}")
         if not (math.isfinite(self.ts_factor) and self.ts_factor > 0):
             raise ValueError(
                 f"ts_factor must be finite and > 0, got {self.ts_factor}")
@@ -263,8 +266,9 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
     The chosen move's (operation, machine) pair becomes tabu; a tabu move
     is still admissible when it beats both the scan's best and the
-    incumbent.  A scan with no admissible move evicts the oldest tabu
-    entry and is counted as stalled.
+    incumbent; a move whose lower bound rules it out is not priced.  A scan
+    with no admissible move evicts the oldest tabu entry and is counted as
+    stalled.
     """
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -279,13 +283,10 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
             if run.record_candidate():
                 interrupted = True
                 break
-            best_len = math.inf if best is None else best.makespan
-            admissible = (
-                (move.makespan < best_len
-                 and (move.operation, move.machine) not in tabu)
-                or move.makespan < min(best_len, run.incumbent.makespan)
-            )
-            if admissible:
+            cutoff = math.inf if best is None else best.makespan
+            if (move.operation, move.machine) in tabu:
+                cutoff = min(cutoff, run.incumbent.makespan)
+            if move.bound < cutoff and move.makespan < cutoff:
                 best = move
         run.iterations += 1
         if interrupted and best is None:

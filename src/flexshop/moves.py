@@ -16,8 +16,18 @@ vertex on G⁻'s critical path has two predecessors that finish at its
 start, τ would follow the order's tie-break, so G⁻ is timed again from
 scratch.  That one timing of G⁻ gives the insertion windows, the
 reduction's bounds and the times from which each insertion re-times only
-what lies downstream of the inserted operation.  The neighbor's
-``Schedule`` is built on demand, for the move a search applies.
+what lies downstream of the inserted operation.
+
+Each neighbor carries an O(1) lower bound on its makespan and is priced
+only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
+Inserting the removed operation at position γ of machine k keeps P, or
+routes it through the inserted operation, and only P's operations on k at
+positions ≥ γ change weight: each moves one position later and so gets
+shorter.  The makespan is therefore at least ξ minus what those operations
+lose; the reduction's rule is the case where none of them lies at γ or
+after.  A search that needs only moves shorter than a cutoff reads the
+bound first.  The neighbor's ``Schedule`` is built on demand, for the move
+a search applies.
 """
 
 from dataclasses import dataclass
@@ -65,12 +75,13 @@ class ReducedState:
     removed: int
     q_minus: tuple
     w_minus: dict
+    path: tuple  # critical path of the reduced graph, s to t
     xi: int
     reach_to_v: set
     reach_from_v: set
     tau: tuple
     timing: Timing  # of the reduced graph
-    rank: list | None = None  # of each vertex in timing.order, if known
+    rank: list | None = None  # of each vertex in timing.order, once known
 
 
 @dataclass(frozen=True)
@@ -97,22 +108,40 @@ class InsertionWindow:
 class Move:
     """One neighbor: ``operation`` reinserted at ``position`` of ``machine``.
 
-    ``makespan`` is exact; ``schedule`` is built by ``insert_op`` on first
+    ``bound`` is a lower bound on the makespan, known at once.  ``makespan``
+    is exact and priced from the reduced state ``rs`` on first access;
+    ``later[i]`` is the time of the target machine's ``i``-th operation one
+    position further back.  ``schedule`` is built by ``insert_op`` on first
     access.
     """
 
-    __slots__ = ("operation", "machine", "position", "makespan", "_inst",
-                 "_rs", "_schedule")
+    __slots__ = ("operation", "machine", "position", "bound", "_inst",
+                 "_rs", "_later", "_makespan", "_schedule")
 
     def __init__(self, operation: int, machine: int, position: int,
-                 makespan: int, inst: Instance, rs: ReducedState):
+                 bound: int, inst: Instance, rs: ReducedState, later: list):
         self.operation = operation
         self.machine = machine
         self.position = position
-        self.makespan = makespan
+        self.bound = bound
         self._inst = inst
         self._rs = rs
+        self._later = later
+        self._makespan = None
         self._schedule = None
+
+    @property
+    def makespan(self) -> int:
+        if self._makespan is None:
+            rs, k, gamma = self._rs, self.machine, self.position
+            if rs.rank is None:
+                rs.rank = _rank(rs.timing.order)
+            std = self._inst.std_time[(self.operation, k)]
+            time_v = actual_time(std, gamma, self._inst.learning_rate)
+            self._makespan = _insertion_makespan(
+                rs, rs.rank, rs.q_minus[k - 1], self._later, gamma, time_v
+            )
+        return self._makespan
 
     @property
     def schedule(self) -> Schedule:
@@ -184,10 +213,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
             rank = graph.rank
     reach_to_v = reachable_from(timing.preds, v)
     reach_from_v = reachable_from(timing.succs, v)
-    _, xi, tau = critical_path(timing, q_minus)
-    return ReducedState(
-        v, q_minus, w_minus, xi, reach_to_v, reach_from_v, tau, timing, rank
-    )
+    path, xi, tau = critical_path(timing, q_minus)
+    return ReducedState(v, q_minus, w_minus, path, xi, reach_to_v,
+                        reach_from_v, tau, timing, rank)
 
 
 def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
@@ -367,8 +395,9 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
 
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
-    operation to the current critical path.  Each neighbor's makespan is
-    computed incrementally from the timing of the reduced graph.
+    operation to the current critical path.  Each neighbor carries its
+    lower bound; its makespan is computed incrementally from the timing of
+    the reduced graph when it is read.
     """
     if mode not in NEIGHBORHOOD_MODES:
         raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -382,19 +411,21 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     graph = solution_graph(inst, sched)
     for v in candidates:
         rs = remove_op(inst, sched, v, graph)
-        rank = rs.rank
+        on_path = set(rs.path)
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
             if not window.positions:
                 continue
-            if rank is None:
-                rank = _rank(rs.timing.order)
             seq = rs.q_minus[k - 1]
             later = [actual_time(inst.std_time[(op, k)], pos, alpha)
                      for pos, op in enumerate(seq, start=2)]
-            p_v = inst.std_time[(v, k)]
+            # loss[i]: what the path's operations at index >= i lose when
+            # they move one position later; none lies beyond τ_k
+            loss = [0] * (len(seq) + 1)
+            for i in range(rs.tau[k - 1] - 1, window.lower - 1, -1):
+                op = seq[i]
+                loss[i] = loss[i + 1] + (
+                    rs.w_minus[op] - later[i] if op in on_path else 0)
             for gamma in window.positions:
-                makespan = _insertion_makespan(
-                    rs, rank, seq, later, gamma, actual_time(p_v, gamma, alpha)
-                )
-                yield Move(v, k, gamma, makespan, inst, rs)
+                yield Move(v, k, gamma, rs.xi - loss[gamma - 1], inst, rs,
+                           later)

@@ -88,8 +88,10 @@ def test_bench_and_stats(instance_file, tmp_path, capsys):
     assert stats["wilcoxon"]["methods"] == ["ils-reduced", "sa-reduced"]
 
 
-def test_stats_wilcoxon_keys(tmp_path, capsys):
-    # method b is worse than a by i + 1 on instance i: a defined test
+@pytest.fixture
+def paired_results(tmp_path):
+    """Results of methods a and b, where b is worse than a by i + 1 on
+    instance i: a defined test."""
     records = [
         RunRecord(f"i{i}", algo, 0, 100 + (i + 1) * (algo == "b"),
                   0.0, 0.0, 1, 1, 0, "iteration-cap")
@@ -97,12 +99,34 @@ def test_stats_wilcoxon_keys(tmp_path, capsys):
     ]
     out = tmp_path / "results.csv"
     emit_results(records, path=out)
-    assert main(["stats", "--in", str(out), "--wilcoxon", "a,b"]) == 0
+    return out
+
+
+def test_stats_wilcoxon_keys(paired_results, capsys):
+    assert main(["stats", "--in", str(paired_results),
+                 "--wilcoxon", "a,b"]) == 0
     outcome = json.loads(capsys.readouterr().out)["wilcoxon"]
     assert set(outcome) == {"methods", "r_plus", "r_minus", "w", "n", "z",
                             "p_value", "small_sample"}
     assert outcome["methods"] == ["a", "b"]
     assert outcome["n"] == 4 and outcome["r_plus"] == 10
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("a", "error: --wilcoxon expects two method names as A,B, got 'a'"),
+        ("a,b,c", "expects two method names as A,B"),
+        ("a,", "expects two method names as A,B"),
+        ("a,c", "error: method 'c' is not in the results"),
+        ("a,a", "error: --wilcoxon compares a method with itself: 'a'"),
+    ],
+    ids=["one-name", "three-names", "empty-name", "absent", "same"],
+)
+def test_stats_wilcoxon_rejects_bad_pair(paired_results, capsys, spec,
+                                         message):
+    _fails(["stats", "--in", str(paired_results), "--wilcoxon", spec],
+           capsys, message)
 
 
 def test_bench_json_output(instance_file, tmp_path, capsys):
@@ -248,9 +272,23 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
          "error: no_improve_limit must be >= 0 seconds, got -1.0"),
         (["localsearch", "--instance", "{fig1}", "--time-limit", "-5"],
          "error: time_budget must be >= 0 seconds, got -5.0"),
+        (["solve", "--instance", "{fig1}", "--algo", "ils",
+          "--rcl-alpha", "5"], "error: grasp_alpha must lie in [0, 1], got 5.0"),
+        (["solve", "--instance", "{fig1}", "--algo", "grasp",
+          "--rcl-alpha", "nan"], "error: grasp_alpha must lie in [0, 1], got nan"),
+        (["bench", "--instances", "{dir}", "--runs", "0",
+          "--out", "{dir}/out.csv"], "error: runs must be >= 1, got 0"),
+        (["bench", "--instances", "{dir}", "--runs", "-1",
+          "--out", "{dir}/out.csv"], "error: runs must be >= 1, got -1"),
+        (["bench", "--instances", "{dir}", "--workers", "0",
+          "--out", "{dir}/out.csv"], "error: workers must be >= 1, got 0"),
+        (["bench", "--instances", "{dir}", "--workers", "-3",
+          "--out", "{dir}/out.csv"], "error: workers must be >= 1, got -3"),
     ],
     ids=["rcl-alpha", "perturb-range", "unknown-algo", "tabu-factor",
-         "iterations", "time-limit", "no-improve", "localsearch-time-limit"],
+         "iterations", "time-limit", "no-improve", "localsearch-time-limit",
+         "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
+         "workers-0", "workers-negative"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from flexshop import (
+    Instance,
     LocalSearchConfig,
     best_of_est_ect,
     enumerate_neighbors,
     local_search,
     validate_schedule,
 )
+from flexshop import moves
 
 from conftest import FIG1_OPTIMUM, random_instance
 
@@ -128,3 +130,35 @@ def test_config_validation():
     for bad in (-5, -1e-9, float("nan")):
         with pytest.raises(ValueError):
             LocalSearchConfig("full", "best", bad)
+
+
+def _dag_instance(rng: random.Random, n: int, m: int) -> Instance:
+    """1-3 eligible machines per operation, standard times in 1..99 and
+    arcs i -> j for j <= i + 6 with probability 0.3."""
+    eligible, std_time = [], {}
+    for op in range(1, n + 1):
+        machines = sorted(rng.sample(range(1, m + 1), rng.randint(1, 3)))
+        eligible.append(tuple(machines))
+        std_time.update({(op, k): rng.randint(1, 99) for k in machines})
+    arcs = {(i, j) for i in range(1, n + 1)
+            for j in range(i + 1, min(n, i + 6) + 1) if rng.random() < 0.3}
+    return Instance(n, m, tuple(eligible), std_time, frozenset(arcs), 0.2,
+                    f"dag-{n}")
+
+
+def test_descent_leaves_bounded_neighbors_unpriced(monkeypatch):
+    """A best-improvement descent prices only the neighbors whose lower
+    bound leaves them a chance to beat the scan's best so far."""
+    inst = _dag_instance(random.Random(5), 60, 6)
+    priced = []
+    price = moves._insertion_makespan
+
+    def counting(*args):
+        priced.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(moves, "_insertion_makespan", counting)
+    result = local_search(inst, best_of_est_ect(inst),
+                          LocalSearchConfig("reduced", "best"))
+    assert result.iterations > 0
+    assert 0 < len(priced) < result.neighbors_evaluated

@@ -76,11 +76,15 @@ def test_config_validation():
     for bad in ({"ts_factor": -1}, {"ts_factor": 0}, {"ts_factor": nan},
                 {"ts_factor": math.inf}, {"max_iterations": -3},
                 {"time_budget": -1}, {"time_budget": nan},
-                {"no_improve_limit": -1}, {"no_improve_limit": nan}):
+                {"no_improve_limit": -1}, {"no_improve_limit": nan},
+                {"grasp_alpha": 5}, {"grasp_alpha": -0.1},
+                {"grasp_alpha": nan}):
         with pytest.raises(ValueError):
             MetaConfig(**bad)
     # zero budgets and caps stay legal: the run still returns its start
     MetaConfig(time_budget=0.0, max_iterations=0, no_improve_limit=0.0)
+    MetaConfig(grasp_alpha=0.0)  # a purely greedy construction
+    MetaConfig(grasp_alpha=1.0)  # a purely random one
 
 
 def test_sa_initial_temperature():

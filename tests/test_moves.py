@@ -175,19 +175,25 @@ def test_scan_order_is_deterministic(fig1, fig2a):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(NEIGHBORHOOD_MODES),
-       arc_prob=st.sampled_from((0.0, 0.15, 0.3, 0.6)), walk=st.integers(0, 3))
-def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk):
-    """Every neighbor's incremental makespan equals the one of its rebuilt
-    graph, and its materialized Schedule is valid."""
+       arc_prob=st.sampled_from((0.0, 0.15, 0.3, 0.6)), walk=st.integers(0, 3),
+       max_time=st.sampled_from((2, 10)))
+def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk,
+                                              max_time):
+    """Every neighbor's lower bound is at most its makespan, which equals
+    the one of its rebuilt graph, and its materialized Schedule is valid.
+    Makespans are read only once the scan has finished, so each move must
+    price itself from its own removal, not the scan's latest one."""
     rng = random.Random(seed)
-    inst = random_instance(rng, max_ops=12, max_machines=4, arc_prob=arc_prob)
+    inst = random_instance(rng, max_ops=12, max_machines=4, arc_prob=arc_prob,
+                           max_time=max_time)
     sched = best_of_est_ect(inst)
     for _ in range(walk):  # leave the constructive start's structure
         sched = perturb(inst, sched, rng)
-    for move in enumerate_neighbors(inst, sched, mode):
+    for move in list(enumerate_neighbors(inst, sched, mode)):
         v, k, gamma = move.operation, move.machine, move.position
         reference = insert_op(inst, remove_op(inst, sched, v), v, k, gamma)
         assert move.makespan == reference.makespan
+        assert move.bound <= move.makespan
         sequences = [list(seq) for seq in sched.sequences]
         sequences[sched.assignment[v] - 1].remove(v)
         sequences[k - 1].insert(gamma - 1, v)
