@@ -215,6 +215,8 @@ def _dispatch(args) -> int:
     if args.command == "bench":
         paths = sorted(Path(args.instances).iterdir())
         paths = [p for p in paths if p.is_file()]
+        if not paths:
+            raise ValueError(f"no instance files in {args.instances}")
         configs = [
             MetaConfig.calibrated(
                 algo.strip(), mode.strip(),

@@ -145,6 +145,7 @@ class Timing(NamedTuple):
 
     succs: tuple  # adjacency lists, as given
     order: list  # topological_sort_plus's order
+    rank: list  # index of each vertex in that order
     preds: list  # predecessor lists, in that order
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
@@ -152,26 +153,29 @@ class Timing(NamedTuple):
 
 
 def time_graph(adjacency, weights) -> Timing:
-    """Earliest start and completion of every vertex by one forward pass.
+    """Earliest start and completion of every vertex, and its rank in the
+    topological order, by one forward pass.
 
     ``weights`` maps vertices to processing times; the dummies must weigh
     0.  Raises CycleError on a directed cycle.
     """
     order = topological_sort_plus(adjacency, SOURCE)
     size = len(adjacency)
+    rank = [0] * size
     preds = [[] for _ in range(size)]
     start = [-1] * size  # below any completion: the first predecessor sets it
     start[SOURCE] = 0
     completion = [0] * size
     setter = [SOURCE] * size
-    for i in order:
+    for idx, i in enumerate(order):
+        rank[i] = idx
         done = completion[i] = start[i] + weights[i]
         for j in adjacency[i]:
             preds[j].append(i)
             if start[j] < done:
                 start[j] = done
                 setter[j] = i
-    return Timing(adjacency, order, preds, start, completion, setter)
+    return Timing(adjacency, order, rank, preds, start, completion, setter)
 
 
 def critical_path(timing: Timing, sequences):

@@ -251,10 +251,32 @@ def emit_results(records, stats=None, fmt: str = "csv", path="results.csv",
 
 
 def read_results_csv(path) -> list:
-    """Load records written by emit_results (CSV)."""
+    """Load records written by emit_results (CSV).
+
+    Raises ValueError naming the file and the columns its header lacks,
+    the file and line of a row that is shorter or longer than the header,
+    or the file, line and column of a malformed value.
+    """
     with open(path, newline="") as fh:
-        return [
-            RunRecord(**{name: kind(row[column])
-                         for column, (name, kind) in _COLUMNS.items()})
-            for row in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        missing = [c for c in _COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+        records = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            # DictReader files a short row's gaps and a long row's surplus
+            # under None
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: not as many fields as the header")
+            values = {}
+            for column, (name, kind) in _COLUMNS.items():
+                try:
+                    values[name] = kind(row[column])
+                except ValueError:
+                    raise ValueError(
+                        f"{where}, column {column}: invalid {kind.__name__} "
+                        f"value {row[column]!r}"
+                    ) from None
+            records.append(RunRecord(**values))
+        return records

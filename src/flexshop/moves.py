@@ -9,14 +9,15 @@ the last critical position of the target machine, the surviving path is
 untouched.
 
 A neighbor is priced without building its graph.  A scan times the
-schedule's own graph G once (``solution_graph``); each removal derives its
-reduced graph G⁻ from it by rewiring the removed operation's machine
-neighbours and re-timing only what lies after it in G's order.  When a
-vertex on G⁻'s critical path has two predecessors that finish at its
-start, τ would follow the order's tie-break, so G⁻ is timed again from
-scratch.  That one timing of G⁻ gives the insertion windows, the
-reduction's bounds and the times from which each insertion re-times only
-what lies downstream of the inserted operation.
+schedule's own graph G once (``time_graph``); each removal derives its
+reduced graph G⁻ from that timing by rewiring the removed operation's
+machine neighbours and re-timing only what lies after it in G's order,
+which G⁻ shares with G together with its ranks.  When a vertex on G⁻'s
+critical path has two predecessors that finish at its start, τ would
+follow the order's tie-break, so G⁻ is timed again from scratch.  That
+one timing of G⁻ gives the insertion windows, the reduction's bounds and
+the times from which each insertion re-times only what lies downstream of
+the inserted operation.
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -32,12 +33,11 @@ a search applies.
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .instance import Instance
 from .learning import actual_time
 from .graph import (
-    SOURCE,
     CycleError,
     Schedule,
     Timing,
@@ -52,8 +52,6 @@ __all__ = [
     "ReducedState",
     "InsertionWindow",
     "Move",
-    "SolutionGraph",
-    "solution_graph",
     "remove_op",
     "feasible_window",
     "insert_op",
@@ -81,7 +79,6 @@ class ReducedState:
     reach_from_v: set
     tau: tuple
     timing: Timing  # of the reduced graph
-    rank: list | None = None  # of each vertex in timing.order, once known
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,10 @@ class Move:
     def makespan(self) -> int:
         if self._makespan is None:
             rs, k, gamma = self._rs, self.machine, self.position
-            if rs.rank is None:
-                rs.rank = _rank(rs.timing.order)
             std = self._inst.std_time[(self.operation, k)]
             time_v = actual_time(std, gamma, self._inst.learning_rate)
             self._makespan = _insertion_makespan(
-                rs, rs.rank, rs.q_minus[k - 1], self._later, gamma, time_v
+                rs, rs.q_minus[k - 1], self._later, gamma, time_v
             )
         return self._makespan
 
@@ -151,36 +146,15 @@ class Move:
         return self._schedule
 
 
-class SolutionGraph(NamedTuple):
-    """The timing of a schedule's own solution graph G, from which a scan
-    derives every reduced graph, and the rank of each vertex in G's
-    order."""
-
-    timing: Timing
-    rank: list
-
-
-def solution_graph(inst: Instance, sched: Schedule) -> SolutionGraph:
-    """Time the schedule's solution graph once, for a scan's removals."""
-    timing = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
-    return SolutionGraph(timing, _rank(timing.order))
-
-
-def _rank(order: list) -> list:
-    rank = [0] * len(order)
-    for idx, u in enumerate(order):
-        rank[u] = idx
-    return rank
-
-
 def remove_op(inst: Instance, sched: Schedule, v: int,
-              graph: SolutionGraph | None = None) -> ReducedState:
+              graph: Timing | None = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph.
 
     Without ``graph`` the reduced graph is built and timed from scratch.
-    With the schedule's ``solution_graph`` it is derived from G: the arcs,
-    times, reach sets, ξ and τ are the same, and ``rank`` is G's unless a
-    critical-path tie made the derivation time G⁻ from scratch.
+    With ``graph``, the ``time_graph`` timing of the schedule's own graph,
+    it is derived from G: the arcs, times, reach sets, ξ and τ are the
+    same, and the order and ranks are G's unless a critical-path tie made
+    the derivation time G⁻ from scratch.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
@@ -200,25 +174,23 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
             inst.std_time[(op, old_machine)], pos, inst.learning_rate
         )
 
-    rank = None
     if graph is None:
         timing = time_graph(build_arcs(inst, q_minus), w_minus)
     else:
         prev = old_seq[gamma - 2] if gamma > 1 else None
         timing = _derive_reduced(inst, graph, v, prev, shifted, w_minus)
-        if _tied_critical_path(timing):
-            # τ follows the tie-break, and so the order: use the rebuild's
-            timing = time_graph(timing.succs, w_minus)
-        else:
-            rank = graph.rank
+    path, xi, tau = critical_path(timing, q_minus)
+    if graph is not None and _tied(timing, path):
+        # τ follows the tie-break, and so the order: use the rebuild's
+        timing = time_graph(timing.succs, w_minus)
+        path, xi, tau = critical_path(timing, q_minus)
     reach_to_v = reachable_from(timing.preds, v)
     reach_from_v = reachable_from(timing.succs, v)
-    path, xi, tau = critical_path(timing, q_minus)
     return ReducedState(v, q_minus, w_minus, path, xi, reach_to_v,
-                        reach_from_v, tau, timing, rank)
+                        reach_from_v, tau, timing)
 
 
-def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
+def _derive_reduced(inst: Instance, graph: Timing, v: int, prev,
                     shifted: tuple, w_minus: dict) -> Timing:
     """Timing of G⁻ in G's order, from G's timing.
 
@@ -230,9 +202,8 @@ def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
     setters; ``v``, ``next``, the shifted operations and whatever their new
     completions reach are re-timed.
     """
-    base = graph.timing
-    succs = list(base.succs)
-    preds = base.preds.copy()
+    succs = list(graph.succs)
+    preds = graph.preds.copy()
     nxt = shifted[0] if shifted else None
     arcs = inst.precedence_arcs
     if prev is not None and (prev, v) not in arcs:
@@ -246,11 +217,11 @@ def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
         # predecessor lists follow the order, as time_graph leaves them
         preds[nxt] = sorted(preds[nxt] + [prev], key=graph.rank.__getitem__)
 
-    start = base.start.copy()
-    completion = base.completion.copy()
-    setter = base.setter.copy()
+    start = graph.start.copy()
+    completion = graph.completion.copy()
+    setter = graph.setter.copy()
     stale = {v, *shifted}
-    for u in islice(base.order, graph.rank[v], None):
+    for u in islice(graph.order, graph.rank[v], None):
         if u not in stale:
             continue
         stale.discard(u)
@@ -266,19 +237,18 @@ def _derive_reduced(inst: Instance, graph: SolutionGraph, v: int, prev,
             stale.update(succs[u])
         if not stale:
             break
-    return Timing(tuple(succs), base.order, preds, start, completion, setter)
+    return Timing(tuple(succs), graph.order, graph.rank, preds, start,
+                  completion, setter)
 
 
-def _tied_critical_path(timing: Timing) -> bool:
-    """Whether a vertex on the critical path has two predecessors that
-    finish at its start, so that another order could walk another path."""
+def _tied(timing: Timing, path: tuple) -> bool:
+    """Whether a vertex on ``path`` has two predecessors that finish at its
+    start, so that another order could walk another path."""
     finish = timing.completion.__getitem__
-    start, preds, setter = timing.start, timing.preds, timing.setter
-    u = len(start) - 1
-    while u != SOURCE:
+    start, preds = timing.start, timing.preds
+    for u in path:
         if list(map(finish, preds[u])).count(start[u]) > 1:
             return True
-        u = setter[u]
     return False
 
 
@@ -322,12 +292,11 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     return build_schedule(inst, q_plus)
 
 
-def _insertion_makespan(rs: ReducedState, rank: list, seq: tuple,
-                        later: list, gamma: int, time_v: int) -> int:
+def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
+                        gamma: int, time_v: int) -> int:
     """Makespan once the removed operation, taking ``time_v``, sits at
     position ``gamma`` of the machine sequence ``seq``; ``later[i]`` is the
-    time of ``seq[i]`` one position further back and ``rank[u]`` the index
-    of ``u`` in the reduced graph's topological order.
+    time of ``seq[i]`` one position further back.
 
     Only the inserted operation, the operations it pushes one position
     later and their descendants are re-timed; everything else keeps its
@@ -339,7 +308,7 @@ def _insertion_makespan(rs: ReducedState, rank: list, seq: tuple,
     predecessors again.
     """
     v = rs.removed
-    succs, order, preds, start, completion, _ = rs.timing
+    succs, order, rank, preds, start, completion, _ = rs.timing
     begin = start[v]
     if gamma > 1 and completion[seq[gamma - 2]] > begin:
         begin = completion[seq[gamma - 2]]
@@ -408,7 +377,7 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
     alpha = inst.learning_rate
-    graph = solution_graph(inst, sched)
+    graph = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
     for v in candidates:
         rs = remove_op(inst, sched, v, graph)
         on_path = set(rs.path)

@@ -57,8 +57,10 @@ def solve_exhaustive(inst: Instance, limit: int = 1_000_000) -> OracleResult:
     """True optimal makespan by brute force.
 
     Raises OracleLimitError once more than ``limit`` feasible solutions
-    have been enumerated.
+    have been enumerated, and ValueError for a ``limit`` below 1.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     best: Schedule | None = None
     count = 0
     for combo in itertools.product(

@@ -284,17 +284,52 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
           "--out", "{dir}/out.csv"], "error: workers must be >= 1, got 0"),
         (["bench", "--instances", "{dir}", "--workers", "-3",
           "--out", "{dir}/out.csv"], "error: workers must be >= 1, got -3"),
+        (["oracle", "--instance", "{fig1}", "--limit", "0"],
+         "error: limit must be >= 1, got 0"),
+        (["oracle", "--instance", "{fig1}", "--limit", "-1"],
+         "error: limit must be >= 1, got -1"),
     ],
     ids=["rcl-alpha", "perturb-range", "unknown-algo", "tabu-factor",
          "iterations", "time-limit", "no-improve", "localsearch-time-limit",
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
-         "workers-0", "workers-negative"],
+         "workers-0", "workers-negative", "oracle-limit-0",
+         "oracle-limit-negative"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):
     argv = [a.format(fig1=instance_file, dir=instance_file.parent)
             for a in argv]
     _fails(argv, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("instance,algorithm\nfig1,ils-reduced\n",
+         "missing columns seed, best_makespan, time_to_best, total_runtime, "
+         "iterations, neighbors_evaluated, stalled_iterations, stop_reason"),
+        ("instance,algorithm,seed,best_makespan,time_to_best,total_runtime,"
+         "iterations,neighbors_evaluated,stalled_iterations,stop_reason\n"
+         "fig1,ils-reduced,zz,528,0.1,0.2,3,40,0,iteration-cap\n",
+         "line 2, column seed: invalid int value 'zz'"),
+    ],
+    ids=["missing-columns", "bad-value"],
+)
+def test_malformed_results_file_is_one_error_line(tmp_path, capsys, text,
+                                                  message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    err = _fails(["stats", "--in", str(path)], capsys, message)
+    assert err.startswith(f"error: {path}")
+
+
+def test_bench_on_empty_directory_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "e.csv"
+    _fails(["bench", "--instances", str(empty), "--runs", "1",
+            "--out", str(out)], capsys, f"error: no instance files in {empty}")
+    assert not out.exists()
 
 
 def test_non_text_instance_file_is_one_error_line(tmp_path, capsys):

@@ -120,6 +120,20 @@ def test_topological_sort_reach_sets(fig1, fig2a):
     assert reachable_from(adjacency, 1) == {1, 2, 3, 4, 5, 6}
 
 
+def test_time_graph_ranks_follow_the_order():
+    """``rank[u]`` is the index of ``u`` in the timing's topological order,
+    on random solution graphs with many tied paths and with few."""
+    rng = random.Random(5)
+    for case in range(60):
+        inst = random_instance(rng, max_time=2 if case % 2 else 10)
+        sched = random_schedule(rng, inst)
+        timing = time_graph(build_arcs(inst, sched.sequences),
+                            sched.actual_times)
+        assert sorted(timing.order) == list(range(inst.num_operations + 2))
+        assert all(timing.rank[u] == timing.order.index(u)
+                   for u in timing.order)
+
+
 def test_forward_pass_matches_critical_path(fig1, fig2a):
     times = start_completion_times(fig1, fig2a)
     assert max(c for _, c in times.values()) == fig2a.makespan

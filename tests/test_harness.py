@@ -113,6 +113,31 @@ def test_csv_round_trip(tmp_path):
     assert loaded == [records[2], records[0], failed]
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: ["instance,algorithm"] + lines[1:],
+         ": missing columns seed, best_makespan, time_to_best, total_runtime, "
+         "iterations, neighbors_evaluated, stalled_iterations, stop_reason"),
+        (lambda lines: lines[:2] + [lines[2].replace(",0,", ",zz,", 1)],
+         ", line 3, column seed: invalid int value 'zz'"),
+        (lambda lines: lines[:2] + ["b,m1,1"],
+         ", line 3: not as many fields as the header"),
+        (lambda lines: lines[:2] + [lines[2] + ",surplus"],
+         ", line 3: not as many fields as the header"),
+    ],
+    ids=["missing-columns", "bad-value", "short-row", "long-row"],
+)
+def test_read_results_csv_names_the_fault(tmp_path, edit, message):
+    out = tmp_path / "results.csv"
+    emit_results([_record("a", "m1", 1, 100), _record("b", "m1", 0, 200)],
+                 path=out)
+    out.write_text("\n".join(edit(out.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_results_csv(out)
+    assert str(raised.value) == f"{out}{message}"
+
+
 def test_json_emission(tmp_path):
     records = [_record("a", "m1", 0, 100)]
     out = tmp_path / "results.json"

@@ -16,7 +16,8 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.moves import NEIGHBORHOOD_MODES, solution_graph
+from flexshop.graph import build_arcs, time_graph
+from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance
 
@@ -237,7 +238,8 @@ def test_derived_reduced_state_matches_rebuild():
         sched = best_of_est_ect(inst)
         for _ in range(case % 3):
             sched = perturb(inst, sched, rng)
-        graph = solution_graph(inst, sched)
+        graph = time_graph(build_arcs(inst, sched.sequences),
+                           sched.actual_times)
         for v in inst.operations:
             want = remove_op(inst, sched, v)
             got = remove_op(inst, sched, v, graph)
@@ -250,12 +252,13 @@ def test_derived_reduced_state_matches_rebuild():
             assert got.timing.completion == want.timing.completion
             assert ([sorted(p) for p in got.timing.preds]
                     == [sorted(p) for p in want.timing.preds])
-            if got.rank is None:  # rebuilt: exactly remove_op's timing
+            if got.timing.rank is not graph.rank:
+                # rebuilt: exactly remove_op's timing
                 assert got.timing == want.timing
                 rebuilt += 1
             else:  # derived: in G's order, which must suit G⁻
-                assert got.timing.order == graph.timing.order
-                rank = got.rank
+                assert got.timing.order == graph.order
+                rank = got.timing.rank
                 assert all(rank[u] < rank[j]
                            for u, succs in enumerate(got.timing.succs)
                            for j in succs)

@@ -49,6 +49,12 @@ def test_limit_is_enforced(fig1):
         solve_exhaustive(fig1, limit=10)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_is_rejected(fig1, limit):
+    with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
+        solve_exhaustive(fig1, limit=limit)
+
+
 def test_machine_relabel_invariance():
     """Swapping the two machine ids cannot change the optimal makespan."""
     rng = random.Random(61)
