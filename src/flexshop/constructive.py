@@ -14,6 +14,7 @@ deterministic (first pair in ascending (operation, machine) order),
 regardless of the RNG.
 """
 
+import bisect
 import random
 
 from .instance import Instance
@@ -27,23 +28,31 @@ class _State:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.preds = {op: inst.predecessors(op) for op in inst.operations}
+        self.succs = {op: inst.successors(op) for op in inst.operations}
+        self.waiting = {op: len(self.preds[op]) for op in inst.operations}
         self.unscheduled = set(inst.operations)
         self.completion = {}
         self.machine_release = [0] * inst.num_machines
         self.next_position = [1] * inst.num_machines
         self.sequences = [[] for _ in range(inst.num_machines)]
+        self.ready = []  # operations with every predecessor placed, ascending
+        self.pairs = {}  # ready operation -> its (operation, machine, release)
+        for op in inst.operations:
+            if not self.waiting[op]:
+                self._release(op)
+
+    def _release(self, v):
+        """Make ``v``, whose predecessors are all placed, ready."""
+        release = max((self.completion[i] for i in self.preds[v]), default=0)
+        self.pairs[v] = [(v, k, release)
+                         for k in sorted(self.inst.eligible_machines(v))]
+        bisect.insort(self.ready, v)
 
     def ready_pairs(self):
         """(operation, machine) pairs whose precedence predecessors are all
         scheduled, with the operation's release time; ascending order."""
-        out = []
-        for v in sorted(self.unscheduled):
-            if any(i in self.unscheduled for i in self.preds[v]):
-                continue
-            release = max((self.completion[i] for i in self.preds[v]), default=0)
-            for k in sorted(self.inst.eligible_machines(v)):
-                out.append((v, k, release))
-        return out
+        pairs = self.pairs
+        return [pair for v in self.ready for pair in pairs[v]]
 
     def processing_time(self, v, k):
         return actual_time(
@@ -58,6 +67,12 @@ class _State:
         self.next_position[k - 1] += 1
         self.sequences[k - 1].append(v)
         self.unscheduled.remove(v)
+        self.ready.remove(v)
+        del self.pairs[v]
+        for j in self.succs[v]:
+            self.waiting[j] -= 1
+            if not self.waiting[j]:
+                self._release(j)
 
     def finish(self) -> Schedule:
         return build_schedule(self.inst, self.sequences)

@@ -146,10 +146,12 @@ class Timing(NamedTuple):
     succs: tuple  # adjacency lists, as given
     order: list  # topological_sort_plus's order
     rank: list  # index of each vertex in that order
-    preds: list  # predecessor lists, in that order
+    preds: list  # predecessor lists (time_graph: in that order)
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
-    setter: list  # first predecessor, in order, whose completion is the start
+    # a predecessor whose completion is the start (time_graph: the first
+    # in order); the critical path is walked along these
+    setter: list
 
 
 def time_graph(adjacency, weights) -> Timing:

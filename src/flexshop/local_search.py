@@ -63,12 +63,12 @@ def local_search(inst: Instance, start: Schedule,
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
-    current = start
+    current, graph = start, None  # graph: the applied move's timing
     result = LocalSearchResult(current, 0, 0, [current.key()])
     while True:
         best = None
         cutoff = current.makespan
-        for move in enumerate_neighbors(inst, current, cfg.mode):
+        for move in enumerate_neighbors(inst, current, cfg.mode, graph):
             result.neighbors_evaluated += 1
             if move.bound < cutoff and move.makespan < cutoff:
                 best = move
@@ -79,7 +79,7 @@ def local_search(inst: Instance, start: Schedule,
                 break
         if best is None:
             break
-        current = best.schedule
+        current, graph = best.schedule, best.timing
         result.iterations += 1
         result.trajectory.append(current.key())
         if deadline is not None and time.monotonic() >= deadline:

@@ -13,13 +13,13 @@ import time
 from dataclasses import dataclass, field
 
 from .instance import Instance
-from .graph import Schedule
+from .graph import Schedule, Timing, build_arcs, time_graph
 from .moves import (
     NEIGHBORHOOD_MODES,
     Move,
     enumerate_neighbors,
     feasible_window,
-    insert_op,
+    relocation,
     remove_op,
 )
 from .local_search import LocalSearchConfig, check_seconds, local_search
@@ -204,16 +204,25 @@ class _Run:
 
 
 def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
-    """Relocate one uniformly random operation to a uniformly random
-    cycle-free slot.  Only the cycle bounds constrain the slot; the
-    longest-path reduction is not applied."""
+    """Relocate one random operation: the operation is drawn uniformly,
+    then one of its eligible machines uniformly, then a position uniformly
+    within that machine's cycle-free window.  Only the cycle bounds
+    constrain the slot; the longest-path reduction is not applied."""
+    return _draw(inst, sched, rng).schedule
+
+
+def _draw(inst: Instance, sched: Schedule, rng: random.Random,
+          graph: Timing | None = None) -> Move:
+    """``perturb``'s random move, drawn in its order: operation, machine,
+    position.  The removal is derived from ``graph``, the timing of the
+    schedule's graph, when it is given."""
     v = rng.randint(1, inst.num_operations)
-    rs = remove_op(inst, sched, v)
+    rs = remove_op(inst, sched, v, graph)
     machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     gamma = rng.randint(window.lower + 1, window.upper)
-    return insert_op(inst, rs, v, k, gamma)
+    return relocation(inst, rs, k, gamma)
 
 
 def _ls_config(run: _Run) -> LocalSearchConfig:
@@ -274,12 +283,13 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
+    graph = None  # timing of current's graph, once a move was applied
     tabu: list = []
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
         best: Move | None = None
         interrupted = False
-        for move in enumerate_neighbors(inst, current, cfg.mode):
+        for move in enumerate_neighbors(inst, current, cfg.mode, graph):
             if run.record_candidate():
                 interrupted = True
                 break
@@ -302,7 +312,7 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
         tabu.append(chosen)
         if len(tabu) > t_max:
             tabu.pop(0)
-        current = best.schedule
+        current, graph = best.schedule, best.timing
         if run.offer(current):
             break
         if interrupted:
@@ -311,17 +321,25 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
 
 def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Simulated annealing with geometric cooling on the relative gap."""
+    """Simulated annealing with geometric cooling on the relative gap.
+
+    Each candidate is ``perturb``'s random relocation, drawn in the same
+    order, priced on the reduced graph; its ``Schedule`` is built only when
+    it is accepted.  The timing of the current schedule's graph goes with
+    it, so each removal is derived from it.
+    """
     rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
+    graph = time_graph(build_arcs(inst, current.sequences),
+                       current.actual_times)
     temperature = -SA_T0_P / math.log(SA_T0_M)
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = perturb(inst, current, rng)
+            cand = _draw(inst, current, rng, graph)
             delta = (cand.makespan - current.makespan) / current.makespan
             r = rng.random()
             try:
@@ -329,7 +347,7 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
             except OverflowError:
                 accept = delta < 0
             if accept:
-                current = cand
+                current, graph = cand.schedule, cand.timing
                 if run.offer(current):
                     stop = True
                     break

@@ -9,15 +9,16 @@ the last critical position of the target machine, the surviving path is
 untouched.
 
 A neighbor is priced without building its graph.  A scan times the
-schedule's own graph G once (``time_graph``); each removal derives its
-reduced graph G⁻ from that timing by rewiring the removed operation's
-machine neighbours and re-timing only what lies after it in G's order,
-which G⁻ shares with G together with its ranks.  When a vertex on G⁻'s
-critical path has two predecessors that finish at its start, τ would
-follow the order's tie-break, so G⁻ is timed again from scratch.  That
-one timing of G⁻ gives the insertion windows, the reduction's bounds and
-the times from which each insertion re-times only what lies downstream of
-the inserted operation.
+schedule's own graph G once (``time_graph``), or takes the timing built
+with the schedule; each removal derives its reduced graph G⁻ from that
+timing by rewiring the removed operation's machine neighbours and
+re-timing only what lies after it in G's order, which G⁻ shares with G
+together with its ranks.  When a vertex on G⁻'s critical path has two
+predecessors that finish at its start, τ would follow the order's
+tie-break, so G⁻ is timed again from scratch.  That one timing of G⁻
+gives the insertion windows, the reduction's bounds and the times from
+which each insertion re-times only what lies downstream of the inserted
+operation.
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -27,8 +28,17 @@ positions ≥ γ change weight: each moves one position later and so gets
 shorter.  The makespan is therefore at least ξ minus what those operations
 lose; the reduction's rule is the case where none of them lies at γ or
 after.  A search that needs only moves shorter than a cutoff reads the
-bound first.  The neighbor's ``Schedule`` is built on demand, for the move
-a search applies.
+bound first.
+
+The neighbor's ``Schedule`` is built on demand, for the move a search
+applies, from G⁻ as well: the inserted operation gets its machine arcs,
+G⁻'s order is kept when it already places that operation between its new
+machine neighbours and is reordered locally otherwise (Pearce and Kelly's
+dynamic topological sort), and what follows the first changed vertex is
+re-timed.  A tie on the new critical path makes the graph be timed from
+scratch, as for G⁻, so the ``Schedule`` equals ``build_schedule``'s.  The
+timing of the new graph comes with it, for the next scan or removal; it is
+kept beside the ``Schedule``, never inside it.
 """
 
 from dataclasses import dataclass
@@ -40,9 +50,10 @@ from .learning import actual_time
 from .graph import (
     CycleError,
     Schedule,
+    ScheduleError,
     Timing,
+    _sequence_faults,
     build_arcs,
-    build_schedule,
     critical_path,
     reachable_from,
     time_graph,
@@ -55,6 +66,7 @@ __all__ = [
     "remove_op",
     "feasible_window",
     "insert_op",
+    "relocation",
     "enumerate_neighbors",
     "NEIGHBORHOOD_MODES",
 ]
@@ -108,12 +120,13 @@ class Move:
     ``bound`` is a lower bound on the makespan, known at once.  ``makespan``
     is exact and priced from the reduced state ``rs`` on first access;
     ``later[i]`` is the time of the target machine's ``i``-th operation one
-    position further back.  ``schedule`` is built by ``insert_op`` on first
-    access.
+    position further back.  ``schedule`` and ``timing``, the timing of its
+    solution graph, are built together from ``rs`` on first access to
+    either.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
-                 "_rs", "_later", "_makespan", "_schedule")
+                 "_rs", "_later", "_makespan", "_schedule", "_timing")
 
     def __init__(self, operation: int, machine: int, position: int,
                  bound: int, inst: Instance, rs: ReducedState, later: list):
@@ -126,6 +139,7 @@ class Move:
         self._later = later
         self._makespan = None
         self._schedule = None
+        self._timing = None
 
     @property
     def makespan(self) -> int:
@@ -140,10 +154,17 @@ class Move:
 
     @property
     def schedule(self) -> Schedule:
+        return self._built()[0]
+
+    @property
+    def timing(self) -> Timing:
+        return self._built()[1]
+
+    def _built(self) -> tuple:
         if self._schedule is None:
-            self._schedule = insert_op(self._inst, self._rs, self.operation,
-                                       self.machine, self.position)
-        return self._schedule
+            self._schedule, self._timing = _build_insertion(
+                self._inst, self._rs, self.machine, self.position)
+        return self._schedule, self._timing
 
 
 def remove_op(inst: Instance, sched: Schedule, v: int,
@@ -151,10 +172,11 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     """Remove operation ``v`` from the schedule's solution graph.
 
     Without ``graph`` the reduced graph is built and timed from scratch.
-    With ``graph``, the ``time_graph`` timing of the schedule's own graph,
-    it is derived from G: the arcs, times, reach sets, ξ and τ are the
-    same, and the order and ranks are G's unless a critical-path tie made
-    the derivation time G⁻ from scratch.
+    With ``graph``, the timing of the schedule's own graph (from
+    ``time_graph`` or built with an applied ``Move``), it is derived from
+    G: the arcs, times, reach sets, ξ and τ are the same, and the order
+    and ranks are G's unless a critical-path tie made the derivation time
+    G⁻ from scratch.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
@@ -217,11 +239,19 @@ def _derive_reduced(inst: Instance, graph: Timing, v: int, prev,
         # predecessor lists follow the order, as time_graph leaves them
         preds[nxt] = sorted(preds[nxt] + [prev], key=graph.rank.__getitem__)
 
-    start = graph.start.copy()
-    completion = graph.completion.copy()
-    setter = graph.setter.copy()
-    stale = {v, *shifted}
-    for u in islice(graph.order, graph.rank[v], None):
+    return _retimed(graph, succs, graph.order, graph.rank, preds, w_minus,
+                    {v, *shifted})
+
+
+def _retimed(base: Timing, succs: list, order: list, rank: list,
+             preds: list, weights: dict, stale: set) -> Timing:
+    """``base``'s times with the ``stale`` vertices re-timed, in ``order``,
+    together with whatever their changed completions reach; each takes the
+    latest completion of its predecessors as its start."""
+    start = base.start.copy()
+    completion = base.completion.copy()
+    setter = base.setter.copy()
+    for u in islice(order, min(map(rank.__getitem__, stale)), None):
         if u not in stale:
             continue
         stale.discard(u)
@@ -231,14 +261,13 @@ def _derive_reduced(inst: Instance, graph: Timing, v: int, prev,
                 latest = completion[i]
                 setter[u] = i
         start[u] = latest
-        done = latest + w_minus[u]
+        done = latest + weights[u]
         if done != completion[u]:
             completion[u] = done
             stale.update(succs[u])
         if not stale:
             break
-    return Timing(tuple(succs), graph.order, graph.rank, preds, start,
-                  completion, setter)
+    return Timing(tuple(succs), order, rank, preds, start, completion, setter)
 
 
 def _tied(timing: Timing, path: tuple) -> bool:
@@ -280,16 +309,139 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     """
     if v != rs.removed:
         raise ValueError(f"reduced state holds operation {rs.removed}, not {v}")
+    return _build_insertion(inst, rs, k, gamma)[0]
+
+
+def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
+    """The move that reinserts the removed operation at position ``gamma``
+    of machine ``k``, outside a scan: priced and built from ``rs`` like a
+    scanned neighbor, with the trivial lower bound 0."""
+    return Move(rs.removed, k, gamma, 0, inst, rs,
+                _later(inst, rs.q_minus[k - 1], k))
+
+
+def _later(inst: Instance, seq: tuple, k: int) -> list:
+    """Time of each operation of ``seq``, machine ``k``'s sequence, one
+    position further back."""
+    std, alpha = inst.std_time, inst.learning_rate
+    return [actual_time(std[(op, k)], pos, alpha)
+            for pos, op in enumerate(seq, start=2)]
+
+
+def _build_insertion(inst: Instance, rs: ReducedState, k: int,
+                     gamma: int) -> tuple:
+    """``Schedule`` and ``Timing`` of the graph G⁺ that reinserts the
+    removed operation at position ``gamma`` of machine ``k``, built from
+    G⁻'s timing.
+
+    Raises CycleError outside the cycle-free window and ScheduleError on
+    an ineligible machine.  The timing has G⁺'s arcs as ``build_arcs``
+    gives them and exact times; its order is G⁻'s, locally reordered when
+    needed.  A tie on the critical path makes G⁺ be timed from scratch, so
+    the path and τ are ``build_schedule``'s.
+    """
+    v = rs.removed
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     if gamma not in window.cycle_free:
         raise CycleError(
             f"inserting operation {v} at position {gamma} of machine {k} "
             f"creates a cycle (window {window.lower + 1}..{window.upper})"
         )
+    seq = rs.q_minus[k - 1]
+    moved = seq[gamma - 1:]  # one position later now
     q_plus = list(rs.q_minus)
-    seq = q_plus[k - 1]
-    q_plus[k - 1] = seq[:gamma - 1] + (v,) + seq[gamma - 1:]
-    return build_schedule(inst, q_plus)
+    q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
+    q_plus = tuple(q_plus)
+    faults = _sequence_faults(inst, q_plus)
+    if faults:
+        raise ScheduleError(faults[0])
+
+    std, alpha = inst.std_time, inst.learning_rate
+    weights = dict(rs.w_minus)
+    weights[v] = actual_time(std[(v, k)], gamma, alpha)
+    for pos, op in enumerate(moved, start=gamma + 1):
+        weights[op] = actual_time(std[(op, k)], pos, alpha)
+    before = seq[gamma - 2] if gamma > 1 else None
+    timing = _insert_vertex(inst, rs.timing, v, before, moved, weights)
+    path, length, tau = critical_path(timing, q_plus)
+    if _tied(timing, path):
+        timing = time_graph(timing.succs, weights)
+        path, length, tau = critical_path(timing, q_plus)
+    assignment = {}
+    for machine, ops in enumerate(q_plus, start=1):
+        assignment.update(dict.fromkeys(ops, machine))
+    return Schedule(assignment, q_plus, weights, path, length, tau), timing
+
+
+def _insert_vertex(inst: Instance, reduced: Timing, v: int, before,
+                   moved: tuple, weights: dict) -> Timing:
+    """Timing of G⁺ from G⁻'s: ``v`` goes between ``before`` and
+    ``after`` (``moved[0]``), the operations ``moved`` move one position
+    later.
+
+    The arcs before→v and v→after are added and before→after dropped,
+    unless they are precedence arcs; the lists stay sorted, as
+    ``build_arcs`` gives them.  G⁻'s order is kept when it ranks ``v``
+    between ``before`` and ``after``; otherwise the one arc that points
+    backwards is mended by a local reorder.  From the first of ``v`` and
+    ``moved`` in the order on, what they and their new completions reach
+    is re-timed; the rest keeps G⁻'s times and setters.
+    """
+    succs = list(reduced.succs)
+    preds = reduced.preds.copy()
+    after = moved[0] if moved else None
+    arcs = inst.precedence_arcs
+    if before is not None and after is not None and (before, after) not in arcs:
+        succs[before] = tuple(j for j in succs[before] if j != after)
+        preds[after] = [i for i in preds[after] if i != before]
+    if before is not None and (before, v) not in arcs:
+        succs[before] = tuple(sorted(succs[before] + (v,)))
+        preds[v] = preds[v] + [before]
+    if after is not None and (v, after) not in arcs:
+        succs[v] = tuple(sorted(succs[v] + (after,)))
+        preds[after] = preds[after] + [v]
+
+    order, rank = reduced.order, reduced.rank
+    if before is not None and rank[before] > rank[v]:
+        order, rank = _reorder(succs, preds, order, rank, before, v)
+    elif after is not None and rank[v] > rank[after]:
+        order, rank = _reorder(succs, preds, order, rank, v, after)
+    return _retimed(reduced, succs, order, rank, preds, weights,
+                    {v, *moved})
+
+
+def _reorder(succs: list, preds: list, order: list, rank: list, x: int,
+             y: int) -> tuple:
+    """Order and ranks, copied, once the arc x→y, with y ranked before x,
+    is mended (Pearce and Kelly, JEA 2007).
+
+    The descendants of y and the ancestors of x ranked between the two are
+    the only vertices that move: they take the same ranks, the ancestors
+    first, each group in its old order.
+    """
+    lo, hi = rank[y], rank[x]
+    ahead = _reach_between(preds, x, rank, lo, hi)
+    behind = _reach_between(succs, y, rank, lo, hi)
+    moving = sorted(ahead, key=rank.__getitem__)
+    moving += sorted(behind, key=rank.__getitem__)
+    order, rank = order.copy(), rank.copy()
+    for slot, u in zip(sorted(map(rank.__getitem__, moving)), moving):
+        order[slot] = u
+        rank[u] = slot
+    return order, rank
+
+
+def _reach_between(adjacency, v: int, rank: list, lo: int, hi: int) -> set:
+    """Vertices reachable from ``v`` through vertices ranked strictly
+    between ``lo`` and ``hi``, ``v`` included."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for j in adjacency[stack.pop()]:
+            if j not in seen and lo < rank[j] < hi:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
@@ -359,14 +511,17 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
 
 
 def enumerate_neighbors(inst: Instance, sched: Schedule,
-                        mode: str = "reduced") -> Iterator[Move]:
+                        mode: str = "reduced",
+                        graph: Timing | None = None) -> Iterator[Move]:
     """All neighbors of a schedule, in deterministic (v, k, gamma) order.
 
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
     operation to the current critical path.  Each neighbor carries its
     lower bound; its makespan is computed incrementally from the timing of
-    the reduced graph when it is read.
+    the reduced graph when it is read.  ``graph`` is the timing of the
+    schedule's own graph, as an applied ``Move`` gives it; without it the
+    graph is timed here.
     """
     if mode not in NEIGHBORHOOD_MODES:
         raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -376,8 +531,9 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     else:
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
-    alpha = inst.learning_rate
-    graph = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
+    if graph is None:
+        graph = time_graph(build_arcs(inst, sched.sequences),
+                           sched.actual_times)
     for v in candidates:
         rs = remove_op(inst, sched, v, graph)
         on_path = set(rs.path)
@@ -386,8 +542,7 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
             if not window.positions:
                 continue
             seq = rs.q_minus[k - 1]
-            later = [actual_time(inst.std_time[(op, k)], pos, alpha)
-                     for pos, op in enumerate(seq, start=2)]
+            later = _later(inst, seq, k)
             # loss[i]: what the path's operations at index >= i lose when
             # they move one position later; none lies beyond τ_k
             loss = [0] * (len(seq) + 1)

@@ -95,3 +95,31 @@ def test_best_of_pair_takes_the_minimum():
             if est.key() != ect.key():
                 tie_with_distinct_builds += 1
     assert tie_with_distinct_builds >= 0  # informational; ties may coincide
+
+
+def test_ready_pairs_match_a_full_scan():
+    """The kept ready set yields, at every placement, the pairs a scan of
+    every unscheduled operation gives: same pairs, order and releases."""
+    from flexshop.constructive import _State
+
+    rng = random.Random(29)
+    steps = 0
+    for case in range(40):
+        inst = random_instance(rng, max_ops=14, max_machines=4,
+                               arc_prob=(0.0, 0.2, 0.5)[case % 3])
+        state = _State(inst)
+        while state.unscheduled:
+            want = []
+            for v in sorted(state.unscheduled):
+                preds = inst.predecessors(v)
+                if any(i in state.unscheduled for i in preds):
+                    continue
+                release = max((state.completion[i] for i in preds), default=0)
+                want += [(v, k, release) for k in sorted(inst.eligible_machines(v))]
+            pairs = state.ready_pairs()
+            assert pairs == want
+            v, k, release = rng.choice(pairs)
+            start = max(release, state.machine_release[k - 1])
+            state.place(v, k, start + state.processing_time(v, k))
+            steps += 1
+    assert steps > 200

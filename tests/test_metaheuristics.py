@@ -214,8 +214,8 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
     import flexshop.moves
 
     calls = []
-    build = flexshop.moves.build_schedule
-    monkeypatch.setattr(flexshop.moves, "build_schedule",
+    build = flexshop.moves._build_insertion
+    monkeypatch.setattr(flexshop.moves, "_build_insertion",
                         lambda *args: calls.append(args) or build(*args))
     record = run_ts(fig1, MetaConfig(algo="ts", mode="full", max_iterations=1))
     assert record.neighbors_evaluated == 15
@@ -223,8 +223,61 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sa_builds_only_accepted_candidates(monkeypatch):
+    """Each SA candidate is priced once, on the reduced graph; a Schedule
+    is built for exactly the accepted ones (each offered to the run)."""
+    import flexshop.metaheuristics
+    import flexshop.moves
+
+    def counting(module, name, calls):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(args) or original(*args))
+
+    built, priced, offered = [], [], []
+    counting(flexshop.moves, "_build_insertion", built)
+    counting(flexshop.moves, "_insertion_makespan", priced)
+    counting(flexshop.metaheuristics._Run, "offer", offered)
+    rng = random.Random(61)
+    candidates = accepted = 0
+    for seed in range(8):
+        inst = random_instance(rng, max_ops=14, max_machines=4)
+        built.clear(), priced.clear(), offered.clear()
+        record = run_sa(inst, MetaConfig(algo="sa", max_iterations=20,
+                                         seed=seed))
+        assert record.stop_reason == "iteration-cap"
+        assert len(priced) == record.neighbors_evaluated
+        assert len(built) == len(offered) - 1  # the start is offered too
+        candidates += record.neighbors_evaluated
+        accepted += len(built)
+    assert 0 < accepted < candidates
+
+
 def test_sa_always_accepts_improvements():
     temperature = SA_TF  # coldest possible
     for delta in (-0.5, -1e-9, 0.0):
         # acceptance draw r < 1 always passes for non-worsening moves
         assert math.exp(-delta / temperature) >= 0.999999
+
+
+def test_records_hold_no_timing():
+    """The timing carried beside each applied schedule never becomes part
+    of a Schedule or a RunRecord, which callers may keep by the thousand."""
+    import gc
+    import types
+
+    from flexshop.graph import Timing
+
+    inst = random_instance(random.Random(67), max_ops=14, max_machines=4)
+    for algo in ("ils", "grasp", "ts", "sa"):
+        record = run(inst, MetaConfig.calibrated(algo, max_iterations=6,
+                                                 seed=1))
+        seen, stack = set(), [record]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, Timing), algo
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 10

@@ -264,3 +264,104 @@ def test_derived_reduced_state_matches_rebuild():
                            for j in succs)
                 derived += 1
     assert derived > 0 and rebuilt > 0
+
+
+def _assert_built_like_scratch(inst, sched, move):
+    """The move's Schedule equals build_schedule's for its sequences, field
+    by field, and its timing has the rebuilt graph's arcs and times in a
+    topological order with consistent ranks."""
+    v, k, gamma = move.operation, move.machine, move.position
+    sequences = [list(seq) for seq in sched.sequences]
+    sequences[sched.assignment[v] - 1].remove(v)
+    sequences[k - 1].insert(gamma - 1, v)
+    want = build_schedule(inst, sequences)
+    got = move.schedule
+    assert got.sequences == want.sequences
+    assert got.assignment == want.assignment
+    assert got.actual_times == want.actual_times
+    assert got.critical_path == want.critical_path
+    assert got.makespan == want.makespan == move.makespan
+    assert got.tau == want.tau
+    timing = move.timing
+    scratch = time_graph(build_arcs(inst, want.sequences), want.actual_times)
+    assert timing.succs == scratch.succs
+    assert timing.start == scratch.start
+    assert timing.completion == scratch.completion
+    assert sorted(timing.order) == list(range(len(timing.succs)))
+    assert all(timing.rank[u] == idx for idx, u in enumerate(timing.order))
+    assert all(timing.rank[u] < timing.rank[j]
+               for u, succs in enumerate(timing.succs) for j in succs)
+    assert ([sorted(p) for p in timing.preds]
+            == [sorted(p) for p in scratch.preds])
+
+
+def _assert_removals_like_scratch(inst, sched, graph):
+    """Removals derived from a carried timing match removals from scratch."""
+    for v in inst.operations:
+        want = remove_op(inst, sched, v)
+        got = remove_op(inst, sched, v, graph)
+        assert (got.path, got.xi, got.tau) == (want.path, want.xi, want.tau)
+        assert got.reach_to_v == want.reach_to_v
+        assert got.reach_from_v == want.reach_from_v
+        assert got.timing.completion == want.timing.completion
+
+
+STEPS = ("full", "reduced", "cropped", "sa", "perturb")
+
+
+def test_incremental_build_matches_build_schedule(monkeypatch):
+    """Every Schedule a move builds from its reduced graph is the one
+    build_schedule gives, along walks of scan moves, SA candidates and
+    perturbations that carry each built timing to the next removal; the
+    order kept, reordered and timed-from-scratch builds all occur."""
+    import flexshop.moves
+    from flexshop.metaheuristics import _draw
+
+    rebuilds = []
+    time_from_scratch = flexshop.moves.time_graph
+    monkeypatch.setattr(
+        flexshop.moves, "time_graph",
+        lambda *args: rebuilds.append(args) or time_from_scratch(*args))
+    paths = {"in order": 0, "reordered": 0, "tie rebuild": 0}
+
+    def check(inst, sched, move):
+        rebuilds.clear()
+        timing = move.timing
+        if rebuilds:
+            paths["tie rebuild"] += 1
+        elif timing.order is move._rs.timing.order:
+            paths["in order"] += 1
+        else:
+            paths["reordered"] += 1
+        _assert_built_like_scratch(inst, sched, move)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), chain=st.booleans(),
+           max_time=st.sampled_from((2, 2, 10)),
+           steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=5))
+    def walk(seed, chain, max_time, steps):
+        rng = random.Random(seed)
+        if chain:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        sched, graph = best_of_est_ect(inst), None
+        for step in steps:
+            if step == "perturb":
+                sched, graph = perturb(inst, sched, rng), None
+                assert sched == build_schedule(inst, sched.sequences)
+                continue
+            if step == "sa":
+                moves = [_draw(inst, sched, rng, graph)]
+            else:
+                moves = list(enumerate_neighbors(inst, sched, step, graph))
+            for move in moves:
+                check(inst, sched, move)
+            if moves:
+                chosen = moves[rng.randrange(len(moves))]
+                sched, graph = chosen.schedule, chosen.timing
+                _assert_removals_like_scratch(inst, sched, graph)
+
+    walk()
+    assert all(paths.values()), paths
