@@ -152,11 +152,15 @@ class Timing(NamedTuple):
     # a predecessor whose completion is the start (time_graph: the first
     # in order); the critical path is walked along these
     setter: list
+    # whether two predecessors finish at the start, so that another order
+    # could set it from another one
+    tied: list
 
 
 def time_graph(adjacency, weights) -> Timing:
-    """Earliest start and completion of every vertex, and its rank in the
-    topological order, by one forward pass.
+    """Earliest start and completion of every vertex, its rank in the
+    topological order and whether two predecessors tie at its start, by one
+    forward pass.
 
     ``weights`` maps vertices to processing times; the dummies must weigh
     0.  Raises CycleError on a directed cycle.
@@ -169,6 +173,7 @@ def time_graph(adjacency, weights) -> Timing:
     start[SOURCE] = 0
     completion = [0] * size
     setter = [SOURCE] * size
+    tied = [False] * size
     for idx, i in enumerate(order):
         rank[i] = idx
         done = completion[i] = start[i] + weights[i]
@@ -177,7 +182,11 @@ def time_graph(adjacency, weights) -> Timing:
             if start[j] < done:
                 start[j] = done
                 setter[j] = i
-    return Timing(adjacency, order, rank, preds, start, completion, setter)
+                tied[j] = False
+            elif start[j] == done:
+                tied[j] = True
+    return Timing(adjacency, order, rank, preds, start, completion, setter,
+                  tied)
 
 
 def critical_path(timing: Timing, sequences):

@@ -10,15 +10,25 @@ untouched.
 
 A neighbor is priced without building its graph.  A scan times the
 schedule's own graph G once (``time_graph``), or takes the timing built
-with the schedule; each removal derives its reduced graph G⁻ from that
-timing by rewiring the removed operation's machine neighbours and
-re-timing only what lies after it in G's order, which G⁻ shares with G
-together with its ranks.  When a vertex on G⁻'s critical path has two
-predecessors that finish at its start, τ would follow the order's
-tie-break, so G⁻ is timed again from scratch.  That one timing of G⁻
-gives the insertion windows, the reduction's bounds and the times from
-which each insertion re-times only what lies downstream of the inserted
-operation.
+with the schedule, and tabulates once what its removals read of G: each
+vertex's ancestors and descendants as bitsets of G's ranks, each machine's
+operations, and each operation's time one position earlier and one later.
+Each removal derives its reduced graph G⁻ from G's timing by rewiring the
+removed operation's machine neighbours and re-timing only what lies after
+it in G's order, which G⁻ shares with G together with its ranks.  Every
+timing flags the vertices that two predecessors finish at the start of;
+when one lies on G⁻'s critical path, τ would follow the order's tie-break,
+so G⁻ is timed again from scratch.  That one timing of G⁻ gives the
+reduction's bounds and the times from which each insertion re-times only
+what lies downstream of the inserted operation.
+
+The insertion window on a machine lies between the last ancestor and the
+first descendant of the removed operation there.  No path that ends or
+starts at the removed operation can use the machine arcs that its removal
+rewires, so its ancestors in G⁻ are those of its predecessors in G, its
+descendants those of its successors, and ranks rise along every machine
+sequence: in a scan each bound is one bit operation on the table.  Outside
+a scan the bounds come from two searches of G⁻.
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -41,9 +51,9 @@ timing of the new graph comes with it, for the next scan or removal; it is
 kept beside the ``Schedule``, never inside it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .instance import Instance
 from .learning import actual_time
@@ -52,7 +62,6 @@ from .graph import (
     Schedule,
     ScheduleError,
     Timing,
-    _sequence_faults,
     build_arcs,
     critical_path,
     reachable_from,
@@ -80,6 +89,9 @@ class ReducedState:
 
     The removed operation keeps its vertex (weight 0) together with its
     precedence and dummy arcs; only its machine arcs are rewired.
+    ``cycle_bounds(k)`` gives the positions on machine ``k`` of the last
+    operation that must precede it and of the first that must follow it
+    (0 and one past the end when there is none).
     """
 
     removed: int
@@ -87,10 +99,9 @@ class ReducedState:
     w_minus: dict
     path: tuple  # critical path of the reduced graph, s to t
     xi: int
-    reach_to_v: set
-    reach_from_v: set
     tau: tuple
     timing: Timing  # of the reduced graph
+    cycle_bounds: Callable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -168,15 +179,17 @@ class Move:
 
 
 def remove_op(inst: Instance, sched: Schedule, v: int,
-              graph: Timing | None = None) -> ReducedState:
+              graph: Timing | None = None,
+              table: "_ScanTable | None" = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph.
 
     Without ``graph`` the reduced graph is built and timed from scratch.
     With ``graph``, the timing of the schedule's own graph (from
     ``time_graph`` or built with an applied ``Move``), it is derived from
-    G: the arcs, times, reach sets, ξ and τ are the same, and the order
-    and ranks are G's unless a critical-path tie made the derivation time
-    G⁻ from scratch.
+    G: the arcs, times, ξ, τ and windows are the same, and the order and
+    ranks are G's unless a critical-path tie made the derivation time G⁻
+    from scratch.  ``table``, a scan's ``_ScanTable`` of ``graph``, gives
+    the shifted times and the windows without searches.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
@@ -191,10 +204,14 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     w_minus = dict(sched.actual_times)
     w_minus[v] = 0
     shifted = old_seq[gamma:]  # one position earlier now
-    for pos, op in enumerate(shifted, start=gamma):
-        w_minus[op] = actual_time(
-            inst.std_time[(op, old_machine)], pos, inst.learning_rate
-        )
+    if table is not None:
+        earlier = table.earlier[old_machine - 1]
+        w_minus.update(zip(shifted, earlier[gamma - 1:]))
+    else:
+        for pos, op in enumerate(shifted, start=gamma):
+            w_minus[op] = actual_time(
+                inst.std_time[(op, old_machine)], pos, inst.learning_rate
+            )
 
     if graph is None:
         timing = time_graph(build_arcs(inst, q_minus), w_minus)
@@ -206,10 +223,98 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
         # τ follows the tie-break, and so the order: use the rebuild's
         timing = time_graph(timing.succs, w_minus)
         path, xi, tau = critical_path(timing, q_minus)
-    reach_to_v = reachable_from(timing.preds, v)
-    reach_from_v = reachable_from(timing.succs, v)
-    return ReducedState(v, q_minus, w_minus, path, xi, reach_to_v,
-                        reach_from_v, tau, timing)
+    if table is not None:
+        bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
+    else:
+        bounds = _searched_bounds(timing, v, q_minus)
+    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
+
+
+class _ScanTable:
+    """What the removals of one scan read of G, the scanned schedule's
+    graph, tabulated once from its timing ``graph``.
+
+    ``anc[u]`` and ``desc[u]`` are bitsets of the ranks of u's ancestors
+    and of its descendants, u included; ``mask[k-1]`` that of machine
+    ``k``'s operations; ``pos[r]`` the position on its machine of the
+    operation ranked ``r``.  ``earlier[k-1]`` holds the times of machine
+    ``k``'s operations after the first one position earlier, ``later[k-1]``
+    those of all its operations one position later.
+    """
+
+    __slots__ = ("anc", "desc", "mask", "pos", "earlier", "later")
+
+    def __init__(self, inst: Instance, sched: Schedule, graph: Timing):
+        order, rank = graph.order, graph.rank
+        self.anc = anc = [0] * len(order)
+        for u in order:
+            bits = 1 << rank[u]
+            for i in graph.preds[u]:
+                bits |= anc[i]
+            anc[u] = bits
+        self.desc = desc = [0] * len(order)
+        for u in reversed(order):
+            bits = 1 << rank[u]
+            for j in graph.succs[u]:
+                bits |= desc[j]
+            desc[u] = bits
+        self.pos = [0] * len(order)
+        self.mask, self.earlier, self.later = [], [], []
+        std, alpha = inst.std_time, inst.learning_rate
+        for k, seq in enumerate(sched.sequences, start=1):
+            for pos, op in enumerate(seq, start=1):
+                self.pos[rank[op]] = pos
+            self.mask.append(sum(1 << rank[op] for op in seq))
+            self.earlier.append([actual_time(std[(op, k)], pos, alpha)
+                                 for pos, op in enumerate(seq[1:], start=1)])
+            self.later.append(_later(inst, seq, k))
+
+    def cycle_bounds(self, reduced: Timing, v: int, origin: int,
+                     q_minus: tuple) -> Callable:
+        """``ReducedState.cycle_bounds`` for ``v``, removed from machine
+        ``origin``, given G⁻'s timing ``reduced`` and sequences ``q_minus``
+        (see the module's docstring).  On ``origin`` every descendant of
+        ``v`` has moved one position earlier."""
+        above = below = 0
+        for i in reduced.preds[v]:
+            above |= self.anc[i]
+        for j in reduced.succs[v]:
+            below |= self.desc[j]
+        mask, pos = self.mask, self.pos
+
+        def bounds(k: int) -> tuple:
+            ancestors = above & mask[k - 1]
+            lower = pos[ancestors.bit_length() - 1] if ancestors else 0
+            descendants = below & mask[k - 1]
+            if not descendants:
+                return lower, len(q_minus[k - 1]) + 1
+            first = pos[(descendants & -descendants).bit_length() - 1]
+            return lower, first - (k == origin)
+
+        return bounds
+
+
+def _searched_bounds(reduced: Timing, v: int, q_minus: tuple) -> Callable:
+    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻,
+    whose timing is ``reduced``, made on the first call."""
+    reach = []
+
+    def bounds(k: int) -> tuple:
+        if not reach:
+            reach.append(reachable_from(reduced.preds, v))
+            reach.append(reachable_from(reduced.succs, v))
+        ancestors, descendants = reach
+        seq = q_minus[k - 1]
+        lower = 0
+        for pos, op in enumerate(seq, start=1):
+            if op in ancestors:
+                lower = pos
+        for pos, op in enumerate(seq, start=1):
+            if op in descendants:
+                return lower, pos
+        return lower, len(seq) + 1
+
+    return bounds
 
 
 def _derive_reduced(inst: Instance, graph: Timing, v: int, prev,
@@ -247,10 +352,12 @@ def _retimed(base: Timing, succs: list, order: list, rank: list,
              preds: list, weights: dict, stale: set) -> Timing:
     """``base``'s times with the ``stale`` vertices re-timed, in ``order``,
     together with whatever their changed completions reach; each takes the
-    latest completion of its predecessors as its start."""
+    latest completion of its predecessors as its start, and its tie flag
+    is counted again."""
     start = base.start.copy()
     completion = base.completion.copy()
     setter = base.setter.copy()
+    tied = base.tied.copy()
     for u in islice(order, min(map(rank.__getitem__, stale)), None):
         if u not in stale:
             continue
@@ -260,6 +367,9 @@ def _retimed(base: Timing, succs: list, order: list, rank: list,
             if completion[i] > latest:
                 latest = completion[i]
                 setter[u] = i
+                tied[u] = False
+            elif completion[i] == latest:
+                tied[u] = True
         start[u] = latest
         done = latest + weights[u]
         if done != completion[u]:
@@ -267,37 +377,30 @@ def _retimed(base: Timing, succs: list, order: list, rank: list,
             stale.update(succs[u])
         if not stale:
             break
-    return Timing(tuple(succs), order, rank, preds, start, completion, setter)
+    return Timing(tuple(succs), order, rank, preds, start, completion, setter,
+                  tied)
 
 
 def _tied(timing: Timing, path: tuple) -> bool:
     """Whether a vertex on ``path`` has two predecessors that finish at its
     start, so that another order could walk another path."""
-    finish = timing.completion.__getitem__
-    start, preds = timing.start, timing.preds
-    for u in path:
-        if list(map(finish, preds[u])).count(start[u]) > 1:
-            return True
-    return False
+    return any(map(timing.tied.__getitem__, path))
 
 
 def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
                     c_max: int) -> InsertionWindow:
     """Insertion window for the removed operation on machine ``k``."""
-    seq = rs.q_minus[k - 1]
-    lower = 0
-    for pos, op in enumerate(seq, start=1):
-        if op in rs.reach_to_v:
-            lower = pos
-    upper = len(seq) + 1
-    for pos, op in enumerate(seq, start=1):
-        if op in rs.reach_from_v:
-            upper = pos
-            break
+    _check_machine(rs, k)
+    lower, upper = rs.cycle_bounds(k)
     effective = upper
     if reduction_active and rs.xi >= c_max:
         effective = min(upper, rs.tau[k - 1])
     return InsertionWindow(k, lower, upper, effective)
+
+
+def _check_machine(rs: ReducedState, k: int) -> None:
+    if not 1 <= k <= len(rs.q_minus):
+        raise ValueError(f"no machine {k}: machines are 1..{len(rs.q_minus)}")
 
 
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
@@ -316,6 +419,7 @@ def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
     """The move that reinserts the removed operation at position ``gamma``
     of machine ``k``, outside a scan: priced and built from ``rs`` like a
     scanned neighbor, with the trivial lower bound 0."""
+    _check_machine(rs, k)
     return Move(rs.removed, k, gamma, 0, inst, rs,
                 _later(inst, rs.q_minus[k - 1], k))
 
@@ -352,9 +456,9 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     q_plus = list(rs.q_minus)
     q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
     q_plus = tuple(q_plus)
-    faults = _sequence_faults(inst, q_plus)
-    if faults:
-        raise ScheduleError(faults[0])
+    if k not in inst.eligible[v - 1]:
+        # q⁻ came from a checked Schedule: only v's machine is new
+        raise ScheduleError(f"operation {v} on ineligible machine {k}")
 
     std, alpha = inst.std_time, inst.learning_rate
     weights = dict(rs.w_minus)
@@ -460,7 +564,7 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     predecessors again.
     """
     v = rs.removed
-    succs, order, rank, preds, start, completion, _ = rs.timing
+    succs, order, rank, preds, start, completion, *_ = rs.timing
     begin = start[v]
     if gamma > 1 and completion[seq[gamma - 2]] > begin:
         begin = completion[seq[gamma - 2]]
@@ -534,15 +638,22 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     if graph is None:
         graph = time_graph(build_arcs(inst, sched.sequences),
                            sched.actual_times)
+    table = _ScanTable(inst, sched, graph)
     for v in candidates:
-        rs = remove_op(inst, sched, v, graph)
+        rs = remove_op(inst, sched, v, graph, table)
         on_path = set(rs.path)
+        origin = sched.assignment[v]
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
             if not window.positions:
                 continue
             seq = rs.q_minus[k - 1]
-            later = _later(inst, seq, k)
+            later = table.later[k - 1]
+            if k == origin:
+                # the operations after v are back at their positions in G
+                cut = sched.sequences[k - 1].index(v)
+                later = later[:cut] + [sched.actual_times[op]
+                                       for op in seq[cut:]]
             # loss[i]: what the path's operations at index >= i lose when
             # they move one position later; none lies beyond τ_k
             loss = [0] * (len(seq) + 1)

@@ -6,18 +6,21 @@ from hypothesis import given, settings, strategies as st
 from flexshop import (
     CycleError,
     Instance,
+    ScheduleError,
+    actual_time,
     build_schedule,
     enumerate_neighbors,
     feasible_window,
     insert_op,
     parse_instance,
     perturb,
+    reachable_from,
     remove_op,
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
 from flexshop.graph import build_arcs, time_graph
-from flexshop.moves import NEIGHBORHOOD_MODES
+from flexshop.moves import NEIGHBORHOOD_MODES, relocation
 
 from conftest import random_instance
 
@@ -29,8 +32,9 @@ def test_remove_goldens(fig1, fig2a):
     assert rs.w_minus[2] == 0
     assert rs.xi == 658  # critical path did not pass through op 2
     assert rs.tau == (0, 4)
-    assert rs.reach_to_v == {0, 1, 2}
-    assert rs.reach_from_v == {2, 3, 6}
+    assert reachable_from(rs.timing.preds, 2) == {0, 1, 2}
+    assert reachable_from(rs.timing.succs, 2) == {2, 3, 6}
+    assert rs.cycle_bounds(2) == (1, 4)
 
 
 def test_remove_retimes_shifted_operations(fig1, fig2a):
@@ -45,8 +49,8 @@ def test_remove_retimes_shifted_operations(fig1, fig2a):
 def test_remove_preserves_precedence_arcs(fig1, fig2a):
     # removing op 2 must not drop the precedence arcs 1->2 and 2->3
     rs = remove_op(fig1, fig2a, 2)
-    assert 1 in rs.reach_to_v
-    assert 3 in rs.reach_from_v
+    assert 1 in reachable_from(rs.timing.preds, 2)
+    assert 3 in reachable_from(rs.timing.succs, 2)
 
 
 def test_remove_single_operation_gives_zero_length():
@@ -98,6 +102,37 @@ def test_insert_outside_window_raises(fig1, fig2a):
         insert_op(fig1, rs, 2, 2, 5)  # after op 3, its successor
     with pytest.raises(ValueError):
         insert_op(fig1, rs, 5, 2, 2)  # reduced state holds op 2, not 5
+
+
+@pytest.mark.parametrize("k", [0, 3, -1])
+def test_window_rejects_unknown_machine(fig1, fig2a, k):
+    rs = remove_op(fig1, fig2a, 2)
+    with pytest.raises(ValueError, match=rf"no machine {k}: machines are 1\.\.2"):
+        feasible_window(rs, k, reduction_active=False, c_max=0)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_insert_rejects_unknown_machine(fig1, fig2a, k):
+    rs = remove_op(fig1, fig2a, 2)
+    with pytest.raises(ValueError, match=rf"no machine {k}: machines are 1\.\.2"
+                       ) as excinfo:
+        insert_op(fig1, rs, 2, k, 1)
+    assert not isinstance(excinfo.value, ScheduleError)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_relocation_rejects_unknown_machine(fig1, fig2a, k):
+    rs = remove_op(fig1, fig2a, 2)
+    with pytest.raises(ValueError, match=rf"no machine {k}: machines are 1\.\.2"):
+        relocation(fig1, rs, k, 1)
+
+
+def test_insert_on_ineligible_machine_raises():
+    inst = parse_instance("2 2 1.0\n1 1 4\n2 1 3 2 3\n0")
+    sched = build_schedule(inst, [[1, 2], []])
+    rs = remove_op(inst, sched, 1)
+    with pytest.raises(ScheduleError, match="operation 1 on ineligible machine 2"):
+        insert_op(inst, rs, 1, 2, 1)
 
 
 def test_remove_insert_identity(fig1, fig2a):
@@ -223,9 +258,9 @@ def _chain_instance(rng: random.Random, max_time: int) -> Instance:
 
 def test_derived_reduced_state_matches_rebuild():
     """For every removal, the reduced graph a scan derives from the
-    schedule's own graph has the rebuilt one's arcs, times, reach sets, ξ
-    and τ; both the derivation and its rebuild on a critical-path tie run
-    on this fuzz set."""
+    schedule's own graph has the rebuilt one's arcs, times, reach sets,
+    windows, ξ and τ; both the derivation and its rebuild on a
+    critical-path tie run on this fuzz set."""
     rng = random.Random(7)
     derived = rebuilt = 0
     for case in range(160):
@@ -245,8 +280,7 @@ def test_derived_reduced_state_matches_rebuild():
             got = remove_op(inst, sched, v, graph)
             assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
             assert (got.xi, got.tau) == (want.xi, want.tau)
-            assert got.reach_to_v == want.reach_to_v
-            assert got.reach_from_v == want.reach_from_v
+            _assert_same_reach(inst, v, got, want)
             assert got.timing.succs == want.timing.succs
             assert got.timing.start == want.timing.start
             assert got.timing.completion == want.timing.completion
@@ -264,6 +298,17 @@ def test_derived_reduced_state_matches_rebuild():
                            for j in succs)
                 derived += 1
     assert derived > 0 and rebuilt > 0
+
+
+def _assert_same_reach(inst, v, got, want):
+    """Two reduced states of one removal reach and are reached by the same
+    vertices, and give the same windows on every machine."""
+    assert (reachable_from(got.timing.preds, v)
+            == reachable_from(want.timing.preds, v))
+    assert (reachable_from(got.timing.succs, v)
+            == reachable_from(want.timing.succs, v))
+    assert ([got.cycle_bounds(k) for k in inst.machines]
+            == [want.cycle_bounds(k) for k in inst.machines])
 
 
 def _assert_built_like_scratch(inst, sched, move):
@@ -301,8 +346,7 @@ def _assert_removals_like_scratch(inst, sched, graph):
         want = remove_op(inst, sched, v)
         got = remove_op(inst, sched, v, graph)
         assert (got.path, got.xi, got.tau) == (want.path, want.xi, want.tau)
-        assert got.reach_to_v == want.reach_to_v
-        assert got.reach_from_v == want.reach_from_v
+        _assert_same_reach(inst, v, got, want)
         assert got.timing.completion == want.timing.completion
 
 
@@ -364,4 +408,92 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
                 _assert_removals_like_scratch(inst, sched, graph)
 
     walk()
+    assert all(paths.values()), paths
+
+
+def _recounted_ties(timing) -> list:
+    """Each vertex's tie flag, counted again from the timing's times."""
+    finish = timing.completion.__getitem__
+    return [list(map(finish, preds)).count(start) > 1
+            for preds, start in zip(timing.preds, timing.start)]
+
+
+def _reach_bounds(seq, ancestors, descendants) -> tuple:
+    """Cycle bounds on a machine sequence from the reach sets of v."""
+    lower = max((pos for pos, op in enumerate(seq, start=1)
+                 if op in ancestors), default=0)
+    upper = min((pos for pos, op in enumerate(seq, start=1)
+                 if op in descendants), default=len(seq) + 1)
+    return lower, upper
+
+
+def test_scan_table_matches_reach_sets(monkeypatch):
+    """On every removal of full, reduced and cropped scans, from a timed
+    schedule and from a built move's carried timing, the scan table's
+    windows on every machine are those of the reach sets of G⁻ built from
+    scratch, its shifted times are actual_time's, and the tie flags of the
+    scanned, derived, rebuilt, from-scratch and built timings are
+    recounts; removals through the table and tie rebuilds both occur."""
+    import flexshop.moves
+
+    plain = flexshop.moves.remove_op
+    removals = []
+
+    def recorded(inst, sched, v, graph=None, table=None):
+        rs = plain(inst, sched, v, graph, table)
+        removals.append((graph, table, rs))
+        return rs
+
+    monkeypatch.setattr(flexshop.moves, "remove_op", recorded)
+    paths = {"table": 0, "derived": 0, "tie rebuild": 0}
+    rng = random.Random(11)
+    for case in range(90):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        std, alpha = inst.std_time, inst.learning_rate
+        sched, graph = best_of_est_ect(inst), None
+        for _ in range(case % 3):
+            sched = perturb(inst, sched, rng)
+        for mode in NEIGHBORHOOD_MODES:
+            removals.clear()
+            moves = list(enumerate_neighbors(inst, sched, mode, graph))
+            for scanned, table, rs in removals:
+                assert table is not None
+                paths["table"] += 1
+                assert scanned.tied == _recounted_ties(scanned)
+                for k, seq in enumerate(sched.sequences, start=1):
+                    assert table.earlier[k - 1] == [
+                        actual_time(std[(op, k)], pos - 1, alpha)
+                        for pos, op in enumerate(seq, start=1) if pos > 1]
+                    assert table.later[k - 1] == [
+                        actual_time(std[(op, k)], pos + 1, alpha)
+                        for pos, op in enumerate(seq, start=1)]
+                v = rs.removed
+                want = plain(inst, sched, v)
+                assert rs.w_minus == want.w_minus
+                ancestors = reachable_from(want.timing.preds, v)
+                descendants = reachable_from(want.timing.succs, v)
+                for k in inst.machines:
+                    assert rs.cycle_bounds(k) == _reach_bounds(
+                        want.q_minus[k - 1], ancestors, descendants)
+                if rs.timing.rank is scanned.rank:
+                    paths["derived"] += 1
+                else:
+                    paths["tie rebuild"] += 1
+                assert rs.timing.tied == _recounted_ties(rs.timing)
+                assert want.timing.tied == _recounted_ties(want.timing)
+            for move in moves:
+                seq = move._rs.q_minus[move.machine - 1]
+                assert move._later == [
+                    actual_time(std[(op, move.machine)], pos + 1, alpha)
+                    for pos, op in enumerate(seq, start=1)]
+            for move in moves[::3]:
+                assert move.timing.tied == _recounted_ties(move.timing)
+            if moves:  # the next scan starts from a built move's timing
+                chosen = moves[rng.randrange(len(moves))]
+                sched, graph = chosen.schedule, chosen.timing
     assert all(paths.values()), paths
