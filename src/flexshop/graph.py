@@ -146,11 +146,11 @@ class Timing(NamedTuple):
     succs: tuple  # adjacency lists, as given
     order: list  # topological_sort_plus's order
     rank: list  # index of each vertex in that order
-    preds: list  # predecessor lists (time_graph: in that order)
+    preds: list  # predecessor lists, in an order that no reader relies on
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
-    # a predecessor whose completion is the start (time_graph: the first
-    # in order); the critical path is walked along these
+    # a predecessor whose completion is the start (time_graph: the first in
+    # order; an edit: the first in preds); the critical path follows these
     setter: list
     # whether two predecessors finish at the start, so that another order
     # could set it from another one

@@ -13,14 +13,21 @@ schedule's own graph G once (``time_graph``), or takes the timing built
 with the schedule, and tabulates once what its removals read of G: each
 vertex's ancestors and descendants as bitsets of G's ranks, each machine's
 operations, and each operation's time one position earlier and one later.
-Each removal derives its reduced graph G⁻ from G's timing by rewiring the
-removed operation's machine neighbours and re-timing only what lies after
-it in G's order, which G⁻ shares with G together with its ranks.  Every
-timing flags the vertices that two predecessors finish at the start of;
-when one lies on G⁻'s critical path, τ would follow the order's tie-break,
-so G⁻ is timed again from scratch.  That one timing of G⁻ gives the
-reduction's bounds and the times from which each insertion re-times only
-what lies downstream of the inserted operation.
+
+Both halves of a move edit a timed graph in one way (``_edited``): the
+machine arcs the move breaks are dropped, those it makes are added, the
+order is kept unless an added arc points backwards in it, which a local
+reorder mends (Pearce and Kelly's dynamic topological sort), and only the
+operations whose position changed and what their new completions reach
+are re-timed.  A removal edits G into its reduced graph G⁻: prev→v and
+v→next give way to prev→next, which never points backwards, so G⁻ keeps
+G's order and ranks.  The applied move edits G⁻ into G⁺: before→after
+gives way to before→v and v→after.  Every timing flags the vertices that
+two predecessors finish at the start of; when one lies on the new critical
+path, τ would follow the order's tie-break, so the graph is timed again
+from scratch (``_walked``) and gives ``build_schedule``'s path.  The one
+timing of G⁻ gives the reduction's bounds and the times from which each
+insertion is priced.
 
 The insertion window on a machine lies between the last ancestor and the
 first descendant of the removed operation there.  No path that ends or
@@ -41,14 +48,8 @@ after.  A search that needs only moves shorter than a cutoff reads the
 bound first.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
-applies, from G⁻ as well: the inserted operation gets its machine arcs,
-G⁻'s order is kept when it already places that operation between its new
-machine neighbours and is reordered locally otherwise (Pearce and Kelly's
-dynamic topological sort), and what follows the first changed vertex is
-re-timed.  A tie on the new critical path makes the graph be timed from
-scratch, as for G⁻, so the ``Schedule`` equals ``build_schedule``'s.  The
-timing of the new graph comes with it, for the next scan or removal; it is
-kept beside the ``Schedule``, never inside it.
+applies, by editing G⁻ into G⁺.  The timing of G⁺ comes with it, for the
+next scan or removal; it is kept beside the ``Schedule``, never inside it.
 """
 
 from dataclasses import dataclass, field
@@ -205,24 +206,21 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     w_minus[v] = 0
     shifted = old_seq[gamma:]  # one position earlier now
     if table is not None:
-        earlier = table.earlier[old_machine - 1]
-        w_minus.update(zip(shifted, earlier[gamma - 1:]))
+        earlier = table.earlier[old_machine - 1][gamma - 1:]
     else:
-        for pos, op in enumerate(shifted, start=gamma):
-            w_minus[op] = actual_time(
-                inst.std_time[(op, old_machine)], pos, inst.learning_rate
-            )
+        earlier = _times(inst, shifted, old_machine, gamma)
+    w_minus.update(zip(shifted, earlier))
 
     if graph is None:
         timing = time_graph(build_arcs(inst, q_minus), w_minus)
+        path, xi, tau = critical_path(timing, q_minus)
     else:
         prev = old_seq[gamma - 2] if gamma > 1 else None
-        timing = _derive_reduced(inst, graph, v, prev, shifted, w_minus)
-    path, xi, tau = critical_path(timing, q_minus)
-    if graph is not None and _tied(timing, path):
-        # τ follows the tie-break, and so the order: use the rebuild's
-        timing = time_graph(timing.succs, w_minus)
-        path, xi, tau = critical_path(timing, q_minus)
+        nxt = shifted[0] if shifted else None
+        timing, path, xi, tau = _walked(
+            _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),),
+                    w_minus, {v, *shifted}),
+            q_minus, w_minus)
     if table is not None:
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
@@ -260,14 +258,12 @@ class _ScanTable:
             desc[u] = bits
         self.pos = [0] * len(order)
         self.mask, self.earlier, self.later = [], [], []
-        std, alpha = inst.std_time, inst.learning_rate
         for k, seq in enumerate(sched.sequences, start=1):
             for pos, op in enumerate(seq, start=1):
                 self.pos[rank[op]] = pos
             self.mask.append(sum(1 << rank[op] for op in seq))
-            self.earlier.append([actual_time(std[(op, k)], pos, alpha)
-                                 for pos, op in enumerate(seq[1:], start=1)])
-            self.later.append(_later(inst, seq, k))
+            self.earlier.append(_times(inst, seq[1:], k, 1))
+            self.later.append(_times(inst, seq, k, 2))
 
     def cycle_bounds(self, reduced: Timing, v: int, origin: int,
                      q_minus: tuple) -> Callable:
@@ -317,43 +313,45 @@ def _searched_bounds(reduced: Timing, v: int, q_minus: tuple) -> Callable:
     return bounds
 
 
-def _derive_reduced(inst: Instance, graph: Timing, v: int, prev,
-                    shifted: tuple, w_minus: dict) -> Timing:
-    """Timing of G⁻ in G's order, from G's timing.
+def _times(inst: Instance, ops: tuple, k: int, first: int) -> list:
+    """Time of each of ``ops`` on machine ``k``, the first at position
+    ``first`` and the rest at the positions after it."""
+    std, alpha = inst.std_time, inst.learning_rate
+    return [actual_time(std[(op, k)], pos, alpha)
+            for pos, op in enumerate(ops, start=first)]
 
-    Removing ``v`` from between ``prev`` and ``next`` (``shifted[0]``)
-    drops the machine arcs prev→v and v→next, unless they are precedence
-    arcs, and adds prev→next; the lists stay sorted, as ``build_arcs``
-    gives them.  G's order is topological for G⁻, because prev preceded
-    next through v.  Vertices before ``v`` in it keep G's times and
-    setters; ``v``, ``next``, the shifted operations and whatever their new
-    completions reach are re-timed.
+
+def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
+            weights: dict, stale: set) -> Timing:
+    """Timing of ``base``'s graph with the machine arcs ``drop`` removed
+    and those in ``add`` added (see the module's docstring).
+
+    Pairs that hold ``None`` and precedence arcs are left alone; successor
+    lists stay sorted, as ``build_arcs`` gives them, and predecessors are
+    appended.  An added arc that points backwards in ``base``'s order is
+    mended by ``_reorder``: of an insertion's two at most one does, since
+    before→after was an arc of G⁻.  The ``stale`` vertices and whatever
+    their changed completions reach are re-timed and their tie flags
+    counted again; the rest keep ``base``'s times and setters.
     """
-    succs = list(graph.succs)
-    preds = graph.preds.copy()
-    nxt = shifted[0] if shifted else None
+    succs = list(base.succs)
+    preds = base.preds.copy()
     arcs = inst.precedence_arcs
-    if prev is not None and (prev, v) not in arcs:
-        succs[prev] = tuple(j for j in succs[prev] if j != v)
-        preds[v] = [i for i in preds[v] if i != prev]
-    if nxt is not None and (v, nxt) not in arcs:
-        succs[v] = tuple(j for j in succs[v] if j != nxt)
-        preds[nxt] = [i for i in preds[nxt] if i != v]
-    if prev is not None and nxt is not None and (prev, nxt) not in arcs:
-        succs[prev] = tuple(sorted(succs[prev] + (nxt,)))
-        # predecessor lists follow the order, as time_graph leaves them
-        preds[nxt] = sorted(preds[nxt] + [prev], key=graph.rank.__getitem__)
+    for i, j in drop:
+        if i is not None and j is not None and (i, j) not in arcs:
+            succs[i] = tuple(x for x in succs[i] if x != j)
+            preds[j] = [x for x in preds[j] if x != i]
+    order, rank = base.order, base.rank
+    backward = None
+    for i, j in add:
+        if i is not None and j is not None and (i, j) not in arcs:
+            succs[i] = tuple(sorted(succs[i] + (j,)))
+            preds[j] = preds[j] + [i]
+            if rank[i] > rank[j]:
+                backward = i, j
+    if backward:
+        order, rank = _reorder(succs, preds, order, rank, *backward)
 
-    return _retimed(graph, succs, graph.order, graph.rank, preds, w_minus,
-                    {v, *shifted})
-
-
-def _retimed(base: Timing, succs: list, order: list, rank: list,
-             preds: list, weights: dict, stale: set) -> Timing:
-    """``base``'s times with the ``stale`` vertices re-timed, in ``order``,
-    together with whatever their changed completions reach; each takes the
-    latest completion of its predecessors as its start, and its tie flag
-    is counted again."""
     start = base.start.copy()
     completion = base.completion.copy()
     setter = base.setter.copy()
@@ -381,26 +379,28 @@ def _retimed(base: Timing, succs: list, order: list, rank: list,
                   tied)
 
 
-def _tied(timing: Timing, path: tuple) -> bool:
-    """Whether a vertex on ``path`` has two predecessors that finish at its
-    start, so that another order could walk another path."""
-    return any(map(timing.tied.__getitem__, path))
+def _walked(timing: Timing, sequences: tuple, weights: dict) -> tuple:
+    """``(timing, path, length, tau)``: ``critical_path`` of an edited
+    ``timing``, or of the graph timed again from scratch when a vertex on
+    the path has two predecessors that finish at its start.  Then τ would
+    follow the order's tie-break, so the rebuild's order decides it."""
+    path, length, tau = critical_path(timing, sequences)
+    if any(map(timing.tied.__getitem__, path)):
+        timing = time_graph(timing.succs, weights)
+        path, length, tau = critical_path(timing, sequences)
+    return timing, path, length, tau
 
 
 def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
                     c_max: int) -> InsertionWindow:
     """Insertion window for the removed operation on machine ``k``."""
-    _check_machine(rs, k)
+    if not 1 <= k <= len(rs.q_minus):
+        raise ValueError(f"no machine {k}: machines are 1..{len(rs.q_minus)}")
     lower, upper = rs.cycle_bounds(k)
     effective = upper
     if reduction_active and rs.xi >= c_max:
         effective = min(upper, rs.tau[k - 1])
     return InsertionWindow(k, lower, upper, effective)
-
-
-def _check_machine(rs: ReducedState, k: int) -> None:
-    if not 1 <= k <= len(rs.q_minus):
-        raise ValueError(f"no machine {k}: machines are 1..{len(rs.q_minus)}")
 
 
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
@@ -412,6 +412,7 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     """
     if v != rs.removed:
         raise ValueError(f"reduced state holds operation {rs.removed}, not {v}")
+    _check_slot(inst, rs, k, gamma)
     return _build_insertion(inst, rs, k, gamma)[0]
 
 
@@ -419,31 +420,15 @@ def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
     """The move that reinserts the removed operation at position ``gamma``
     of machine ``k``, outside a scan: priced and built from ``rs`` like a
     scanned neighbor, with the trivial lower bound 0."""
-    _check_machine(rs, k)
+    _check_slot(inst, rs, k, gamma)
     return Move(rs.removed, k, gamma, 0, inst, rs,
-                _later(inst, rs.q_minus[k - 1], k))
+                _times(inst, rs.q_minus[k - 1], k, 2))
 
 
-def _later(inst: Instance, seq: tuple, k: int) -> list:
-    """Time of each operation of ``seq``, machine ``k``'s sequence, one
-    position further back."""
-    std, alpha = inst.std_time, inst.learning_rate
-    return [actual_time(std[(op, k)], pos, alpha)
-            for pos, op in enumerate(seq, start=2)]
-
-
-def _build_insertion(inst: Instance, rs: ReducedState, k: int,
-                     gamma: int) -> tuple:
-    """``Schedule`` and ``Timing`` of the graph G⁺ that reinserts the
-    removed operation at position ``gamma`` of machine ``k``, built from
-    G⁻'s timing.
-
-    Raises CycleError outside the cycle-free window and ScheduleError on
-    an ineligible machine.  The timing has G⁺'s arcs as ``build_arcs``
-    gives them and exact times; its order is G⁻'s, locally reordered when
-    needed.  A tie on the critical path makes G⁺ be timed from scratch, so
-    the path and τ are ``build_schedule``'s.
-    """
+def _check_slot(inst: Instance, rs: ReducedState, k: int, gamma: int) -> None:
+    """Raise CycleError unless ``gamma`` lies in the cycle-free window on
+    machine ``k``, and then ScheduleError unless the removed operation may
+    run on ``k``."""
     v = rs.removed
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     if gamma not in window.cycle_free:
@@ -451,67 +436,41 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
             f"inserting operation {v} at position {gamma} of machine {k} "
             f"creates a cycle (window {window.lower + 1}..{window.upper})"
         )
+    if k not in inst.eligible[v - 1]:
+        # q⁻ came from a checked Schedule: only v's machine is new
+        raise ScheduleError(f"operation {v} on ineligible machine {k}")
+
+
+def _build_insertion(inst: Instance, rs: ReducedState, k: int,
+                     gamma: int) -> tuple:
+    """``Schedule`` and ``Timing`` of the graph G⁺ that reinserts the
+    removed operation at position ``gamma`` of machine ``k``, a slot that
+    ``_check_slot`` passes, built from G⁻'s timing.
+
+    The timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
+    its order is G⁻'s, locally reordered when needed.  A tie on the
+    critical path makes G⁺ be timed from scratch, so the path and τ are
+    ``build_schedule``'s.
+    """
+    v = rs.removed
     seq = rs.q_minus[k - 1]
     moved = seq[gamma - 1:]  # one position later now
     q_plus = list(rs.q_minus)
     q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
     q_plus = tuple(q_plus)
-    if k not in inst.eligible[v - 1]:
-        # q⁻ came from a checked Schedule: only v's machine is new
-        raise ScheduleError(f"operation {v} on ineligible machine {k}")
 
-    std, alpha = inst.std_time, inst.learning_rate
     weights = dict(rs.w_minus)
-    weights[v] = actual_time(std[(v, k)], gamma, alpha)
-    for pos, op in enumerate(moved, start=gamma + 1):
-        weights[op] = actual_time(std[(op, k)], pos, alpha)
+    weights.update(zip((v, *moved), _times(inst, (v, *moved), k, gamma)))
     before = seq[gamma - 2] if gamma > 1 else None
-    timing = _insert_vertex(inst, rs.timing, v, before, moved, weights)
-    path, length, tau = critical_path(timing, q_plus)
-    if _tied(timing, path):
-        timing = time_graph(timing.succs, weights)
-        path, length, tau = critical_path(timing, q_plus)
+    after = moved[0] if moved else None
+    timing, path, length, tau = _walked(
+        _edited(inst, rs.timing, ((before, after),), ((before, v), (v, after)),
+                weights, {v, *moved}),
+        q_plus, weights)
     assignment = {}
     for machine, ops in enumerate(q_plus, start=1):
         assignment.update(dict.fromkeys(ops, machine))
     return Schedule(assignment, q_plus, weights, path, length, tau), timing
-
-
-def _insert_vertex(inst: Instance, reduced: Timing, v: int, before,
-                   moved: tuple, weights: dict) -> Timing:
-    """Timing of G⁺ from G⁻'s: ``v`` goes between ``before`` and
-    ``after`` (``moved[0]``), the operations ``moved`` move one position
-    later.
-
-    The arcs before→v and v→after are added and before→after dropped,
-    unless they are precedence arcs; the lists stay sorted, as
-    ``build_arcs`` gives them.  G⁻'s order is kept when it ranks ``v``
-    between ``before`` and ``after``; otherwise the one arc that points
-    backwards is mended by a local reorder.  From the first of ``v`` and
-    ``moved`` in the order on, what they and their new completions reach
-    is re-timed; the rest keeps G⁻'s times and setters.
-    """
-    succs = list(reduced.succs)
-    preds = reduced.preds.copy()
-    after = moved[0] if moved else None
-    arcs = inst.precedence_arcs
-    if before is not None and after is not None and (before, after) not in arcs:
-        succs[before] = tuple(j for j in succs[before] if j != after)
-        preds[after] = [i for i in preds[after] if i != before]
-    if before is not None and (before, v) not in arcs:
-        succs[before] = tuple(sorted(succs[before] + (v,)))
-        preds[v] = preds[v] + [before]
-    if after is not None and (v, after) not in arcs:
-        succs[v] = tuple(sorted(succs[v] + (after,)))
-        preds[after] = preds[after] + [v]
-
-    order, rank = reduced.order, reduced.rank
-    if before is not None and rank[before] > rank[v]:
-        order, rank = _reorder(succs, preds, order, rank, before, v)
-    elif after is not None and rank[v] > rank[after]:
-        order, rank = _reorder(succs, preds, order, rank, v, after)
-    return _retimed(reduced, succs, order, rank, preds, weights,
-                    {v, *moved})
 
 
 def _reorder(succs: list, preds: list, order: list, rank: list, x: int,

@@ -94,14 +94,29 @@ def test_insert_golden_improvement(fig1, fig2a):
     assert validate_schedule(fig1, sched) == []
 
 
-def test_insert_outside_window_raises(fig1, fig2a):
+# both ways in: each checks its slot before it builds or prices anything
+ENTRIES = {
+    "insert_op": lambda inst, rs, k, gamma: insert_op(inst, rs, rs.removed,
+                                                      k, gamma),
+    "relocation": relocation,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("gamma", [0, 1, 5, 6])
+def test_insert_outside_window_raises(fig1, fig2a, entry, gamma):
+    # op 2's window on machine 2 is 2..4: position 1 is before op 1, its
+    # predecessor, position 5 after op 3, its successor
     rs = remove_op(fig1, fig2a, 2)
-    with pytest.raises(CycleError):
-        insert_op(fig1, rs, 2, 2, 1)  # before op 1, its predecessor
-    with pytest.raises(CycleError):
-        insert_op(fig1, rs, 2, 2, 5)  # after op 3, its successor
-    with pytest.raises(ValueError):
-        insert_op(fig1, rs, 5, 2, 2)  # reduced state holds op 2, not 5
+    with pytest.raises(CycleError, match=rf"position {gamma} of machine 2 "
+                       r"creates a cycle \(window 2\.\.4\)"):
+        ENTRIES[entry](fig1, rs, 2, gamma)
+
+
+def test_insert_rejects_other_operation(fig1, fig2a):
+    rs = remove_op(fig1, fig2a, 2)
+    with pytest.raises(ValueError, match="holds operation 2, not 5"):
+        insert_op(fig1, rs, 5, 2, 2)
 
 
 @pytest.mark.parametrize("k", [0, 3, -1])
@@ -127,12 +142,13 @@ def test_relocation_rejects_unknown_machine(fig1, fig2a, k):
         relocation(fig1, rs, k, 1)
 
 
-def test_insert_on_ineligible_machine_raises():
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_insert_on_ineligible_machine_raises(entry):
     inst = parse_instance("2 2 1.0\n1 1 4\n2 1 3 2 3\n0")
     sched = build_schedule(inst, [[1, 2], []])
     rs = remove_op(inst, sched, 1)
     with pytest.raises(ScheduleError, match="operation 1 on ineligible machine 2"):
-        insert_op(inst, rs, 1, 2, 1)
+        ENTRIES[entry](inst, rs, 2, 1)
 
 
 def test_remove_insert_identity(fig1, fig2a):
