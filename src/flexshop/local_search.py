@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instance import Instance
-from .graph import Schedule
+from .graph import Schedule, Timing, build_arcs, time_graph
 from .moves import NEIGHBORHOOD_MODES, enumerate_neighbors
 
 __all__ = ["LocalSearchConfig", "LocalSearchResult", "local_search"]
@@ -49,21 +49,28 @@ class LocalSearchResult:
     neighbors_evaluated: int
     # identity of every iterate, starting solution included
     trajectory: list = field(default_factory=list)
+    timing: Timing | None = field(default=None, repr=False, compare=False)
 
 
 def local_search(inst: Instance, start: Schedule,
-                 cfg: LocalSearchConfig = LocalSearchConfig()) -> LocalSearchResult:
+                 cfg: LocalSearchConfig = LocalSearchConfig(),
+                 graph: Timing | None = None) -> LocalSearchResult:
     """Descend from ``start`` until no neighbor strictly improves.
 
     The result is monotone (makespan never increases) and deterministic:
     ties among equally good neighbors break by scan order.  With a time
     budget, a scan may be abandoned mid-neighborhood; the best improving
-    move found so far, if any, is still applied.
+    move found so far, if any, is still applied.  ``graph`` is the timing
+    of ``start``'s graph, if known; the result's ``timing`` is that of its
+    schedule's, for the next removal or scan.
     """
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
-    current, graph = start, None  # graph: the applied move's timing
+    if graph is None:
+        graph = time_graph(build_arcs(inst, start.sequences),
+                           start.actual_times)
+    current = start
     result = LocalSearchResult(current, 0, 0, [current.key()])
     while True:
         best = None
@@ -84,5 +91,5 @@ def local_search(inst: Instance, start: Schedule,
         result.trajectory.append(current.key())
         if deadline is not None and time.monotonic() >= deadline:
             break
-    result.schedule = current
+    result.schedule, result.timing = current, graph
     return result

@@ -17,9 +17,9 @@ from .graph import Schedule, Timing, build_arcs, time_graph
 from .moves import (
     NEIGHBORHOOD_MODES,
     Move,
+    _relocated,
     enumerate_neighbors,
     feasible_window,
-    relocation,
     remove_op,
 )
 from .local_search import LocalSearchConfig, check_seconds, local_search
@@ -214,15 +214,14 @@ def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
 def _draw(inst: Instance, sched: Schedule, rng: random.Random,
           graph: Timing | None = None) -> Move:
     """``perturb``'s random move, drawn in its order: operation, machine,
-    position.  The removal is derived from ``graph``, the timing of the
-    schedule's graph, when it is given."""
+    a slot of the window; ``graph`` is the schedule's timing, if known."""
     v = rng.randint(1, inst.num_operations)
     rs = remove_op(inst, sched, v, graph)
     machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     gamma = rng.randint(window.lower + 1, window.upper)
-    return relocation(inst, rs, k, gamma)
+    return _relocated(inst, rs, k, gamma)
 
 
 def _ls_config(run: _Run) -> LocalSearchConfig:
@@ -230,22 +229,23 @@ def _ls_config(run: _Run) -> LocalSearchConfig:
 
 
 def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Iterated local search: descend, perturb the local optimum, repeat."""
+    """Iterated local search: descend, perturb the local optimum, repeat;
+    the timing of the current schedule's graph goes along with it."""
     rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
-    current = best_of_est_ect(inst)
+    current, graph = best_of_est_ect(inst), None
     if run.offer(current):
         return run.finish()
     while not run.exhausted():
-        result = local_search(inst, current, _ls_config(run))
+        result = local_search(inst, current, _ls_config(run), graph)
         run.neighbors += result.neighbors_evaluated
         run.iterations += 1
         if run.offer(result.schedule):
             break
-        length = rng.randint(cfg.ils_perturb_min, cfg.ils_perturb_max)
-        current = result.schedule
-        for _ in range(length):
-            current = perturb(inst, current, rng)
+        current, graph = result.schedule, result.timing
+        for _ in range(rng.randint(cfg.ils_perturb_min, cfg.ils_perturb_max)):
+            move = _draw(inst, current, rng, graph)
+            current, graph = move.schedule, move.timing
     return run.finish()
 
 

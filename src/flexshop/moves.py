@@ -21,7 +21,8 @@ reorder mends (Pearce and Kelly's dynamic topological sort), and only the
 operations whose position changed and what their new completions reach
 are re-timed.  A removal edits G into its reduced graph G⁻: prev→v and
 v→next give way to prev→next, which never points backwards, so G⁻ keeps
-G's order and ranks.  The applied move edits G⁻ into G⁺: before→after
+G's order and ranks; outside a scan G is timed first unless its timing came
+with the schedule.  The applied move edits G⁻ into G⁺: before→after
 gives way to before→v and v→after.  Every timing flags the vertices that
 two predecessors finish at the start of; when one lies on the new critical
 path, τ would follow the order's tie-break, so the graph is timed again
@@ -182,18 +183,19 @@ class Move:
 def remove_op(inst: Instance, sched: Schedule, v: int,
               graph: Timing | None = None,
               table: "_ScanTable | None" = None) -> ReducedState:
-    """Remove operation ``v`` from the schedule's solution graph.
+    """Remove operation ``v`` from the schedule's solution graph G.
 
-    Without ``graph`` the reduced graph is built and timed from scratch.
-    With ``graph``, the timing of the schedule's own graph (from
-    ``time_graph`` or built with an applied ``Move``), it is derived from
-    G: the arcs, times, ξ, τ and windows are the same, and the order and
-    ranks are G's unless a critical-path tie made the derivation time G⁻
-    from scratch.  ``table``, a scan's ``_ScanTable`` of ``graph``, gives
-    the shifted times and the windows without searches.
+    The reduced graph is derived from ``graph``, G's timing (from
+    ``time_graph`` or an applied ``Move``), or from G timed here; its order
+    is G's unless a critical-path tie made it be timed from scratch.
+    ``table``, a scan's ``_ScanTable`` of ``graph``, gives the shifted
+    times and the windows without searches.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
+    if graph is None:
+        graph = time_graph(build_arcs(inst, sched.sequences),
+                           sched.actual_times)
     old_machine = sched.assignment[v]
     gamma = sched.position_of(v)
 
@@ -211,16 +213,12 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
         earlier = _times(inst, shifted, old_machine, gamma)
     w_minus.update(zip(shifted, earlier))
 
-    if graph is None:
-        timing = time_graph(build_arcs(inst, q_minus), w_minus)
-        path, xi, tau = critical_path(timing, q_minus)
-    else:
-        prev = old_seq[gamma - 2] if gamma > 1 else None
-        nxt = shifted[0] if shifted else None
-        timing, path, xi, tau = _walked(
-            _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),),
-                    w_minus, {v, *shifted}),
-            q_minus, w_minus)
+    prev = old_seq[gamma - 2] if gamma > 1 else None
+    nxt = shifted[0] if shifted else None
+    timing, path, xi, tau = _walked(
+        _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),), w_minus,
+                {v, *shifted}),
+        q_minus, w_minus)
     if table is not None:
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
@@ -405,30 +403,18 @@ def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
 
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
               gamma: int) -> Schedule:
-    """Reinsert ``v`` at position ``gamma`` of machine ``k``.
-
-    ``gamma`` must lie in the cycle-free window; anything else would close
-    a cycle through ``v``.
-    """
+    """Reinsert ``v`` at ``gamma`` on machine ``k``: see ``relocation``."""
     if v != rs.removed:
         raise ValueError(f"reduced state holds operation {rs.removed}, not {v}")
-    _check_slot(inst, rs, k, gamma)
-    return _build_insertion(inst, rs, k, gamma)[0]
+    return relocation(inst, rs, k, gamma).schedule
 
 
 def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
     """The move that reinserts the removed operation at position ``gamma``
     of machine ``k``, outside a scan: priced and built from ``rs`` like a
-    scanned neighbor, with the trivial lower bound 0."""
-    _check_slot(inst, rs, k, gamma)
-    return Move(rs.removed, k, gamma, 0, inst, rs,
-                _times(inst, rs.q_minus[k - 1], k, 2))
-
-
-def _check_slot(inst: Instance, rs: ReducedState, k: int, gamma: int) -> None:
-    """Raise CycleError unless ``gamma`` lies in the cycle-free window on
-    machine ``k``, and then ScheduleError unless the removed operation may
-    run on ``k``."""
+    scanned neighbor, with the trivial lower bound 0.  Raises CycleError
+    unless ``gamma`` lies in the cycle-free window, and then ScheduleError
+    unless the operation may run on ``k``."""
     v = rs.removed
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     if gamma not in window.cycle_free:
@@ -439,13 +425,20 @@ def _check_slot(inst: Instance, rs: ReducedState, k: int, gamma: int) -> None:
     if k not in inst.eligible[v - 1]:
         # q⁻ came from a checked Schedule: only v's machine is new
         raise ScheduleError(f"operation {v} on ineligible machine {k}")
+    return _relocated(inst, rs, k, gamma)
+
+
+def _relocated(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
+    """``relocation``'s move, unchecked: for a slot drawn from its window."""
+    return Move(rs.removed, k, gamma, 0, inst, rs,
+                _times(inst, rs.q_minus[k - 1], k, 2))
 
 
 def _build_insertion(inst: Instance, rs: ReducedState, k: int,
                      gamma: int) -> tuple:
     """``Schedule`` and ``Timing`` of the graph G⁺ that reinserts the
-    removed operation at position ``gamma`` of machine ``k``, a slot that
-    ``_check_slot`` passes, built from G⁻'s timing.
+    removed operation at position ``gamma`` of machine ``k``, a cycle-free
+    slot on a machine it may run on, built from G⁻'s timing.
 
     The timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
     its order is G⁻'s, locally reordered when needed.  A tie on the

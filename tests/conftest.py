@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from flexshop import Instance, build_schedule, parse_instance
+from flexshop import (
+    Instance,
+    actual_time,
+    build_schedule,
+    parse_instance,
+    reachable_from,
+)
+from flexshop.graph import build_arcs, critical_path, time_graph
+from flexshop.moves import ReducedState
 
 FIG1_TEXT = """\
 5 2 1.0
@@ -103,3 +111,36 @@ def simulate_makespan(inst: Instance, sched) -> int:
                 break
         assert progressed, "simulation deadlocked: infeasible schedule"
     return max(done.values())
+
+
+def scratch_removal(inst: Instance, sched, v: int) -> ReducedState:
+    """The reference removal of operation ``v``: the reduced graph G⁻ built
+    from its sequences and timed from scratch, its critical path, and the
+    windows that the reach sets of ``v`` in G⁻ give.  ``remove_op`` derives
+    G⁻ from G; tests compare what it derives with this."""
+    sequences = [list(seq) for seq in sched.sequences]
+    sequences[sched.assignment[v] - 1].remove(v)
+    q_minus = tuple(map(tuple, sequences))
+    w_minus = {0: 0, inst.num_operations + 1: 0, v: 0}
+    for k, seq in enumerate(q_minus, start=1):
+        for pos, op in enumerate(seq, start=1):
+            w_minus[op] = actual_time(inst.std_time[(op, k)], pos,
+                                      inst.learning_rate)
+    timing = time_graph(build_arcs(inst, q_minus), w_minus)
+    path, xi, tau = critical_path(timing, q_minus)
+    ancestors = reachable_from(timing.preds, v)
+    descendants = reachable_from(timing.succs, v)
+
+    def bounds(k: int) -> tuple:
+        return reach_bounds(q_minus[k - 1], ancestors, descendants)
+
+    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
+
+
+def reach_bounds(seq, ancestors, descendants) -> tuple:
+    """Cycle bounds on a machine sequence from the reach sets of v."""
+    lower = max((pos for pos, op in enumerate(seq, start=1)
+                 if op in ancestors), default=0)
+    upper = min((pos for pos, op in enumerate(seq, start=1)
+                 if op in descendants), default=len(seq) + 1)
+    return lower, upper

@@ -8,7 +8,7 @@ import pytest
 from flexshop import best_of_est_ect, remove_op, start_completion_times, wilcoxon
 from flexshop.graph import build_arcs
 
-from conftest import random_instance, random_schedule
+from conftest import random_instance, random_schedule, scratch_removal
 
 
 def _longest_path(nx, adjacency, weights) -> int:
@@ -33,8 +33,9 @@ def test_longest_path_matches_networkx(max_time):
             assert max(c for _, c in times.values()) == length
             for v in inst.operations:
                 rs = remove_op(inst, sched, v)
-                assert rs.xi == _longest_path(
-                    nx, build_arcs(inst, rs.q_minus), rs.w_minus)
+                want = scratch_removal(inst, sched, v)
+                assert rs.xi == want.xi == _longest_path(
+                    nx, build_arcs(inst, want.q_minus), want.w_minus)
 
 
 def test_wilcoxon_matches_scipy_without_ties():

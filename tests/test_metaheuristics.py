@@ -281,3 +281,34 @@ def test_records_hold_no_timing():
             assert not isinstance(obj, Timing), algo
             stack.extend(gc.get_referents(obj))
         assert len(seen) > 10
+
+
+def test_capped_ils_times_only_its_start_from_scratch(monkeypatch):
+    """ILS carries the timing of its current schedule's graph from each
+    descent through its perturbations into the next descent: over a whole
+    capped run, only the start's graph is built and timed from scratch
+    (a tie rebuild re-times arcs it already has)."""
+    import importlib
+
+    import flexshop.graph
+    import flexshop.metaheuristics
+    import flexshop.moves
+
+    built, drawn = [], []
+    build = flexshop.graph.build_arcs
+    # the package re-exports local_search under its module's name
+    descent = importlib.import_module("flexshop.local_search")
+    # raising=False: the count holds whether or not a module imports it
+    for module in (flexshop.moves, descent, flexshop.metaheuristics):
+        monkeypatch.setattr(
+            module, "build_arcs",
+            lambda *args: built.append(args) or build(*args), raising=False)
+    draw = flexshop.metaheuristics._draw
+    monkeypatch.setattr(flexshop.metaheuristics, "_draw",
+                        lambda *args: drawn.append(args) or draw(*args))
+    inst = random_instance(random.Random(93), max_ops=14, max_machines=4)
+    record = run_ils(inst, MetaConfig.calibrated("ils", max_iterations=4,
+                                                 seed=3))
+    assert record.iterations == 4
+    assert len(drawn) >= 4 * 2  # every descent is followed by a chain
+    assert len(built) == 1

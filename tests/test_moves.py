@@ -22,7 +22,7 @@ from flexshop.constructive import best_of_est_ect
 from flexshop.graph import build_arcs, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES, relocation
 
-from conftest import random_instance
+from conftest import random_instance, scratch_removal
 
 
 def test_remove_goldens(fig1, fig2a):
@@ -243,7 +243,8 @@ def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk,
         sched = perturb(inst, sched, rng)
     for move in list(enumerate_neighbors(inst, sched, mode)):
         v, k, gamma = move.operation, move.machine, move.position
-        reference = insert_op(inst, remove_op(inst, sched, v), v, k, gamma)
+        reference = insert_op(inst, scratch_removal(inst, sched, v), v, k,
+                              gamma)
         assert move.makespan == reference.makespan
         assert move.bound <= move.makespan
         sequences = [list(seq) for seq in sched.sequences]
@@ -273,10 +274,10 @@ def _chain_instance(rng: random.Random, max_time: int) -> Instance:
 
 
 def test_derived_reduced_state_matches_rebuild():
-    """For every removal, the reduced graph a scan derives from the
-    schedule's own graph has the rebuilt one's arcs, times, reach sets,
-    windows, ξ and τ; both the derivation and its rebuild on a
-    critical-path tie run on this fuzz set."""
+    """For every removal, the reduced graph derived from the schedule's
+    own graph has the arcs, times, reach sets, windows, critical path, ξ
+    and τ of the one built from scratch; both the derivation and its
+    rebuild on a critical-path tie run on this fuzz set."""
     rng = random.Random(7)
     derived = rebuilt = 0
     for case in range(160):
@@ -292,10 +293,11 @@ def test_derived_reduced_state_matches_rebuild():
         graph = time_graph(build_arcs(inst, sched.sequences),
                            sched.actual_times)
         for v in inst.operations:
-            want = remove_op(inst, sched, v)
+            want = scratch_removal(inst, sched, v)
             got = remove_op(inst, sched, v, graph)
             assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
-            assert (got.xi, got.tau) == (want.xi, want.tau)
+            assert (got.path, got.xi, got.tau) == (want.path, want.xi,
+                                                   want.tau)
             _assert_same_reach(inst, v, got, want)
             assert got.timing.succs == want.timing.succs
             assert got.timing.start == want.timing.start
@@ -303,7 +305,7 @@ def test_derived_reduced_state_matches_rebuild():
             assert ([sorted(p) for p in got.timing.preds]
                     == [sorted(p) for p in want.timing.preds])
             if got.timing.rank is not graph.rank:
-                # rebuilt: exactly remove_op's timing
+                # rebuilt: exactly the timing from scratch
                 assert got.timing == want.timing
                 rebuilt += 1
             else:  # derived: in G's order, which must suit G⁻
@@ -359,7 +361,7 @@ def _assert_built_like_scratch(inst, sched, move):
 def _assert_removals_like_scratch(inst, sched, graph):
     """Removals derived from a carried timing match removals from scratch."""
     for v in inst.operations:
-        want = remove_op(inst, sched, v)
+        want = scratch_removal(inst, sched, v)
         got = remove_op(inst, sched, v, graph)
         assert (got.path, got.xi, got.tau) == (want.path, want.xi, want.tau)
         _assert_same_reach(inst, v, got, want)
@@ -434,15 +436,6 @@ def _recounted_ties(timing) -> list:
             for preds, start in zip(timing.preds, timing.start)]
 
 
-def _reach_bounds(seq, ancestors, descendants) -> tuple:
-    """Cycle bounds on a machine sequence from the reach sets of v."""
-    lower = max((pos for pos, op in enumerate(seq, start=1)
-                 if op in ancestors), default=0)
-    upper = min((pos for pos, op in enumerate(seq, start=1)
-                 if op in descendants), default=len(seq) + 1)
-    return lower, upper
-
-
 def test_scan_table_matches_reach_sets(monkeypatch):
     """On every removal of full, reduced and cropped scans, from a timed
     schedule and from a built move's carried timing, the scan table's
@@ -489,13 +482,10 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                         actual_time(std[(op, k)], pos + 1, alpha)
                         for pos, op in enumerate(seq, start=1)]
                 v = rs.removed
-                want = plain(inst, sched, v)
+                want = scratch_removal(inst, sched, v)
                 assert rs.w_minus == want.w_minus
-                ancestors = reachable_from(want.timing.preds, v)
-                descendants = reachable_from(want.timing.succs, v)
-                for k in inst.machines:
-                    assert rs.cycle_bounds(k) == _reach_bounds(
-                        want.q_minus[k - 1], ancestors, descendants)
+                for k in inst.machines:  # want's: from G⁻'s reach sets
+                    assert rs.cycle_bounds(k) == want.cycle_bounds(k)
                 if rs.timing.rank is scanned.rank:
                     paths["derived"] += 1
                 else:
