@@ -104,8 +104,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("construct", help="run a constructive heuristic")
     _add_instance_args(p)
     p.add_argument("--rule", choices=("est", "ect", "best"), default="best")
-    p.add_argument("--rcl-alpha", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rcl-alpha", type=float, default=0.0,
+                   help="restricted candidate list width in [0, 1] "
+                        "(est and ect only; 0 is greedy)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized pick, with --rcl-alpha > 0")
 
     p = sub.add_parser("localsearch", help="run the local search")
     _add_instance_args(p)
@@ -169,6 +172,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "construct":
+        if not 0 <= args.rcl_alpha <= 1:
+            raise ValueError(
+                f"rcl_alpha must lie in [0, 1], got {args.rcl_alpha}")
+        if args.rule == "best" and args.rcl_alpha:
+            raise ValueError(f"--rcl-alpha {args.rcl_alpha} needs --rule est "
+                             f"or ect: rule best is greedy")
         inst = _load(args)
         rng = random.Random(args.seed) if args.rcl_alpha > 0 else None
         if args.rule == "est":

@@ -5,9 +5,9 @@ improvement.  Best improvement scans the whole neighborhood and keeps the
 first-encountered strict minimum; first improvement accepts the first
 strictly improving neighbor and restarts the scan.  A neighbor counts only
 if it beats a cutoff: the best improving makespan found so far in the scan,
-or the current one.  Its lower bound is tested first, so a neighbor that
-cannot beat the cutoff is never priced; a Schedule is built only for the
-move that is applied.
+or the current one.  Its two lower bounds are tested first
+(``Move.beats``), so a neighbor that either rules out is never priced; a
+Schedule is built only for the move that is applied.
 """
 
 import time
@@ -77,7 +77,7 @@ def local_search(inst: Instance, start: Schedule,
         cutoff = current.makespan
         for move in enumerate_neighbors(inst, current, cfg.mode, graph):
             result.neighbors_evaluated += 1
-            if move.bound < cutoff and move.makespan < cutoff:
+            if move.beats(cutoff):
                 best = move
                 cutoff = move.makespan
                 if cfg.strategy == "first":

@@ -275,9 +275,9 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
     The chosen move's (operation, machine) pair becomes tabu; a tabu move
     is still admissible when it beats both the scan's best and the
-    incumbent; a move whose lower bound rules it out is not priced.  A scan
-    with no admissible move evicts the oldest tabu entry and is counted as
-    stalled.
+    incumbent; a move that either lower bound rules out is not priced.  A
+    scan with no admissible move evicts the oldest tabu entry and is
+    counted as stalled.
     """
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -296,7 +296,7 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
             cutoff = math.inf if best is None else best.makespan
             if (move.operation, move.machine) in tabu:
                 cutoff = min(cutoff, run.incumbent.makespan)
-            if move.bound < cutoff and move.makespan < cutoff:
+            if move.beats(cutoff):
                 best = move
         run.iterations += 1
         if interrupted and best is None:

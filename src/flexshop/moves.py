@@ -45,8 +45,25 @@ routes it through the inserted operation, and only P's operations on k at
 positions ≥ γ change weight: each moves one position later and so gets
 shorter.  The makespan is therefore at least ξ minus what those operations
 lose; the reduction's rule is the case where none of them lies at γ or
-after.  A search that needs only moves shorter than a cutoff reads the
-bound first.
+after.
+
+A second bound reads heads in G⁻ and tails in G.  The scan table holds
+tail_G[u], the longest path from u's start to the end of G, u's weight
+included.  Let a and b be the operations at positions γ-1 and γ of q⁻_k,
+and L_k(γ) what the operations at positions ≥ γ lose when each moves one
+position later.  Then the makespan is at least
+max(start⁻[v], C⁻[a]) + p_{v,k}(γ) + T - L_k(γ), where T is the largest
+tail_G among v's successors in G⁻ and b, unless b is an ancestor of v
+in G.  The head is exact, since no predecessor of v is re-timed inside
+the cycle-free window.  A G-path from a descendant of v, or from a b that
+does not reach v, avoids v and so the arcs the removal rewires; it cannot
+reach a, so it does not use a→b either and survives in G⁺.  Along it the
+weights are G's but for two kinds of operation, each met at most once:
+those that moved earlier on v's machine, which are no shorter, and those
+of k at positions ≥ γ, each shorter by at most its share of L_k(γ),
+which G⁻'s times give.  A search that needs only moves shorter
+than a cutoff asks ``Move.beats``: the first bound, then the second, and
+only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
 applies, by editing G⁻ into G⁺.  The timing of G⁺ comes with it, for the
@@ -133,16 +150,21 @@ class Move:
     ``bound`` is a lower bound on the makespan, known at once.  ``makespan``
     is exact and priced from the reduced state ``rs`` on first access;
     ``later[i]`` is the time of the target machine's ``i``-th operation one
-    position further back.  ``schedule`` and ``timing``, the timing of its
-    solution graph, are built together from ``rs`` on first access to
-    either.
+    position further back.  A scanned move also has ``tails`` for
+    ``head_tail_bound``: the scan's ``_ScanTable``, the largest tail in G
+    among the operation's successors in G⁻, and ``drop[i]``, what the
+    target machine's operations from index ``i`` on lose by moving one
+    position later.  ``schedule`` and ``timing``, the timing of its solution
+    graph, are built together from ``rs`` on first access to either.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
-                 "_rs", "_later", "_makespan", "_schedule", "_timing")
+                 "_rs", "_later", "_tails", "_time", "_makespan", "_schedule",
+                 "_timing")
 
     def __init__(self, operation: int, machine: int, position: int,
-                 bound: int, inst: Instance, rs: ReducedState, later: list):
+                 bound: int, inst: Instance, rs: ReducedState, later: list,
+                 tails: tuple | None = None):
         self.operation = operation
         self.machine = machine
         self.position = position
@@ -150,20 +172,54 @@ class Move:
         self._inst = inst
         self._rs = rs
         self._later = later
+        self._tails = tails
+        self._time = None
         self._makespan = None
         self._schedule = None
         self._timing = None
 
+    def beats(self, cutoff) -> bool:
+        """Whether the makespan is below ``cutoff``, priced only when
+        neither lower bound rules it out."""
+        return (self.bound < cutoff and self.head_tail_bound < cutoff
+                and self.makespan < cutoff)
+
+    @property
+    def head_tail_bound(self) -> int:
+        """The head-tail lower bound on the makespan (see the module's
+        docstring); ``bound`` for a move made outside a scan."""
+        if self._tails is None:
+            return self.bound
+        table, longest, drop = self._tails
+        rs, v, i = self._rs, self.operation, self.position - 1
+        seq = rs.q_minus[self.machine - 1]
+        head = rs.timing.start[v]
+        if i and rs.timing.completion[seq[i - 1]] > head:
+            head = rs.timing.completion[seq[i - 1]]
+        if i < len(seq):  # b's tail counts unless b reaches v in G
+            b = seq[i]
+            if (table.tail[b] > longest
+                    and not table.anc[v] >> table.rank[b] & 1):
+                longest = table.tail[b]
+        return head + self._time_v() + longest - drop[i]
+
     @property
     def makespan(self) -> int:
         if self._makespan is None:
-            rs, k, gamma = self._rs, self.machine, self.position
-            std = self._inst.std_time[(self.operation, k)]
-            time_v = actual_time(std, gamma, self._inst.learning_rate)
+            rs, gamma = self._rs, self.position
             self._makespan = _insertion_makespan(
-                rs, rs.q_minus[k - 1], self._later, gamma, time_v
+                rs, rs.q_minus[self.machine - 1], self._later, gamma,
+                self._time_v()
             )
         return self._makespan
+
+    def _time_v(self) -> int:
+        """The moved operation's time at its new position."""
+        if self._time is None:
+            std = self._inst.std_time[(self.operation, self.machine)]
+            self._time = actual_time(std, self.position,
+                                     self._inst.learning_rate)
+        return self._time
 
     @property
     def schedule(self) -> Schedule:
@@ -189,7 +245,8 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     ``time_graph`` or an applied ``Move``), or from G timed here; its order
     is G's unless a critical-path tie made it be timed from scratch.
     ``table``, a scan's ``_ScanTable`` of ``graph``, gives the shifted
-    times and the windows without searches.
+    times and the windows without searches.  A caller that removes many
+    operations from one schedule should time G once and pass it.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
@@ -230,18 +287,22 @@ class _ScanTable:
     """What the removals of one scan read of G, the scanned schedule's
     graph, tabulated once from its timing ``graph``.
 
-    ``anc[u]`` and ``desc[u]`` are bitsets of the ranks of u's ancestors
-    and of its descendants, u included; ``mask[k-1]`` that of machine
-    ``k``'s operations; ``pos[r]`` the position on its machine of the
-    operation ranked ``r``.  ``earlier[k-1]`` holds the times of machine
+    ``anc[u]`` and ``desc[u]`` are bitsets of the ranks (``rank``, G's) of
+    u's ancestors and of its descendants, u included; ``mask[k-1]`` that
+    of machine ``k``'s operations; ``pos[r]`` the position on its machine
+    of the operation ranked ``r``.  ``earlier[k-1]`` holds the times of machine
     ``k``'s operations after the first one position earlier, ``later[k-1]``
-    those of all its operations one position later.
+    those of all its operations one position later, and ``drop[k-1][i]``
+    what its operations from index ``i`` on lose by that.  ``tail[u]`` is
+    the longest path from u's start to the end of G, u's weight included.
     """
 
-    __slots__ = ("anc", "desc", "mask", "pos", "earlier", "later")
+    __slots__ = ("rank", "anc", "desc", "tail", "mask", "pos", "earlier",
+                 "later", "drop")
 
     def __init__(self, inst: Instance, sched: Schedule, graph: Timing):
         order, rank = graph.order, graph.rank
+        self.rank = rank
         self.anc = anc = [0] * len(order)
         for u in order:
             bits = 1 << rank[u]
@@ -249,19 +310,27 @@ class _ScanTable:
                 bits |= anc[i]
             anc[u] = bits
         self.desc = desc = [0] * len(order)
+        self.tail = tail = [0] * len(order)
+        start, completion = graph.start, graph.completion
         for u in reversed(order):
             bits = 1 << rank[u]
+            longest = 0
             for j in graph.succs[u]:
                 bits |= desc[j]
+                if tail[j] > longest:
+                    longest = tail[j]
             desc[u] = bits
+            tail[u] = longest + completion[u] - start[u]
         self.pos = [0] * len(order)
-        self.mask, self.earlier, self.later = [], [], []
+        self.mask, self.earlier, self.later, self.drop = [], [], [], []
         for k, seq in enumerate(sched.sequences, start=1):
             for pos, op in enumerate(seq, start=1):
                 self.pos[rank[op]] = pos
             self.mask.append(sum(1 << rank[op] for op in seq))
             self.earlier.append(_times(inst, seq[1:], k, 1))
-            self.later.append(_times(inst, seq, k, 2))
+            later = _times(inst, seq, k, 2)
+            self.later.append(later)
+            self.drop.append(_drops(sched.actual_times, seq, later, 0))
 
     def cycle_bounds(self, reduced: Timing, v: int, origin: int,
                      q_minus: tuple) -> Callable:
@@ -317,6 +386,16 @@ def _times(inst: Instance, ops: tuple, k: int, first: int) -> list:
     std, alpha = inst.std_time, inst.learning_rate
     return [actual_time(std[(op, k)], pos, alpha)
             for pos, op in enumerate(ops, start=first)]
+
+
+def _drops(weights: dict, seq: tuple, later: list, lowest: int) -> list:
+    """``drop[i]``, for ``i`` from ``lowest`` on: what the operations of
+    ``seq`` from index ``i`` on lose when each takes its ``later`` time
+    instead of its weight."""
+    drop = [0] * (len(seq) + 1)
+    for i in range(len(seq) - 1, lowest - 1, -1):
+        drop[i] = drop[i + 1] + weights[seq[i]] - later[i]
+    return drop
 
 
 def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
@@ -595,17 +674,19 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
         rs = remove_op(inst, sched, v, graph, table)
         on_path = set(rs.path)
         origin = sched.assignment[v]
+        after_v = max(map(table.tail.__getitem__, rs.timing.succs[v]))
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
             if not window.positions:
                 continue
             seq = rs.q_minus[k - 1]
-            later = table.later[k - 1]
+            later, drop = table.later[k - 1], table.drop[k - 1]
             if k == origin:
                 # the operations after v are back at their positions in G
                 cut = sched.sequences[k - 1].index(v)
                 later = later[:cut] + [sched.actual_times[op]
                                        for op in seq[cut:]]
+                drop = _drops(rs.w_minus, seq, later, window.lower)
             # loss[i]: what the path's operations at index >= i lose when
             # they move one position later; none lies beyond τ_k
             loss = [0] * (len(seq) + 1)
@@ -613,6 +694,7 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
                 op = seq[i]
                 loss[i] = loss[i + 1] + (
                     rs.w_minus[op] - later[i] if op in on_path else 0)
+            tails = table, after_v, drop
             for gamma in window.positions:
                 yield Move(v, k, gamma, rs.xi - loss[gamma - 1], inst, rs,
-                           later)
+                           later, tails)

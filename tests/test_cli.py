@@ -254,6 +254,17 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
     [
         (["construct", "--instance", "{fig1}", "--rule", "ect",
           "--rcl-alpha", "2"], "error: rcl_alpha must lie in [0, 1], got 2.0"),
+        (["construct", "--instance", "{fig1}", "--rcl-alpha", "1.5"],
+         "error: rcl_alpha must lie in [0, 1], got 1.5"),
+        (["construct", "--instance", "{fig1}", "--rule", "est",
+          "--rcl-alpha", "-0.5"],
+         "error: rcl_alpha must lie in [0, 1], got -0.5"),
+        (["construct", "--instance", "{fig1}", "--rcl-alpha", "nan"],
+         "error: rcl_alpha must lie in [0, 1], got nan"),
+        (["construct", "--instance", "{fig1}", "--rcl-alpha", "0.5",
+          "--seed", "2"],
+         "error: --rcl-alpha 0.5 needs --rule est or ect: rule best is "
+         "greedy"),
         (["solve", "--instance", "{fig1}", "--algo", "ils",
           "--perturb-min", "5", "--perturb-max", "2"],
          "error: need 1 <= ils_perturb_min <= ils_perturb_max"),
@@ -289,7 +300,9 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
         (["oracle", "--instance", "{fig1}", "--limit", "-1"],
          "error: limit must be >= 1, got -1"),
     ],
-    ids=["rcl-alpha", "perturb-range", "unknown-algo", "tabu-factor",
+    ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
+         "rcl-alpha-best-nan", "rcl-alpha-best", "perturb-range",
+         "unknown-algo", "tabu-factor",
          "iterations", "time-limit", "no-improve", "localsearch-time-limit",
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
          "workers-0", "workers-negative", "oracle-limit-0",

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from flexshop import best_of_est_ect, remove_op, start_completion_times, wilcoxon
-from flexshop.graph import build_arcs
+from flexshop.graph import build_arcs, time_graph
+from flexshop.moves import _ScanTable
 
 from conftest import random_instance, random_schedule, scratch_removal
 
@@ -36,6 +37,31 @@ def test_longest_path_matches_networkx(max_time):
                 want = scratch_removal(inst, sched, v)
                 assert rs.xi == want.xi == _longest_path(
                     nx, build_arcs(inst, want.q_minus), want.w_minus)
+
+
+@pytest.mark.parametrize("max_time", [10, 2])
+def test_scan_table_tails_match_networkx(max_time):
+    """Each vertex's tail in a scan's table is networkx's longest path
+    from it to the sink, its own weight included."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(100 + max_time)
+    for _ in range(40):
+        inst = random_instance(rng, max_ops=10, max_time=max_time)
+        for sched in (random_schedule(rng, inst), best_of_est_ect(inst)):
+            arcs = build_arcs(inst, sched.sequences)
+            table = _ScanTable(inst, sched,
+                               time_graph(arcs, sched.actual_times))
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(len(arcs)))
+            for i, out in enumerate(arcs):
+                for j in out:
+                    graph.add_edge(i, j, weight=sched.actual_times[i])
+            # every path ends at the sink, which weighs 0; the longest path
+            # below u starts at u, since no weight is negative
+            assert table.tail == [
+                nx.dag_longest_path_length(
+                    graph.subgraph(nx.descendants(graph, u) | {u}))
+                for u in range(len(arcs))]
 
 
 def test_wilcoxon_matches_scipy_without_ties():

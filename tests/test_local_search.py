@@ -147,18 +147,24 @@ def _dag_instance(rng: random.Random, n: int, m: int) -> Instance:
 
 
 def test_descent_leaves_bounded_neighbors_unpriced(monkeypatch):
-    """A best-improvement descent prices only the neighbors whose lower
-    bound leaves them a chance to beat the scan's best so far."""
+    """A best-improvement descent prices only the neighbors whose two lower
+    bounds both leave them a chance to beat the scan's best so far, and
+    the head-tail bound rules out some that the first bound leaves."""
     inst = _dag_instance(random.Random(5), 60, 6)
-    priced = []
-    price = moves._insertion_makespan
+    asked, priced = [], []
+    beats, price = moves.Move.beats, moves._insertion_makespan
 
-    def counting(*args):
-        priced.append(args)
-        return price(*args)
+    def recording(move, cutoff):
+        asked.append((move, cutoff))
+        return beats(move, cutoff)
 
-    monkeypatch.setattr(moves, "_insertion_makespan", counting)
+    monkeypatch.setattr(moves.Move, "beats", recording)
+    monkeypatch.setattr(moves, "_insertion_makespan",
+                        lambda *args: priced.append(args) or price(*args))
     result = local_search(inst, best_of_est_ect(inst),
                           LocalSearchConfig("reduced", "best"))
     assert result.iterations > 0
     assert 0 < len(priced) < result.neighbors_evaluated
+    left = [(move, cutoff) for move, cutoff in asked if move.bound < cutoff]
+    both = [move for move, cutoff in left if move.head_tail_bound < cutoff]
+    assert len(priced) == len(both) < len(left)

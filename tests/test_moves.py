@@ -247,6 +247,7 @@ def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk,
                               gamma)
         assert move.makespan == reference.makespan
         assert move.bound <= move.makespan
+        assert move.head_tail_bound <= move.makespan
         sequences = [list(seq) for seq in sched.sequences]
         sequences[sched.assignment[v] - 1].remove(v)
         sequences[k - 1].insert(gamma - 1, v)
@@ -271,6 +272,42 @@ def _chain_instance(rng: random.Random, max_time: int) -> Instance:
                 arcs.add((op - 1, op))
     return Instance(len(eligible), m, tuple(eligible), std_time,
                     frozenset(arcs), rng.choice((0.1, 0.2, 0.3)), "chain")
+
+
+def test_head_tail_bound_never_exceeds_makespan():
+    """On every neighbor of full, reduced and cropped scans of DAG and
+    chain instances, tie-heavy ones included, from timed schedules and
+    from built moves' carried timings, the head-tail bound is at most the
+    makespan of the rebuilt graph, and it rules out moves that the first
+    bound leaves a chance against the scanned makespan."""
+    rng = random.Random(19)
+    checked = ruled_out = 0
+    for case in range(120):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        sched, graph = best_of_est_ect(inst), None
+        for _ in range(case % 3):
+            sched = perturb(inst, sched, rng)
+        for mode in NEIGHBORHOOD_MODES:
+            moves = list(enumerate_neighbors(inst, sched, mode, graph))
+            for move in moves:
+                v, k, gamma = move.operation, move.machine, move.position
+                sequences = [list(seq) for seq in sched.sequences]
+                sequences[sched.assignment[v] - 1].remove(v)
+                sequences[k - 1].insert(gamma - 1, v)
+                rebuilt = build_schedule(inst, sequences)
+                assert move.head_tail_bound <= rebuilt.makespan, (v, k, gamma)
+                checked += 1
+                if move.bound < sched.makespan <= move.head_tail_bound:
+                    ruled_out += 1
+            if moves:  # the next scan starts from a built move's timing
+                chosen = moves[rng.randrange(len(moves))]
+                sched, graph = chosen.schedule, chosen.timing
+    assert checked > 0 and ruled_out > 0
 
 
 def test_derived_reduced_state_matches_rebuild():
