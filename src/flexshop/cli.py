@@ -18,6 +18,7 @@ from .graph import (
     validate_schedule,
 )
 from .harness import (
+    INSTANCE_FORMATS,
     emit_results,
     gap_stats,
     load_instance_file,
@@ -34,7 +35,7 @@ __all__ = ["main"]
 
 def _add_instance_args(parser):
     parser.add_argument("--instance", required=True, help="instance file")
-    parser.add_argument("--format", choices=("native", "classical"),
+    parser.add_argument("--format", choices=INSTANCE_FORMATS,
                         default="native", help="instance file format")
     parser.add_argument("--alpha", type=float, default=None,
                         help="override the instance learning rate")
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="batch experiment runner")
     p.add_argument("--instances", required=True, help="instance directory")
-    p.add_argument("--format", choices=("native", "classical"),
+    p.add_argument("--format", choices=INSTANCE_FORMATS,
                    default="native")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--algos", default="ils,grasp,ts,sa",

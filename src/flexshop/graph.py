@@ -24,6 +24,7 @@ __all__ = [
     "reachable_from",
     "Timing",
     "time_graph",
+    "timing_of",
     "critical_path",
     "build_schedule",
     "validate_schedule",
@@ -51,7 +52,8 @@ class Schedule:
     ``assignment[i]``, derived from them, the machine of operation ``i``;
     ``actual_times[i]`` its learning-adjusted processing time.  ``tau[k-1]``
     is the position of the last critical operation on machine ``k`` (0 if
-    none).
+    none).  ``timing``, that of its solution graph, feeds the next removal
+    or scan; a ``RunRecord``'s schedule and one built by hand have none.
     """
 
     assignment: dict
@@ -60,6 +62,7 @@ class Schedule:
     critical_path: tuple
     makespan: int
     tau: tuple = field(default=())
+    timing: "Timing | None" = field(default=None, repr=False, compare=False)
 
     @property
     def sink(self) -> int:
@@ -189,6 +192,14 @@ def time_graph(adjacency, weights) -> Timing:
                   tied)
 
 
+def timing_of(inst: Instance, sched: Schedule) -> Timing:
+    """The timing of the schedule's solution graph: the one it carries, or
+    the graph timed here when it carries none."""
+    if sched.timing is not None:
+        return sched.timing
+    return time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
+
+
 def critical_path(timing: Timing, sequences):
     """The longest ``s -> t`` path, walked back from ``t`` along the
     predecessors that set each start.
@@ -269,7 +280,7 @@ def build_schedule(inst: Instance, sequences) -> Schedule:
     assignment, weights = _weigh(inst, sequences)
     timing = time_graph(build_arcs(inst, sequences), weights)
     path, length, tau = critical_path(timing, sequences)
-    return Schedule(assignment, sequences, weights, path, length, tau)
+    return Schedule(assignment, sequences, weights, path, length, tau, timing)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list:
@@ -310,7 +321,7 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
 
 def start_completion_times(inst: Instance, sched: Schedule) -> dict:
     """Earliest start/completion per operation from a forward pass."""
-    timing = time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
+    timing = timing_of(inst, sched)
     return {
         op: (timing.start[op], timing.completion[op]) for op in inst.operations
     }

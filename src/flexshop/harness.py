@@ -45,6 +45,7 @@ _COLUMNS = {
     "stop_reason": ("stop_reason", str),
 }
 CSV_COLUMNS = tuple(_COLUMNS)
+INSTANCE_FORMATS = ("native", "classical")
 
 
 @dataclass
@@ -58,8 +59,15 @@ class WilcoxonOutcome:
     small_sample: bool  # n < 10: normal approximation is shaky
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in INSTANCE_FORMATS:
+        raise ValueError(f"unknown instance format {fmt!r}: expected "
+                         f"{' or '.join(INSTANCE_FORMATS)}")
+
+
 def load_instance_file(path, fmt: str = "native",
                        learning_rate: float | None = None) -> Instance:
+    _check_format(fmt)
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -109,6 +117,7 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     cpu = os.cpu_count() or 1
     if workers > cpu:
         raise ValueError(f"workers={workers} exceeds the {cpu} available CPUs")
+    _check_format(fmt)
     jobs = []
     records = []
     for path in instance_paths:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instance import Instance
-from .graph import Schedule, Timing, build_arcs, time_graph
+from .graph import Schedule
 from .moves import NEIGHBORHOOD_MODES, enumerate_neighbors
 
 __all__ = ["LocalSearchConfig", "LocalSearchResult", "local_search"]
@@ -49,33 +49,28 @@ class LocalSearchResult:
     neighbors_evaluated: int
     # identity of every iterate, starting solution included
     trajectory: list = field(default_factory=list)
-    timing: Timing | None = field(default=None, repr=False, compare=False)
 
 
 def local_search(inst: Instance, start: Schedule,
-                 cfg: LocalSearchConfig = LocalSearchConfig(),
-                 graph: Timing | None = None) -> LocalSearchResult:
+                 cfg: LocalSearchConfig = LocalSearchConfig()
+                 ) -> LocalSearchResult:
     """Descend from ``start`` until no neighbor strictly improves.
 
     The result is monotone (makespan never increases) and deterministic:
     ties among equally good neighbors break by scan order.  With a time
     budget, a scan may be abandoned mid-neighborhood; the best improving
-    move found so far, if any, is still applied.  ``graph`` is the timing
-    of ``start``'s graph, if known; the result's ``timing`` is that of its
-    schedule's, for the next removal or scan.
+    move found so far, if any, is still applied.  Each scan derives its
+    removals from the timing its schedule carries.
     """
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
-    if graph is None:
-        graph = time_graph(build_arcs(inst, start.sequences),
-                           start.actual_times)
     current = start
     result = LocalSearchResult(current, 0, 0, [current.key()])
     while True:
         best = None
         cutoff = current.makespan
-        for move in enumerate_neighbors(inst, current, cfg.mode, graph):
+        for move in enumerate_neighbors(inst, current, cfg.mode):
             result.neighbors_evaluated += 1
             if move.beats(cutoff):
                 best = move
@@ -86,10 +81,10 @@ def local_search(inst: Instance, start: Schedule,
                 break
         if best is None:
             break
-        current, graph = best.schedule, best.timing
+        current = best.schedule
         result.iterations += 1
         result.trajectory.append(current.key())
         if deadline is not None and time.monotonic() >= deadline:
             break
-    result.schedule, result.timing = current, graph
+    result.schedule = current
     return result

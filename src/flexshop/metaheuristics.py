@@ -10,10 +10,10 @@ both.
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .instance import Instance
-from .graph import Schedule, Timing, build_arcs, time_graph
+from .graph import Schedule
 from .moves import (
     NEIGHBORHOOD_MODES,
     Move,
@@ -199,7 +199,8 @@ class _Run:
             self.neighbors,
             self.stalled,
             self.stop_reason,
-            self.incumbent,
+            # callers keep records by the thousand: drop the timing
+            replace(self.incumbent, timing=None),
         )
 
 
@@ -211,12 +212,11 @@ def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
     return _draw(inst, sched, rng).schedule
 
 
-def _draw(inst: Instance, sched: Schedule, rng: random.Random,
-          graph: Timing | None = None) -> Move:
+def _draw(inst: Instance, sched: Schedule, rng: random.Random) -> Move:
     """``perturb``'s random move, drawn in its order: operation, machine,
-    a slot of the window; ``graph`` is the schedule's timing, if known."""
+    a slot of the window."""
     v = rng.randint(1, inst.num_operations)
-    rs = remove_op(inst, sched, v, graph)
+    rs = remove_op(inst, sched, v)
     machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
@@ -229,23 +229,21 @@ def _ls_config(run: _Run) -> LocalSearchConfig:
 
 
 def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Iterated local search: descend, perturb the local optimum, repeat;
-    the timing of the current schedule's graph goes along with it."""
+    """Iterated local search: descend, perturb the local optimum, repeat."""
     rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
-    current, graph = best_of_est_ect(inst), None
+    current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
     while not run.exhausted():
-        result = local_search(inst, current, _ls_config(run), graph)
+        result = local_search(inst, current, _ls_config(run))
         run.neighbors += result.neighbors_evaluated
         run.iterations += 1
         if run.offer(result.schedule):
             break
-        current, graph = result.schedule, result.timing
+        current = result.schedule
         for _ in range(rng.randint(cfg.ils_perturb_min, cfg.ils_perturb_max)):
-            move = _draw(inst, current, rng, graph)
-            current, graph = move.schedule, move.timing
+            current = perturb(inst, current, rng)
     return run.finish()
 
 
@@ -283,13 +281,12 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
-    graph = None  # timing of current's graph, once a move was applied
     tabu: list = []
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
         best: Move | None = None
         interrupted = False
-        for move in enumerate_neighbors(inst, current, cfg.mode, graph):
+        for move in enumerate_neighbors(inst, current, cfg.mode):
             if run.record_candidate():
                 interrupted = True
                 break
@@ -312,7 +309,7 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
         tabu.append(chosen)
         if len(tabu) > t_max:
             tabu.pop(0)
-        current, graph = best.schedule, best.timing
+        current = best.schedule
         if run.offer(current):
             break
         if interrupted:
@@ -325,21 +322,18 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
     Each candidate is ``perturb``'s random relocation, drawn in the same
     order, priced on the reduced graph; its ``Schedule`` is built only when
-    it is accepted.  The timing of the current schedule's graph goes with
-    it, so each removal is derived from it.
+    it is accepted.
     """
     rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
-    graph = time_graph(build_arcs(inst, current.sequences),
-                       current.actual_times)
     temperature = -SA_T0_P / math.log(SA_T0_M)
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = _draw(inst, current, rng, graph)
+            cand = _draw(inst, current, rng)
             delta = (cand.makespan - current.makespan) / current.makespan
             r = rng.random()
             try:
@@ -347,7 +341,7 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
             except OverflowError:
                 accept = delta < 0
             if accept:
-                current, graph = cand.schedule, cand.timing
+                current = cand.schedule
                 if run.offer(current):
                     stop = True
                     break

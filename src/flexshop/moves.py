@@ -8,11 +8,12 @@ at least as long as the current makespan and the insertion happens after
 the last critical position of the target machine, the surviving path is
 untouched.
 
-A neighbor is priced without building its graph.  A scan times the
-schedule's own graph G once (``time_graph``), or takes the timing built
-with the schedule, and tabulates once what its removals read of G: each
-vertex's ancestors and descendants as bitsets of G's ranks, each machine's
-operations, and each operation's time one position earlier and one later.
+A neighbor is priced without building its graph.  A scan takes the
+timing of the schedule's own graph G, which the ``Schedule`` carries
+(``timing_of`` times G once when it carries none), and tabulates once what
+its removals read of G: each vertex's ancestors and descendants as bitsets
+of G's ranks, each machine's operations, and each operation's time one
+position earlier and one later.
 
 Both halves of a move edit a timed graph in one way (``_edited``): the
 machine arcs the move breaks are dropped, those it makes are added, the
@@ -21,8 +22,7 @@ reorder mends (Pearce and Kelly's dynamic topological sort), and only the
 operations whose position changed and what their new completions reach
 are re-timed.  A removal edits G into its reduced graph G⁻: prev→v and
 v→next give way to prev→next, which never points backwards, so G⁻ keeps
-G's order and ranks; outside a scan G is timed first unless its timing came
-with the schedule.  The applied move edits G⁻ into G⁺: before→after
+G's order and ranks.  The applied move edits G⁻ into G⁺: before→after
 gives way to before→v and v→after.  Every timing flags the vertices that
 two predecessors finish at the start of; when one lies on the new critical
 path, τ would follow the order's tie-break, so the graph is timed again
@@ -66,8 +66,8 @@ than a cutoff asks ``Move.beats``: the first bound, then the second, and
 only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
-applies, by editing G⁻ into G⁺.  The timing of G⁺ comes with it, for the
-next scan or removal; it is kept beside the ``Schedule``, never inside it.
+applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
+next scan or removal, and is stripped from every ``RunRecord``.
 """
 
 from dataclasses import dataclass, field
@@ -81,10 +81,10 @@ from .graph import (
     Schedule,
     ScheduleError,
     Timing,
-    build_arcs,
     critical_path,
     reachable_from,
     time_graph,
+    timing_of,
 )
 
 __all__ = [
@@ -154,13 +154,11 @@ class Move:
     ``head_tail_bound``: the scan's ``_ScanTable``, the largest tail in G
     among the operation's successors in G⁻, and ``drop[i]``, what the
     target machine's operations from index ``i`` on lose by moving one
-    position later.  ``schedule`` and ``timing``, the timing of its solution
-    graph, are built together from ``rs`` on first access to either.
+    position later.  ``schedule`` is built from ``rs`` on first access.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
-                 "_rs", "_later", "_tails", "_time", "_makespan", "_schedule",
-                 "_timing")
+                 "_rs", "_later", "_tails", "_time", "_makespan", "_schedule")
 
     def __init__(self, operation: int, machine: int, position: int,
                  bound: int, inst: Instance, rs: ReducedState, later: list,
@@ -176,7 +174,6 @@ class Move:
         self._time = None
         self._makespan = None
         self._schedule = None
-        self._timing = None
 
     def beats(self, cutoff) -> bool:
         """Whether the makespan is below ``cutoff``, priced only when
@@ -223,36 +220,25 @@ class Move:
 
     @property
     def schedule(self) -> Schedule:
-        return self._built()[0]
-
-    @property
-    def timing(self) -> Timing:
-        return self._built()[1]
-
-    def _built(self) -> tuple:
         if self._schedule is None:
-            self._schedule, self._timing = _build_insertion(
-                self._inst, self._rs, self.machine, self.position)
-        return self._schedule, self._timing
+            self._schedule = _build_insertion(self._inst, self._rs,
+                                              self.machine, self.position)
+        return self._schedule
 
 
 def remove_op(inst: Instance, sched: Schedule, v: int,
-              graph: Timing | None = None,
               table: "_ScanTable | None" = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph G.
 
-    The reduced graph is derived from ``graph``, G's timing (from
-    ``time_graph`` or an applied ``Move``), or from G timed here; its order
+    The reduced graph is derived from G's timing (``timing_of``); its order
     is G's unless a critical-path tie made it be timed from scratch.
-    ``table``, a scan's ``_ScanTable`` of ``graph``, gives the shifted
-    times and the windows without searches.  A caller that removes many
-    operations from one schedule should time G once and pass it.
+    ``table``, a scan's ``_ScanTable`` of the schedule, holds that timing
+    and gives the shifted times and the windows without searches.  A
+    Schedule built by hand carries no timing, so each call times G again.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
-    if graph is None:
-        graph = time_graph(build_arcs(inst, sched.sequences),
-                           sched.actual_times)
+    graph = timing_of(inst, sched) if table is None else table.graph
     old_machine = sched.assignment[v]
     gamma = sched.position_of(v)
 
@@ -285,7 +271,7 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
 
 class _ScanTable:
     """What the removals of one scan read of G, the scanned schedule's
-    graph, tabulated once from its timing ``graph``.
+    graph, tabulated once from its timing ``graph`` (``timing_of``).
 
     ``anc[u]`` and ``desc[u]`` are bitsets of the ranks (``rank``, G's) of
     u's ancestors and of its descendants, u included; ``mask[k-1]`` that
@@ -297,10 +283,11 @@ class _ScanTable:
     the longest path from u's start to the end of G, u's weight included.
     """
 
-    __slots__ = ("rank", "anc", "desc", "tail", "mask", "pos", "earlier",
-                 "later", "drop")
+    __slots__ = ("graph", "rank", "anc", "desc", "tail", "mask", "pos",
+                 "earlier", "later", "drop")
 
-    def __init__(self, inst: Instance, sched: Schedule, graph: Timing):
+    def __init__(self, inst: Instance, sched: Schedule):
+        self.graph = graph = timing_of(inst, sched)
         order, rank = graph.order, graph.rank
         self.rank = rank
         self.anc = anc = [0] * len(order)
@@ -514,12 +501,12 @@ def _relocated(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
 
 
 def _build_insertion(inst: Instance, rs: ReducedState, k: int,
-                     gamma: int) -> tuple:
-    """``Schedule`` and ``Timing`` of the graph G⁺ that reinserts the
-    removed operation at position ``gamma`` of machine ``k``, a cycle-free
-    slot on a machine it may run on, built from G⁻'s timing.
+                     gamma: int) -> Schedule:
+    """``Schedule`` of the graph G⁺ that reinserts the removed operation at
+    position ``gamma`` of machine ``k``, a cycle-free slot on a machine it
+    may run on, built from G⁻'s timing.
 
-    The timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
+    Its timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
     its order is G⁻'s, locally reordered when needed.  A tie on the
     critical path makes G⁺ be timed from scratch, so the path and τ are
     ``build_schedule``'s.
@@ -542,7 +529,7 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     assignment = {}
     for machine, ops in enumerate(q_plus, start=1):
         assignment.update(dict.fromkeys(ops, machine))
-    return Schedule(assignment, q_plus, weights, path, length, tau), timing
+    return Schedule(assignment, q_plus, weights, path, length, tau, timing)
 
 
 def _reorder(succs: list, preds: list, order: list, rank: list, x: int,
@@ -646,17 +633,15 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
 
 
 def enumerate_neighbors(inst: Instance, sched: Schedule,
-                        mode: str = "reduced",
-                        graph: Timing | None = None) -> Iterator[Move]:
+                        mode: str = "reduced") -> Iterator[Move]:
     """All neighbors of a schedule, in deterministic (v, k, gamma) order.
 
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
     operation to the current critical path.  Each neighbor carries its
     lower bound; its makespan is computed incrementally from the timing of
-    the reduced graph when it is read.  ``graph`` is the timing of the
-    schedule's own graph, as an applied ``Move`` gives it; without it the
-    graph is timed here.
+    the reduced graph when it is read.  The removals are derived from the
+    timing of the schedule's own graph (``timing_of``).
     """
     if mode not in NEIGHBORHOOD_MODES:
         raise ValueError(f"unknown neighborhood mode {mode!r}")
@@ -666,12 +651,9 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     else:
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
-    if graph is None:
-        graph = time_graph(build_arcs(inst, sched.sequences),
-                           sched.actual_times)
-    table = _ScanTable(inst, sched, graph)
+    table = _ScanTable(inst, sched)
     for v in candidates:
-        rs = remove_op(inst, sched, v, graph, table)
+        rs = remove_op(inst, sched, v, table)
         on_path = set(rs.path)
         origin = sched.assignment[v]
         after_v = max(map(table.tail.__getitem__, rs.timing.succs[v]))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from flexshop import (
     reachable_from,
     validate_schedule,
 )
-from flexshop.graph import SOURCE, build_arcs, time_graph
+from flexshop.graph import SOURCE, build_arcs, time_graph, timing_of
 
 from conftest import random_instance, random_schedule, simulate_makespan
 
@@ -122,7 +123,9 @@ def test_topological_sort_reach_sets(fig1, fig2a):
 
 def test_time_graph_ranks_follow_the_order():
     """``rank[u]`` is the index of ``u`` in the timing's topological order,
-    on random solution graphs with many tied paths and with few."""
+    on random solution graphs with many tied paths and with few.  The
+    Schedule keeps the timing build_schedule made, which ``timing_of``
+    gives; without one, ``timing_of`` times the graph from scratch."""
     rng = random.Random(5)
     for case in range(60):
         inst = random_instance(rng, max_time=2 if case % 2 else 10)
@@ -132,6 +135,9 @@ def test_time_graph_ranks_follow_the_order():
         assert sorted(timing.order) == list(range(inst.num_operations + 2))
         assert all(timing.rank[u] == timing.order.index(u)
                    for u in timing.order)
+        assert sched.timing == timing
+        assert timing_of(inst, sched) is sched.timing
+        assert timing_of(inst, replace(sched, timing=None)) == timing
 
 
 def test_forward_pass_matches_critical_path(fig1, fig2a):

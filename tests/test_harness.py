@@ -168,6 +168,14 @@ def test_load_instance_file(tmp_path):
     assert load_instance_file(path, learning_rate=0.3).learning_rate == 0.3
 
 
+def test_load_instance_file_rejects_unknown_format(tmp_path):
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    with pytest.raises(ValueError,
+                       match="'bogus': expected native or classical"):
+        load_instance_file(path, "bogus")
+
+
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("fmt, text", [
     ("native", FIG1_TEXT),
@@ -237,6 +245,20 @@ def test_run_benchmark_refuses_oversubscription(tmp_path):
     with pytest.raises(ValueError, match="exceeds"):
         run_benchmark([path], [MetaConfig(max_iterations=1)], runs=1,
                       workers=too_many)
+
+
+def test_run_benchmark_rejects_unknown_format_before_reading(tmp_path,
+                                                            monkeypatch):
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    read = []
+    monkeypatch.setattr(flexshop.harness, "load_instance_file",
+                        lambda *args: read.append(args))
+    with pytest.raises(ValueError,
+                       match="'fjs': expected native or classical"):
+        run_benchmark([path], [MetaConfig(max_iterations=1)], runs=1,
+                      fmt="fjs")
+    assert read == []
 
 
 def test_run_benchmark_sink_sees_every_record(tmp_path):

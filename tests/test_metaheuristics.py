@@ -17,6 +17,7 @@ from flexshop import (
 )
 
 from flexshop.metaheuristics import (
+    ALGORITHMS,
     SA_DELTA,
     SA_SWEEP,
     SA_T0_M,
@@ -261,8 +262,8 @@ def test_sa_always_accepts_improvements():
 
 
 def test_records_hold_no_timing():
-    """The timing carried beside each applied schedule never becomes part
-    of a Schedule or a RunRecord, which callers may keep by the thousand."""
+    """The timing each Schedule carries is stripped from the schedule of
+    a RunRecord, which callers may keep by the thousand."""
     import gc
     import types
 
@@ -283,32 +284,39 @@ def test_records_hold_no_timing():
         assert len(seen) > 10
 
 
-def test_capped_ils_times_only_its_start_from_scratch(monkeypatch):
-    """ILS carries the timing of its current schedule's graph from each
-    descent through its perturbations into the next descent: over a whole
-    capped run, only the start's graph is built and timed from scratch
-    (a tie rebuild re-times arcs it already has)."""
-    import importlib
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_no_algorithm_times_its_start_twice(algo, monkeypatch):
+    """Every Schedule carries the timing of its graph, from build_schedule
+    or from the move that built it, into the next scan, removal,
+    perturbation or descent: over a whole capped run each graph that is
+    built from its arcs is one that build_schedule times (a tie rebuild
+    re-times arcs it already has)."""
+    import sys
 
     import flexshop.graph
-    import flexshop.metaheuristics
-    import flexshop.moves
 
-    built, drawn = [], []
-    build = flexshop.graph.build_arcs
-    # the package re-exports local_search under its module's name
-    descent = importlib.import_module("flexshop.local_search")
-    # raising=False: the count holds whether or not a module imports it
-    for module in (flexshop.moves, descent, flexshop.metaheuristics):
-        monkeypatch.setattr(
-            module, "build_arcs",
-            lambda *args: built.append(args) or build(*args), raising=False)
-    draw = flexshop.metaheuristics._draw
-    monkeypatch.setattr(flexshop.metaheuristics, "_draw",
-                        lambda *args: drawn.append(args) or draw(*args))
+    def counted(fn) -> list:
+        """Calls of ``fn``, at every flexshop attribute that holds it."""
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "flexshop" or name.startswith("flexshop."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+        return calls
+
+    arcs = counted(flexshop.graph.build_arcs)
+    built = counted(flexshop.graph.build_schedule)
+    perturbed = counted(perturb)
     inst = random_instance(random.Random(93), max_ops=14, max_machines=4)
-    record = run_ils(inst, MetaConfig.calibrated("ils", max_iterations=4,
-                                                 seed=3))
+    record = run(inst, MetaConfig.calibrated(algo, max_iterations=4, seed=3))
     assert record.iterations == 4
-    assert len(drawn) >= 4 * 2  # every descent is followed by a chain
-    assert len(built) == 1
+    assert len(built) >= 2
+    assert len(arcs) == len(built)
+    if algo == "ils":  # every descent is followed by a perturbation chain
+        assert len(perturbed) >= 4 * 2

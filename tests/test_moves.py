@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -289,11 +290,11 @@ def test_head_tail_bound_never_exceeds_makespan():
         else:
             inst = random_instance(rng, max_ops=12, max_machines=4,
                                    max_time=max_time)
-        sched, graph = best_of_est_ect(inst), None
+        sched = best_of_est_ect(inst)
         for _ in range(case % 3):
             sched = perturb(inst, sched, rng)
         for mode in NEIGHBORHOOD_MODES:
-            moves = list(enumerate_neighbors(inst, sched, mode, graph))
+            moves = list(enumerate_neighbors(inst, sched, mode))
             for move in moves:
                 v, k, gamma = move.operation, move.machine, move.position
                 sequences = [list(seq) for seq in sched.sequences]
@@ -305,8 +306,7 @@ def test_head_tail_bound_never_exceeds_makespan():
                 if move.bound < sched.makespan <= move.head_tail_bound:
                     ruled_out += 1
             if moves:  # the next scan starts from a built move's timing
-                chosen = moves[rng.randrange(len(moves))]
-                sched, graph = chosen.schedule, chosen.timing
+                sched = moves[rng.randrange(len(moves))].schedule
     assert checked > 0 and ruled_out > 0
 
 
@@ -327,11 +327,10 @@ def test_derived_reduced_state_matches_rebuild():
         sched = best_of_est_ect(inst)
         for _ in range(case % 3):
             sched = perturb(inst, sched, rng)
-        graph = time_graph(build_arcs(inst, sched.sequences),
-                           sched.actual_times)
+        graph = sched.timing
         for v in inst.operations:
             want = scratch_removal(inst, sched, v)
-            got = remove_op(inst, sched, v, graph)
+            got = remove_op(inst, sched, v)
             assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
             assert (got.path, got.xi, got.tau) == (want.path, want.xi,
                                                    want.tau)
@@ -382,7 +381,7 @@ def _assert_built_like_scratch(inst, sched, move):
     assert got.critical_path == want.critical_path
     assert got.makespan == want.makespan == move.makespan
     assert got.tau == want.tau
-    timing = move.timing
+    timing = got.timing
     scratch = time_graph(build_arcs(inst, want.sequences), want.actual_times)
     assert timing.succs == scratch.succs
     assert timing.start == scratch.start
@@ -395,11 +394,11 @@ def _assert_built_like_scratch(inst, sched, move):
             == [sorted(p) for p in scratch.preds])
 
 
-def _assert_removals_like_scratch(inst, sched, graph):
+def _assert_removals_like_scratch(inst, sched):
     """Removals derived from a carried timing match removals from scratch."""
     for v in inst.operations:
         want = scratch_removal(inst, sched, v)
-        got = remove_op(inst, sched, v, graph)
+        got = remove_op(inst, sched, v)
         assert (got.path, got.xi, got.tau) == (want.path, want.xi, want.tau)
         _assert_same_reach(inst, v, got, want)
         assert got.timing.completion == want.timing.completion
@@ -425,7 +424,7 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
 
     def check(inst, sched, move):
         rebuilds.clear()
-        timing = move.timing
+        timing = move.schedule.timing
         if rebuilds:
             paths["tie rebuild"] += 1
         elif timing.order is move._rs.timing.order:
@@ -445,22 +444,21 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
         else:
             inst = random_instance(rng, max_ops=12, max_machines=4,
                                    max_time=max_time)
-        sched, graph = best_of_est_ect(inst), None
+        sched = best_of_est_ect(inst)
         for step in steps:
             if step == "perturb":
-                sched, graph = perturb(inst, sched, rng), None
+                sched = perturb(inst, sched, rng)
                 assert sched == build_schedule(inst, sched.sequences)
                 continue
             if step == "sa":
-                moves = [_draw(inst, sched, rng, graph)]
+                moves = [_draw(inst, sched, rng)]
             else:
-                moves = list(enumerate_neighbors(inst, sched, step, graph))
+                moves = list(enumerate_neighbors(inst, sched, step))
             for move in moves:
                 check(inst, sched, move)
             if moves:
-                chosen = moves[rng.randrange(len(moves))]
-                sched, graph = chosen.schedule, chosen.timing
-                _assert_removals_like_scratch(inst, sched, graph)
+                sched = moves[rng.randrange(len(moves))].schedule
+                _assert_removals_like_scratch(inst, sched)
 
     walk()
     assert all(paths.values()), paths
@@ -485,9 +483,9 @@ def test_scan_table_matches_reach_sets(monkeypatch):
     plain = flexshop.moves.remove_op
     removals = []
 
-    def recorded(inst, sched, v, graph=None, table=None):
-        rs = plain(inst, sched, v, graph, table)
-        removals.append((graph, table, rs))
+    def recorded(inst, sched, v, table=None):
+        rs = plain(inst, sched, v, table)
+        removals.append((table, rs))
         return rs
 
     monkeypatch.setattr(flexshop.moves, "remove_op", recorded)
@@ -501,14 +499,15 @@ def test_scan_table_matches_reach_sets(monkeypatch):
             inst = random_instance(rng, max_ops=12, max_machines=4,
                                    max_time=max_time)
         std, alpha = inst.std_time, inst.learning_rate
-        sched, graph = best_of_est_ect(inst), None
+        sched = best_of_est_ect(inst)
         for _ in range(case % 3):
             sched = perturb(inst, sched, rng)
         for mode in NEIGHBORHOOD_MODES:
             removals.clear()
-            moves = list(enumerate_neighbors(inst, sched, mode, graph))
-            for scanned, table, rs in removals:
-                assert table is not None
+            moves = list(enumerate_neighbors(inst, sched, mode))
+            for table, rs in removals:
+                assert table is not None and table.graph is sched.timing
+                scanned = table.graph
                 paths["table"] += 1
                 assert scanned.tied == _recounted_ties(scanned)
                 for k, seq in enumerate(sched.sequences, start=1):
@@ -535,8 +534,45 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                     actual_time(std[(op, move.machine)], pos + 1, alpha)
                     for pos, op in enumerate(seq, start=1)]
             for move in moves[::3]:
-                assert move.timing.tied == _recounted_ties(move.timing)
+                timing = move.schedule.timing
+                assert timing.tied == _recounted_ties(timing)
             if moves:  # the next scan starts from a built move's timing
-                chosen = moves[rng.randrange(len(moves))]
-                sched, graph = chosen.schedule, chosen.timing
+                sched = moves[rng.randrange(len(moves))].schedule
     assert all(paths.values()), paths
+
+
+def test_carried_timings_are_never_mutated():
+    """A schedule's timing lives as long as the schedule (an incumbent, a
+    descent's result) and shares lists with the timings edited from it, so
+    no scan, pricing, build or perturbation changes one in place: neither
+    the scanned schedule's nor those of the reduced graphs its moves
+    share, along walks that scan built moves' carried timings."""
+    rng = random.Random(29)
+    priced = built = 0
+    for case in range(40):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        sched = best_of_est_ect(inst)
+        for mode in NEIGHBORHOOD_MODES:
+            kept = copy.deepcopy(sched.timing)
+            moves = list(enumerate_neighbors(inst, sched, mode))
+            reduced = {id(m._rs): m._rs for m in moves}
+            shared = {key: copy.deepcopy(rs.timing)
+                      for key, rs in reduced.items()}
+            for move in moves:
+                assert move.head_tail_bound <= move.makespan
+                priced += 1
+            for move in moves[::4]:
+                assert move.schedule.timing is not None
+                built += 1
+            perturb(inst, sched, rng)
+            assert sched.timing == kept
+            for key, rs in reduced.items():
+                assert rs.timing == shared[key]
+            if moves:  # the next scan reads a built move's carried timing
+                sched = moves[rng.randrange(len(moves))].schedule
+    assert priced > 0 and built > 0
