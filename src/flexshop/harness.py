@@ -107,14 +107,17 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     instances and runs that raise produce a failed record (stop_reason
     ``error: ...``) and the batch continues.
     ``workers > 1`` dispatches runs over a process pool; oversubscription
-    beyond the CPU count is refused so per-run wall-clock budgets stay
-    honest.
+    beyond the CPUs this process may run on is refused so per-run
+    wall-clock budgets stay honest.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cpu = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpu = len(os.sched_getaffinity(0))
+    else:
+        cpu = os.cpu_count() or 1
     if workers > cpu:
         raise ValueError(f"workers={workers} exceeds the {cpu} available CPUs")
     _check_format(fmt)

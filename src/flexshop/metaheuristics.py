@@ -17,6 +17,7 @@ from .graph import Schedule
 from .moves import (
     NEIGHBORHOOD_MODES,
     Move,
+    _build_insertion,
     _relocated,
     enumerate_neighbors,
     feasible_window,
@@ -209,19 +210,18 @@ def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
     then one of its eligible machines uniformly, then a position uniformly
     within that machine's cycle-free window.  Only the cycle bounds
     constrain the slot; the longest-path reduction is not applied."""
-    return _draw(inst, sched, rng).schedule
+    return _build_insertion(inst, *_draw(inst, sched, rng))
 
 
-def _draw(inst: Instance, sched: Schedule, rng: random.Random) -> Move:
-    """``perturb``'s random move, drawn in its order: operation, machine,
-    a slot of the window."""
+def _draw(inst: Instance, sched: Schedule, rng: random.Random) -> tuple:
+    """``perturb``'s random slot ``(rs, k, gamma)``, drawn in its order:
+    operation, machine, a position of the window."""
     v = rng.randint(1, inst.num_operations)
     rs = remove_op(inst, sched, v)
     machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
-    gamma = rng.randint(window.lower + 1, window.upper)
-    return _relocated(inst, rs, k, gamma)
+    return rs, k, rng.randint(window.lower + 1, window.upper)
 
 
 def _ls_config(run: _Run) -> LocalSearchConfig:
@@ -320,9 +320,9 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
 def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Simulated annealing with geometric cooling on the relative gap.
 
-    Each candidate is ``perturb``'s random relocation, drawn in the same
-    order, priced on the reduced graph; its ``Schedule`` is built only when
-    it is accepted.
+    Each candidate is ``perturb``'s random slot, drawn in the same order
+    and priced on the reduced graph as a ``Move``; its ``Schedule`` is
+    built only when it is accepted.
     """
     rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
@@ -333,7 +333,7 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = _draw(inst, current, rng)
+            cand = _relocated(inst, *_draw(inst, current, rng))
             delta = (cand.makespan - current.makespan) / current.makespan
             r = rng.random()
             try:

@@ -67,7 +67,9 @@ only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
 applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
-next scan or removal, and is stripped from every ``RunRecord``.
+next scan or removal, and is stripped from every ``RunRecord``.  Outside a
+scan ``insert_op`` checks a slot and builds it the same way, without a
+``Move``; only SA's drawn candidate is a ``Move``, priced before it is built.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +96,6 @@ __all__ = [
     "remove_op",
     "feasible_window",
     "insert_op",
-    "relocation",
     "enumerate_neighbors",
     "NEIGHBORHOOD_MODES",
 ]
@@ -129,7 +130,6 @@ class InsertionWindow:
     the longest-path reduction.  Valid positions are
     ``lower + 1 .. upper_effective``."""
 
-    machine: int
     lower: int  # position of the last operation that must precede v
     upper: int  # position of the first operation that must follow v
     upper_effective: int
@@ -155,6 +155,8 @@ class Move:
     among the operation's successors in G⁻, and ``drop[i]``, what the
     target machine's operations from index ``i`` on lose by moving one
     position later.  ``schedule`` is built from ``rs`` on first access.
+    The one move made outside a scan is SA's candidate (``_relocated``):
+    it has no ``tails`` and is read only for ``makespan`` and ``schedule``.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
@@ -183,10 +185,7 @@ class Move:
 
     @property
     def head_tail_bound(self) -> int:
-        """The head-tail lower bound on the makespan (see the module's
-        docstring); ``bound`` for a move made outside a scan."""
-        if self._tails is None:
-            return self.bound
+        """A scanned move's head-tail lower bound: see the module docstring."""
         table, longest, drop = self._tails
         rs, v, i = self._rs, self.operation, self.position - 1
         seq = rs.q_minus[self.machine - 1]
@@ -464,24 +463,17 @@ def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
     effective = upper
     if reduction_active and rs.xi >= c_max:
         effective = min(upper, rs.tau[k - 1])
-    return InsertionWindow(k, lower, upper, effective)
+    return InsertionWindow(lower, upper, effective)
 
 
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
               gamma: int) -> Schedule:
-    """Reinsert ``v`` at ``gamma`` on machine ``k``: see ``relocation``."""
+    """Reinsert ``v``, the removed operation, at position ``gamma`` of
+    machine ``k``, outside a scan.  Raises ValueError unless ``rs`` holds
+    ``v``, then CycleError unless ``gamma`` lies in the cycle-free window,
+    and then ScheduleError unless ``v`` may run on ``k``."""
     if v != rs.removed:
         raise ValueError(f"reduced state holds operation {rs.removed}, not {v}")
-    return relocation(inst, rs, k, gamma).schedule
-
-
-def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
-    """The move that reinserts the removed operation at position ``gamma``
-    of machine ``k``, outside a scan: priced and built from ``rs`` like a
-    scanned neighbor, with the trivial lower bound 0.  Raises CycleError
-    unless ``gamma`` lies in the cycle-free window, and then ScheduleError
-    unless the operation may run on ``k``."""
-    v = rs.removed
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
     if gamma not in window.cycle_free:
         raise CycleError(
@@ -491,11 +483,12 @@ def relocation(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
     if k not in inst.eligible[v - 1]:
         # q⁻ came from a checked Schedule: only v's machine is new
         raise ScheduleError(f"operation {v} on ineligible machine {k}")
-    return _relocated(inst, rs, k, gamma)
+    return _build_insertion(inst, rs, k, gamma)
 
 
 def _relocated(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
-    """``relocation``'s move, unchecked: for a slot drawn from its window."""
+    """SA's candidate: the move to a slot drawn from the cycle-free window of
+    an eligible machine, unchecked, with the trivial lower bound 0."""
     return Move(rs.removed, k, gamma, 0, inst, rs,
                 _times(inst, rs.q_minus[k - 1], k, 2))
 

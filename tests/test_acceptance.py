@@ -130,7 +130,8 @@ def test_criterion_6_oracle_optimality_desk_scale():
     hits = {algo: 0 for algo in ("ils", "grasp", "ts", "sa")}
     for inst, optimum in zip(instances, optima):
         for algo in hits:
-            for seed in range(5):
+            # TS draws no random number: its seeds would repeat one run
+            for seed in range(1 if algo == "ts" else 5):
                 cfg = MetaConfig.calibrated(
                     algo, "reduced", time_budget=2.0, seed=seed,
                     target_makespan=optimum,

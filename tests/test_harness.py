@@ -247,6 +247,35 @@ def test_run_benchmark_refuses_oversubscription(tmp_path):
                       workers=too_many)
 
 
+def test_run_benchmark_counts_the_cpus_it_may_run_on(tmp_path, monkeypatch):
+    # pinned to one CPU of eight, two workers would share it
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    with pytest.raises(ValueError,
+                       match="workers=2 exceeds the 1 available CPUs"):
+        run_benchmark([path], [MetaConfig(max_iterations=1)], runs=1,
+                      workers=2)
+
+
+def test_run_benchmark_counts_all_cpus_without_affinity(tmp_path,
+                                                        monkeypatch):
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    import os
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(ValueError,
+                       match="workers=4 exceeds the 3 available CPUs"):
+        run_benchmark([path], [MetaConfig(max_iterations=1)], runs=1,
+                      workers=4)
+
+
 def test_run_benchmark_rejects_unknown_format_before_reading(tmp_path,
                                                             monkeypatch):
     path = tmp_path / "fig1.txt"

@@ -6,6 +6,7 @@ import pytest
 from flexshop import (
     MetaConfig,
     best_of_est_ect,
+    build_schedule,
     enumerate_neighbors,
     perturb,
     run,
@@ -133,6 +134,29 @@ def test_perturb_fuzz_keeps_feasibility():
             assert validate_schedule(inst, sched) == []
 
 
+def test_perturb_makes_no_move(monkeypatch):
+    """A perturbation builds its drawn slot directly: it makes no Move and
+    prices nothing."""
+    import flexshop.moves
+
+    made, priced = [], []
+    init = flexshop.moves.Move.__init__
+    monkeypatch.setattr(flexshop.moves.Move, "__init__",
+                        lambda self, *args: made.append(args)
+                        or init(self, *args))
+    price = flexshop.moves._insertion_makespan
+    monkeypatch.setattr(flexshop.moves, "_insertion_makespan",
+                        lambda *args: priced.append(args) or price(*args))
+    rng = random.Random(29)
+    for _ in range(5):
+        inst = random_instance(rng)
+        sched = best_of_est_ect(inst)
+        for _ in range(4):
+            sched = perturb(inst, sched, rng)
+            assert sched == build_schedule(inst, sched.sequences)
+    assert made == [] and priced == []
+
+
 @pytest.mark.parametrize("algo", ["ils", "grasp", "ts", "sa"])
 def test_each_algorithm_finds_the_optimum(fig1, algo):
     cfg = MetaConfig.calibrated(algo, "reduced", max_iterations=40, seed=1)
@@ -208,6 +232,21 @@ def test_ts_scans_its_configured_neighborhood(fig1, mode):
     assert run_ts(fig1, cfg).neighbors_evaluated == expected
     if mode == "full":
         assert expected == 15
+
+
+def test_ts_ignores_its_seed():
+    # tabu search draws no random number and starts from a deterministic
+    # construction, so two seeds repeat one run
+    rng = random.Random(71)
+    for _ in range(4):
+        inst = random_instance(rng)
+        a, b = (run_ts(inst, MetaConfig.calibrated("ts", max_iterations=12,
+                                                    seed=seed))
+                for seed in (0, 7))
+        assert (a.best_makespan, a.iterations, a.neighbors_evaluated,
+                a.stalled_iterations, a.schedule.key()) == (
+            b.best_makespan, b.iterations, b.neighbors_evaluated,
+            b.stalled_iterations, b.schedule.key())
 
 
 def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):

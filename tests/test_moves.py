@@ -21,7 +21,7 @@ from flexshop import (
 )
 from flexshop.constructive import best_of_est_ect
 from flexshop.graph import build_arcs, time_graph
-from flexshop.moves import NEIGHBORHOOD_MODES, relocation
+from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance, scratch_removal
 
@@ -95,11 +95,10 @@ def test_insert_golden_improvement(fig1, fig2a):
     assert validate_schedule(fig1, sched) == []
 
 
-# both ways in: each checks its slot before it builds or prices anything
+# the one checked way in: it checks its slot before it builds anything
 ENTRIES = {
     "insert_op": lambda inst, rs, k, gamma: insert_op(inst, rs, rs.removed,
                                                       k, gamma),
-    "relocation": relocation,
 }
 
 
@@ -134,13 +133,6 @@ def test_insert_rejects_unknown_machine(fig1, fig2a, k):
                        ) as excinfo:
         insert_op(fig1, rs, 2, k, 1)
     assert not isinstance(excinfo.value, ScheduleError)
-
-
-@pytest.mark.parametrize("k", [0, 3])
-def test_relocation_rejects_unknown_machine(fig1, fig2a, k):
-    rs = remove_op(fig1, fig2a, 2)
-    with pytest.raises(ValueError, match=rf"no machine {k}: machines are 1\.\.2"):
-        relocation(fig1, rs, k, 1)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -451,7 +443,8 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
                 assert sched == build_schedule(inst, sched.sequences)
                 continue
             if step == "sa":
-                moves = [_draw(inst, sched, rng)]
+                moves = [flexshop.moves._relocated(inst,
+                                                   *_draw(inst, sched, rng))]
             else:
                 moves = list(enumerate_neighbors(inst, sched, step))
             for move in moves:
