@@ -144,6 +144,63 @@ def test_insert_on_ineligible_machine_raises(entry):
         ENTRIES[entry](inst, rs, 2, 1)
 
 
+@pytest.mark.parametrize("v, k, gamma, error, message", [
+    # a wrong operation is reported before a slot outside the window
+    (2, 2, 5, ValueError, "holds operation 1, not 2"),
+    (2, 3, 1, ValueError, "holds operation 1, not 2"),
+    # a slot outside the window is reported before an ineligible machine
+    (1, 2, 2, CycleError, r"position 2 of machine 2 creates a cycle"),
+])
+def test_insert_checks_operation_then_window_then_machine(v, k, gamma, error,
+                                                          message):
+    inst = parse_instance("2 2 1.0\n1 1 4\n2 1 3 2 3\n0")
+    sched = build_schedule(inst, [[1, 2], []])
+    rs = remove_op(inst, sched, 1)
+    with pytest.raises(error, match=message) as excinfo:
+        insert_op(inst, rs, v, k, gamma)
+    assert type(excinfo.value) is error
+
+
+def test_perturb_builds_the_checked_insertion_of_its_draw():
+    # the drawn slot passes insert_op's checks, and perturb builds what
+    # insert_op builds there, with the same random draws
+    from flexshop.metaheuristics import _draw
+
+    rng = random.Random(37)
+    for _ in range(20):
+        inst = random_instance(rng)
+        sched = best_of_est_ect(inst)
+        for _ in range(3):
+            state = rng.getstate()
+            rs, k, gamma = _draw(inst, sched, rng)
+            checked = insert_op(inst, rs, rs.removed, k, gamma)
+            after = rng.getstate()
+            rng.setstate(state)
+            perturbed = perturb(inst, sched, rng)
+            assert rng.getstate() == after
+            assert perturbed == checked
+            assert perturbed.key() == checked.key()
+            sched = perturbed
+
+
+def test_sa_candidate_prices_what_it_builds():
+    from flexshop.metaheuristics import _draw
+    from flexshop.moves import _relocated
+
+    rng = random.Random(41)
+    for _ in range(20):
+        inst = random_instance(rng)
+        sched = best_of_est_ect(inst)
+        for _ in range(3):
+            rs, k, gamma = _draw(inst, sched, rng)
+            move = _relocated(inst, rs, k, gamma)
+            built = insert_op(inst, rs, rs.removed, k, gamma)
+            assert move.makespan == built.makespan
+            assert move.schedule == built
+            assert validate_schedule(inst, built) == []
+            sched = built
+
+
 def test_remove_insert_identity(fig1, fig2a):
     for v in fig1.operations:
         rs = remove_op(fig1, fig2a, v)
