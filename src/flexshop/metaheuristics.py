@@ -334,12 +334,15 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
         stop = False
         for _ in range(SA_SWEEP):
             cand = _relocated(inst, *_draw(inst, current, rng))
-            delta = (cand.makespan - current.makespan) / current.makespan
             r = rng.random()
-            try:
-                accept = math.exp(-delta / temperature) >= r
-            except OverflowError:
-                accept = delta < 0
+            if current.makespan:
+                delta = (cand.makespan - current.makespan) / current.makespan
+                try:
+                    accept = math.exp(-delta / temperature) >= r
+                except OverflowError:
+                    accept = delta < 0
+            else:  # no relative gap from a zero makespan: keep only a zero
+                accept = not cand.makespan
             if accept:
                 current = cand.schedule
                 if run.offer(current):

@@ -36,7 +36,8 @@ starts at the removed operation can use the machine arcs that its removal
 rewires, so its ancestors in G⁻ are those of its predecessors in G, its
 descendants those of its successors, and ranks rise along every machine
 sequence: in a scan each bound is one bit operation on the table.  Outside
-a scan the bounds come from two searches of G⁻.
+a scan each machine asked gets two searches of G⁻ that pop vertices in
+rank order and stop at its first operation met (``_searched_bounds``).
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -73,6 +74,7 @@ scan ``insert_op`` checks a slot and builds it the same way, without a
 """
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -84,7 +86,6 @@ from .graph import (
     ScheduleError,
     Timing,
     critical_path,
-    reachable_from,
     time_graph,
     timing_of,
 )
@@ -344,24 +345,42 @@ class _ScanTable:
 
 
 def _searched_bounds(reduced: Timing, v: int, q_minus: tuple) -> Callable:
-    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻,
-    whose timing is ``reduced``, made on the first call."""
-    reach = []
+    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻
+    (timing ``reduced``) per machine k asked.  Each pops vertices from a
+    heap in rank order and stops at the first operation of q⁻_k: over
+    ``preds`` in decreasing rank for ``lower``, over ``succs`` in
+    increasing rank for ``upper``.  G⁻'s ranks are a topological order and
+    each q⁻ sequence is a chain of G⁻'s arcs, so ranks rise along it: v's
+    ancestors on k form a prefix and its descendants a suffix.  Popping in
+    decreasing rank pops every ancestor ranked above r before any vertex
+    ranked at or below r, so the first hit is the last ancestor, and there
+    is none once the top ranks below q⁻_k[0]; the descendants mirror this.
+    """
+    order, rank = reduced.order, reduced.rank
+
+    def first(adjacency, sign: int, where: dict, end: int):
+        # where[u] of the first u popped in order of sign * rank, up to end
+        heap = [sign * rank[u] for u in adjacency[v]]
+        heapify(heap)
+        seen = set(adjacency[v])
+        limit = sign * rank[end]
+        while heap and heap[0] <= limit:
+            u = order[sign * heappop(heap)]
+            if u in where:
+                return where[u]
+            for j in adjacency[u]:
+                if j not in seen:
+                    seen.add(j)
+                    heappush(heap, sign * rank[j])
+        return None
 
     def bounds(k: int) -> tuple:
-        if not reach:
-            reach.append(reachable_from(reduced.preds, v))
-            reach.append(reachable_from(reduced.succs, v))
-        ancestors, descendants = reach
         seq = q_minus[k - 1]
-        lower = 0
-        for pos, op in enumerate(seq, start=1):
-            if op in ancestors:
-                lower = pos
-        for pos, op in enumerate(seq, start=1):
-            if op in descendants:
-                return lower, pos
-        return lower, len(seq) + 1
+        if not seq:
+            return 0, 1
+        where = {op: pos for pos, op in enumerate(seq, start=1)}
+        return (first(reduced.preds, -1, where, seq[0]) or 0,
+                first(reduced.succs, 1, where, seq[-1]) or len(seq) + 1)
 
     return bounds
 

@@ -42,6 +42,16 @@ def test_solve(instance_file, capsys):
     assert "iterations" in captured.err
 
 
+def test_solve_sa_on_a_zero_makespan(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("2 1 0.2\n1 1 0\n1 1 0\n0\n")
+    assert main(["solve", "--instance", str(path), "--algo", "sa",
+                 "--iterations", "3"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["makespan"] == 0
+    assert "Traceback" not in captured.err
+
+
 def test_solve_deterministic_output(instance_file, capsys):
     argv = ["solve", "--instance", str(instance_file), "--algo", "sa",
             "--iterations", "8", "--seed", "2"]

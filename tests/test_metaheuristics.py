@@ -8,6 +8,7 @@ from flexshop import (
     best_of_est_ect,
     build_schedule,
     enumerate_neighbors,
+    parse_instance,
     perturb,
     run,
     run_grasp,
@@ -298,6 +299,51 @@ def test_sa_always_accepts_improvements():
     for delta in (-0.5, -1e-9, 0.0):
         # acceptance draw r < 1 always passes for non-worsening moves
         assert math.exp(-delta / temperature) >= 0.999999
+
+
+def test_sa_on_a_zero_makespan(monkeypatch):
+    """Standard times may be 0: from a zero makespan SA has no relative
+    gap, keeps candidates of makespan 0 and rejects every other."""
+    from flexshop.metaheuristics import _Run
+
+    offered = []
+    offer = _Run.offer
+    monkeypatch.setattr(_Run, "offer", lambda self, sched: offered.append(
+        sched.makespan) or offer(self, sched))
+    for text in ("2 1 0.2\n1 1 0\n1 1 0\n0\n",
+                 "3 2 0.2\n2 1 0 2 5\n2 1 0 2 5\n2 1 0 2 5\n1\n1 3\n"):
+        inst = parse_instance(text)
+        record = run_sa(inst, MetaConfig(algo="sa", max_iterations=20,
+                                         seed=1))
+        assert record.best_makespan == 0
+        assert record.stop_reason == "iteration-cap"
+    assert len(offered) > 2 and set(offered) == {0}
+
+
+def test_solvers_make_no_reach_search(monkeypatch):
+    """Outside a scan a window comes from searches that stop at the asked
+    machine: no seeded capped run searches G⁻ for all of v's ancestors or
+    descendants."""
+    import sys
+
+    import flexshop.graph
+
+    def refused(*args):
+        raise AssertionError("reachable_from called")
+
+    reach = flexshop.graph.reachable_from
+    for name, module in list(sys.modules.items()):
+        if name == "flexshop" or name.startswith("flexshop."):
+            for attr, value in list(vars(module).items()):
+                if value is reach:
+                    monkeypatch.setattr(module, attr, refused)
+    rng = random.Random(73)
+    for _ in range(4):
+        inst = random_instance(rng, max_ops=14, max_machines=4)
+        for algo in ALGORITHMS:
+            record = run(inst, MetaConfig.calibrated(
+                algo, max_iterations=6, seed=rng.randrange(100)))
+            assert validate_schedule(inst, record.schedule) == []
 
 
 def test_records_hold_no_timing():

@@ -23,7 +23,7 @@ from flexshop.constructive import best_of_est_ect
 from flexshop.graph import build_arcs, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES
 
-from conftest import random_instance, scratch_removal
+from conftest import random_instance, reach_bounds, scratch_removal
 
 
 def test_remove_goldens(fig1, fig2a):
@@ -322,6 +322,61 @@ def _chain_instance(rng: random.Random, max_time: int) -> Instance:
                 arcs.add((op - 1, op))
     return Instance(len(eligible), m, tuple(eligible), std_time,
                     frozenset(arcs), rng.choice((0.1, 0.2, 0.3)), "chain")
+
+
+def _large_instance(rng: random.Random, layout: str) -> Instance:
+    """A 200-300 operation instance with 1-3 eligible machines per
+    operation: a DAG of arcs i→j for j ≤ i + 6, each with probability 0.3
+    and times in 1..99, or jobs of 9-11 chained operations with times in
+    1..19."""
+    m = rng.randint(8, 10)
+    if layout == "dag":
+        n, max_time = rng.randint(200, 300), 99
+        arcs = {(i, j) for i in range(1, n + 1)
+                for j in range(i + 1, min(n, i + 6) + 1)
+                if rng.random() < 0.3}
+    else:
+        lengths = [rng.randint(9, 11) for _ in range(rng.randint(20, 27))]
+        n, max_time = sum(lengths), 19
+        firsts = {1 + sum(lengths[:i]) for i in range(len(lengths))}
+        arcs = {(op - 1, op) for op in range(2, n + 1) if op not in firsts}
+    eligible, std_time = [], {}
+    for op in range(1, n + 1):
+        machines = sorted(rng.sample(range(1, m + 1), rng.randint(1, 3)))
+        eligible.append(tuple(machines))
+        std_time.update({(op, k): rng.randint(1, max_time)
+                         for k in machines})
+    return Instance(n, m, tuple(eligible), std_time, frozenset(arcs), 0.2,
+                    f"{layout}-{n}")
+
+
+def test_searched_windows_match_reach_sets():
+    """Outside a scan each window comes from two rank-ordered searches of
+    G⁻ that stop at the asked machine: on every removal of 200-300
+    operation DAG and chain instances and of tie-heavy small ones, after
+    a few of SA's drawn moves, every machine's window, the removed
+    operation's own included, is the one that v's reach sets in G⁻ give."""
+    from flexshop.metaheuristics import _draw
+    from flexshop.moves import _relocated
+
+    rng = random.Random(1711)
+    cases = [_large_instance(rng, layout) for layout in ("dag", "chain") * 2]
+    cases += [random_instance(rng, max_ops=12, max_machines=4, max_time=2)
+              for _ in range(60)]
+    rebuilt = 0
+    for inst in cases:
+        sched = best_of_est_ect(inst)
+        for _ in range(rng.randint(1, 3)):
+            sched = _relocated(inst, *_draw(inst, sched, rng)).schedule
+        for v in inst.operations:
+            rs = remove_op(inst, sched, v)
+            rebuilt += rs.timing.rank is not sched.timing.rank
+            ancestors = reachable_from(rs.timing.preds, v)
+            descendants = reachable_from(rs.timing.succs, v)
+            for k in inst.machines:
+                assert rs.cycle_bounds(k) == reach_bounds(
+                    rs.q_minus[k - 1], ancestors, descendants), (v, k)
+    assert rebuilt  # tie rebuilds, with their own ranks, are covered
 
 
 def test_head_tail_bound_never_exceeds_makespan():

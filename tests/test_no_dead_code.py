@@ -1,9 +1,12 @@
-"""Every module-level private function and class of the package is used.
+"""Every module-level private function and class of the package is used,
+and so is every name a module imports.
 
 A helper that a consolidation leaves behind is code that is never run by
 the solver; this test names it.  A definition counts as used when a
 statement other than itself, in any module of the package, refers to its
-name: as a name, an attribute or an imported alias.
+name: as a name, an attribute or an imported alias.  An import counts as
+used when its module refers to the name it binds, or lists it in
+``__all__``; ``__init__.py`` imports to re-export and is left out.
 """
 
 import ast
@@ -47,3 +50,38 @@ def test_no_unreferenced_private_definitions():
                        if key != own):
                 unused.append(f"{name}:{stmt.name}")
     assert modules and not unused, unused
+
+
+def _bound_names(tree: ast.Module) -> list:
+    """``(line, name)`` of each name that an import of ``tree`` binds."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.append((node.lineno, name))
+    return bound
+
+
+def _exported(tree: ast.Module) -> set:
+    """The strings of the module's ``__all__``, if it has one."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets)):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def test_no_unused_imports():
+    paths = [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _exported(tree)
+        unused += [f"{path.name}:{line}:{name}"
+                   for line, name in _bound_names(tree) if name not in used]
+    assert paths and not unused, unused
