@@ -7,16 +7,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .constructive import best_of_est_ect, construct_ect, construct_est
-from .graph import (
-    ScheduleError,
-    build_schedule,
-    schedule_to_json,
-    validate_schedule,
-)
+from .graph import ScheduleError, build_schedule, schedule_to_json
 from .harness import (
     INSTANCE_FORMATS,
     emit_results,
@@ -26,8 +21,9 @@ from .harness import (
     run_benchmark,
     wilcoxon,
 )
-from .local_search import LocalSearchConfig, local_search
+from .local_search import STRATEGIES, LocalSearchConfig, local_search
 from .metaheuristics import ALGORITHMS, MetaConfig, run
+from .moves import NEIGHBORHOOD_MODES
 from .oracle import OracleLimitError, solve_exhaustive
 
 __all__ = ["main"]
@@ -113,9 +109,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("localsearch", help="run the local search")
     _add_instance_args(p)
-    p.add_argument("--neighborhood", choices=("full", "reduced", "cropped"),
+    p.add_argument("--neighborhood", choices=NEIGHBORHOOD_MODES,
                    default="reduced")
-    p.add_argument("--strategy", choices=("best", "first"), default="best")
+    p.add_argument("--strategy", choices=STRATEGIES, default="best")
     p.add_argument("--time-limit", type=float, default=None)
 
     p = sub.add_parser("solve", help="run a metaheuristic")
@@ -280,8 +276,16 @@ def _dispatch(args) -> int:
             print(f"infeasible: {exc}", file=sys.stderr)
             return 1
         # the declared assignment must be the one the sequences imply
-        declared = replace(sched, assignment=assignment)
-        violations = validate_schedule(inst, declared)
+        violations = [
+            f"operation {op}: assignment says machine "
+            f"{assignment.get(op)}, sequences say machine {k}"
+            for op, k in sched.assignment.items() if assignment.get(op) != k
+        ]
+        if len(assignment) != len(sched.assignment):
+            violations.append(
+                f"assignment lists {len(assignment)} operations, "
+                f"the sequences {len(sched.assignment)}"
+            )
         if makespan not in (None, sched.makespan):
             violations.append(
                 f"declared makespan {makespan} differs from "

@@ -9,6 +9,7 @@ path; its length is the makespan.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .instance import Instance
@@ -48,25 +49,27 @@ class ScheduleError(ValueError):
 class Schedule:
     """A feasible solution with its timing and critical path.
 
-    ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``;
-    ``assignment[i]``, derived from them, the machine of operation ``i``;
-    ``actual_times[i]`` its learning-adjusted processing time.  ``tau[k-1]``
-    is the position of the last critical operation on machine ``k`` (0 if
-    none).  ``timing``, that of its solution graph, feeds the next removal
-    or scan; a ``RunRecord``'s schedule and one built by hand have none.
+    ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``,
+    the one stored encoding of the solution; ``actual_times[i]`` is the
+    learning-adjusted processing time of operation ``i``.  ``timing``, that
+    of its solution graph, feeds the next removal or scan; a ``RunRecord``'s
+    schedule and one built by hand have none.
     """
 
-    assignment: dict
     sequences: tuple
     actual_times: dict
     critical_path: tuple
     makespan: int
-    tau: tuple = field(default=())
     timing: "Timing | None" = field(default=None, repr=False, compare=False)
 
-    @property
-    def sink(self) -> int:
-        return len(self.assignment) + 1
+    @cached_property
+    def assignment(self) -> dict:
+        """The machine of each operation, machine by machine in sequence
+        order."""
+        assignment = {}
+        for k, seq in enumerate(self.sequences, start=1):
+            assignment.update(dict.fromkeys(seq, k))
+        return assignment
 
     def position_of(self, op: int) -> int:
         """1-based position of ``op`` in its machine sequence."""
@@ -100,15 +103,15 @@ def build_arcs(inst: Instance, sequences) -> tuple:
     return tuple(tuple(sorted(s)) for s in succ)
 
 
-def topological_sort_plus(adjacency, start: int = SOURCE) -> list:
+def topological_sort_plus(adjacency) -> list:
     """Topological order (reversed DFS postorder) of the vertices reachable
-    from ``start``.  Raises CycleError on a directed cycle."""
+    from the source.  Raises CycleError on a directed cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {}
     order = []
     # iterative DFS: (vertex, iterator over its successors)
-    stack = [(start, iter(adjacency[start]))]
-    color[start] = GRAY
+    stack = [(SOURCE, iter(adjacency[SOURCE]))]
+    color[SOURCE] = GRAY
     while stack:
         v, it = stack[-1]
         advanced = False
@@ -168,7 +171,7 @@ def time_graph(adjacency, weights) -> Timing:
     ``weights`` maps vertices to processing times; the dummies must weigh
     0.  Raises CycleError on a directed cycle.
     """
-    order = topological_sort_plus(adjacency, SOURCE)
+    order = topological_sort_plus(adjacency)
     size = len(adjacency)
     rank = [0] * size
     preds = [[] for _ in range(size)]
@@ -255,16 +258,14 @@ def _sequence_faults(inst: Instance, sequences) -> list:
     return faults
 
 
-def _weigh(inst: Instance, sequences) -> tuple:
-    """Assignment and learning-adjusted times of well-formed ``sequences``,
-    the latter with the dummies' zero weights."""
-    assignment = {}
+def _weigh(inst: Instance, sequences) -> dict:
+    """Learning-adjusted times of well-formed ``sequences``, with the
+    dummies' zero weights."""
     weights = {SOURCE: 0, inst.num_operations + 1: 0}
     for k, seq in enumerate(sequences, start=1):
-        assignment.update(dict.fromkeys(seq, k))
         for pos, op in enumerate(seq, start=1):
             weights[op] = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
-    return assignment, weights
+    return weights
 
 
 def build_schedule(inst: Instance, sequences) -> Schedule:
@@ -277,10 +278,10 @@ def build_schedule(inst: Instance, sequences) -> Schedule:
     faults = _sequence_faults(inst, sequences)
     if faults:
         raise ScheduleError(faults[0])
-    assignment, weights = _weigh(inst, sequences)
+    weights = _weigh(inst, sequences)
     timing = time_graph(build_arcs(inst, sequences), weights)
-    path, length, tau = critical_path(timing, sequences)
-    return Schedule(assignment, sequences, weights, path, length, tau, timing)
+    path, length, _ = critical_path(timing, sequences)
+    return Schedule(sequences, weights, path, length, timing)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list:
@@ -288,19 +289,8 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
     violations = _sequence_faults(inst, sched.sequences)
     if violations:
         return violations
-    assignment, weights = _weigh(inst, sched.sequences)
-    for op, k in assignment.items():
-        if sched.assignment.get(op) != k:
-            violations.append(
-                f"operation {op}: assignment says machine "
-                f"{sched.assignment.get(op)}, sequences say machine {k}"
-            )
-    if len(sched.assignment) != len(assignment):
-        violations.append(
-            f"assignment lists {len(sched.assignment)} operations, "
-            f"the sequences {len(assignment)}"
-        )
-    for op in assignment:
+    weights = _weigh(inst, sched.sequences)
+    for op in sched.assignment:
         if sched.actual_times.get(op) != weights[op]:
             violations.append(
                 f"operation {op}: stale actual time "

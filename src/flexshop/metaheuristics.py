@@ -51,13 +51,11 @@ SA_T0_M = 0.79
 SA_TF = 1e-3
 SA_DELTA = 0.82
 
-# calibrated parameter defaults, keyed by (algorithm, neighborhood mode)
+# calibrated parameters that differ from MetaConfig's defaults, which are
+# the reduced neighborhood's calibration; keyed by (algorithm, mode)
 _CALIBRATED = {
-    ("ils", "reduced"): {"ils_perturb_min": 2, "ils_perturb_max": 4},
     ("ils", "cropped"): {"ils_perturb_min": 1, "ils_perturb_max": 3},
-    ("grasp", "reduced"): {"grasp_alpha": 0.38},
     ("grasp", "cropped"): {"grasp_alpha": 0.59},
-    ("ts", "reduced"): {"ts_factor": 0.9},
     ("ts", "cropped"): {"ts_factor": 0.5},
 }
 

@@ -520,7 +520,7 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
 
     Its timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
     its order is G⁻'s, locally reordered when needed.  A tie on the
-    critical path makes G⁺ be timed from scratch, so the path and τ are
+    critical path makes G⁺ be timed from scratch, so the path is
     ``build_schedule``'s.
     """
     v = rs.removed
@@ -534,14 +534,11 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     weights.update(zip((v, *moved), _times(inst, (v, *moved), k, gamma)))
     before = seq[gamma - 2] if gamma > 1 else None
     after = moved[0] if moved else None
-    timing, path, length, tau = _walked(
+    timing, path, length, _ = _walked(
         _edited(inst, rs.timing, ((before, after),), ((before, v), (v, after)),
                 weights, {v, *moved}),
         q_plus, weights)
-    assignment = {}
-    for machine, ops in enumerate(q_plus, start=1):
-        assignment.update(dict.fromkeys(ops, machine))
-    return Schedule(assignment, q_plus, weights, path, length, tau, timing)
+    return Schedule(q_plus, weights, path, length, timing)
 
 
 def _reorder(succs: list, preds: list, order: list, rank: list, x: int,

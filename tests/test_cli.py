@@ -259,6 +259,21 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
            "operation 2: assignment says machine 2, sequences say machine 1")
 
 
+def test_validate_reports_an_operation_the_assignment_lacks(
+        instance_file, tmp_path, capsys):
+    assignment = dict(FIG2A_ASSIGNMENT)
+    del assignment["2"]
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"assignment": assignment,
+                                    "sequences": FIG2A_SEQUENCES}))
+    assert main(["validate", "--instance", str(instance_file),
+                 "--solution", str(solution)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "operation 2: assignment says machine None, sequences say machine 1",
+        "assignment lists 4 operations, the sequences 5",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -206,6 +206,18 @@ def test_iteration_cap_counts_outer_iterations(fig1):
     assert record.stop_reason == "iteration-cap"
 
 
+def test_no_improve_limit_stops_every_metaheuristic(fig1):
+    """With no iteration cap and a budget far beyond reach, each run stops
+    once the limit passes without an improvement of its incumbent."""
+    limit = 0.02
+    for algo in ALGORITHMS:
+        record = run(fig1, MetaConfig(algo=algo, time_budget=60.0,
+                                      no_improve_limit=limit))
+        assert record.stop_reason == "no-improvement", algo
+        assert record.total_runtime - record.time_to_best > limit
+        assert validate_schedule(fig1, record.schedule) == []
+
+
 def test_incumbent_never_worsens(fig1):
     start = best_of_est_ect(fig1)
     for algo in ("ils", "grasp", "ts", "sa"):

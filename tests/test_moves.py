@@ -20,7 +20,7 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.graph import build_arcs, time_graph
+from flexshop.graph import build_arcs, critical_path, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance, reach_bounds, scratch_removal
@@ -484,7 +484,8 @@ def _assert_built_like_scratch(inst, sched, move):
     assert got.actual_times == want.actual_times
     assert got.critical_path == want.critical_path
     assert got.makespan == want.makespan == move.makespan
-    assert got.tau == want.tau
+    assert (critical_path(got.timing, got.sequences)[2]
+            == critical_path(want.timing, want.sequences)[2])
     timing = got.timing
     scratch = time_graph(build_arcs(inst, want.sequences), want.actual_times)
     assert timing.succs == scratch.succs
