@@ -43,16 +43,26 @@ def _load(args):
 
 def _read_solution(path) -> tuple:
     """The assignment, machine sequences and makespan (None if absent) that
-    a schedule JSON file declares; ScheduleError when it declares none."""
+    a schedule JSON file declares; ScheduleError when it declares none, or
+    declares a machine or makespan that is not an integer."""
     try:
         data = json.loads(Path(path).read_text())
         assignment = {int(op): k for op, k in data["assignment"].items()}
         sequences = [list(seq) for seq in data["sequences"]]
-        return assignment, sequences, data.get("makespan")
+        makespan = data.get("makespan")
     except KeyError as exc:
         raise ScheduleError(f"solution {path} has no {exc} entry") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScheduleError(f"solution {path} is not a schedule: {exc}") from None
+    declared = [(f"operation {op}'s machine", k)
+                for op, k in assignment.items()]
+    if makespan is not None:
+        declared.append(("makespan", makespan))
+    for what, value in declared:
+        if type(value) is not int:  # bool is an int subclass: excluded
+            raise ScheduleError(f"solution {path}: {what} "
+                                f"{json.dumps(value)} is not an integer")
+    return assignment, sequences, makespan
 
 
 def _method_pair(spec: str, records) -> tuple:

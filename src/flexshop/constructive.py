@@ -7,11 +7,11 @@ operation/machine pairs that can start soonest and picks the one with the
 shortest adjusted processing time; the earliest-completion-time (ECT) rule
 directly picks the pair that finishes soonest.
 
-With ``rcl_alpha > 0`` and an RNG, the greedy pick is replaced by a
-uniform draw from the restricted candidate list of pairs within an
-``rcl_alpha`` fraction of the best.  With ``rcl_alpha == 0`` the pick is
-deterministic (first pair in ascending (operation, machine) order),
-regardless of the RNG.
+With ``rcl_alpha > 0`` the greedy pick is replaced by a uniform draw,
+from the given RNG, from the restricted candidate list of pairs within an
+``rcl_alpha`` fraction of the best; ``rcl_alpha > 0`` without an RNG is a
+ValueError.  With ``rcl_alpha == 0`` the pick is deterministic (first pair
+in ascending (operation, machine) order), regardless of the RNG.
 """
 
 import bisect
@@ -78,17 +78,21 @@ class _State:
         return build_schedule(self.inst, self.sequences)
 
 
+def _check(rcl_alpha, rng):
+    if not 0 <= rcl_alpha <= 1:
+        raise ValueError(f"rcl_alpha must lie in [0, 1], got {rcl_alpha}")
+    if rcl_alpha and rng is None:
+        raise ValueError(f"rcl_alpha {rcl_alpha} > 0 needs an rng")
+
+
 def _pick(candidates, rcl_alpha, rng):
-    if rcl_alpha == 0 or rng is None:
-        return candidates[0]
-    return rng.choice(candidates)
+    return rng.choice(candidates) if rcl_alpha else candidates[0]
 
 
 def construct_est(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-starting-time constructive heuristic."""
-    if not 0 <= rcl_alpha <= 1:
-        raise ValueError(f"rcl_alpha must lie in [0, 1], got {rcl_alpha}")
+    _check(rcl_alpha, rng)
     state = _State(inst)
     while state.unscheduled:
         pairs = state.ready_pairs()
@@ -110,8 +114,7 @@ def construct_est(inst: Instance, rcl_alpha: float = 0.0,
 def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-completion-time constructive heuristic."""
-    if not 0 <= rcl_alpha <= 1:
-        raise ValueError(f"rcl_alpha must lie in [0, 1], got {rcl_alpha}")
+    _check(rcl_alpha, rng)
     state = _State(inst)
     while state.unscheduled:
         pairs = state.ready_pairs()
@@ -129,11 +132,13 @@ def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
     return state.finish()
 
 
-def best_of_est_ect(inst: Instance) -> Schedule:
-    """Better of the two deterministic constructions.
+def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
+                    rng: random.Random | None = None) -> Schedule:
+    """Better of the ECT and EST constructions, both built with
+    ``rcl_alpha`` and ``rng`` (greedy by default), ECT first.
 
     ECT is compared first with a strict `<`, so EST is kept on ties.
     """
-    ect = construct_ect(inst)
-    est = construct_est(inst)
+    ect = construct_ect(inst, rcl_alpha, rng)
+    est = construct_est(inst, rcl_alpha, rng)
     return ect if ect.makespan < est.makespan else est

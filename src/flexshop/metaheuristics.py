@@ -1,10 +1,11 @@
 """Trajectory metaheuristics: ILS, GRASP, tabu search, simulated annealing.
 
-All four start (except GRASP, which constructs its own starts) from the
-better of the two deterministic constructive heuristics and share the
-remove/insert move machinery.  Each run owns one seeded RNG; budgets can
-be wall-clock seconds, an iteration cap (for deterministic testing), or
-both.
+All four start from the better of the two constructive heuristics
+(``best_of_est_ect``; GRASP's are randomized) and share the remove/insert
+move machinery.  A run's bookkeeping lives in ``_Run``: its one seeded
+RNG, the descent that ILS and GRASP embed, the candidate clock, the
+incumbent and the stop.  Budgets can be wall-clock seconds, an iteration
+cap (for deterministic testing), or both.
 """
 
 import math
@@ -24,7 +25,7 @@ from .moves import (
     remove_op,
 )
 from .local_search import LocalSearchConfig, check_seconds, local_search
-from .constructive import best_of_est_ect, construct_ect, construct_est
+from .constructive import best_of_est_ect
 
 __all__ = [
     "ALGORITHMS",
@@ -120,11 +121,13 @@ class RunRecord:
 
 
 class _Run:
-    """Per-run bookkeeping: clock, budget and incumbent tracking."""
+    """Per-run bookkeeping: seeded RNG, clock, budget, counters and
+    incumbent tracking."""
 
     def __init__(self, inst: Instance, cfg: MetaConfig):
         self.inst = inst
         self.cfg = cfg
+        self.rng = random.Random(cfg.seed)
         self.started = time.monotonic()
         self.deadline = (
             None if cfg.time_budget is None else self.started + cfg.time_budget
@@ -136,24 +139,26 @@ class _Run:
         self.time_to_best = 0.0
         self.last_improved = self.started
         self.stop_reason = "budget"
-        self._ticks = 0
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
 
-    def remaining(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - time.monotonic())
+    def descend(self, start: Schedule) -> Schedule:
+        """One iteration of ILS or GRASP: best-improvement local search
+        from ``start`` within the time left; its neighbors are counted."""
+        left = (None if self.deadline is None
+                else max(0.0, self.deadline - time.monotonic()))
+        result = local_search(self.inst, start,
+                              LocalSearchConfig(self.cfg.mode, "best", left))
+        self.neighbors += result.neighbors_evaluated
+        self.iterations += 1
+        return result.schedule
 
     def record_candidate(self) -> bool:
-        """Count one candidate evaluation; True when the run must stop."""
+        """Count one candidate evaluation; True when the run must stop.
+        The clock is read every ``CHECK_EVERY`` candidates."""
         self.neighbors += 1
-        self._ticks += 1
-        if self._ticks >= CHECK_EVERY:
-            self._ticks = 0
-            return self.out_of_time()
-        return False
+        return not self.neighbors % CHECK_EVERY and self.out_of_time()
 
     def out_of_time(self) -> bool:
         if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -222,26 +227,19 @@ def _draw(inst: Instance, sched: Schedule, rng: random.Random) -> tuple:
     return rs, k, rng.randint(window.lower + 1, window.upper)
 
 
-def _ls_config(run: _Run) -> LocalSearchConfig:
-    return LocalSearchConfig(run.cfg.mode, "best", run.remaining())
-
-
 def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Iterated local search: descend, perturb the local optimum, repeat."""
-    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
     while not run.exhausted():
-        result = local_search(inst, current, _ls_config(run))
-        run.neighbors += result.neighbors_evaluated
-        run.iterations += 1
-        if run.offer(result.schedule):
+        current = run.descend(current)
+        if run.offer(current):
             break
-        current = result.schedule
-        for _ in range(rng.randint(cfg.ils_perturb_min, cfg.ils_perturb_max)):
-            current = perturb(inst, current, rng)
+        for _ in range(run.rng.randint(cfg.ils_perturb_min,
+                                       cfg.ils_perturb_max)):
+            current = perturb(inst, current, run.rng)
     return run.finish()
 
 
@@ -250,17 +248,9 @@ def run_grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
     At least one iteration always runs so the incumbent is well defined.
     """
-    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
-    while True:
-        ect = construct_ect(inst, cfg.grasp_alpha, rng)
-        est = construct_est(inst, cfg.grasp_alpha, rng)
-        start = ect if ect.makespan < est.makespan else est
-        result = local_search(inst, start, _ls_config(run))
-        run.neighbors += result.neighbors_evaluated
-        run.iterations += 1
-        if run.offer(result.schedule):
-            break
+    while not run.offer(run.descend(
+            best_of_est_ect(inst, cfg.grasp_alpha, run.rng))):
         if run.exhausted():
             break
     return run.finish()
@@ -322,7 +312,6 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     and priced on the reduced graph as a ``Move``; its ``Schedule`` is
     built only when it is accepted.
     """
-    rng = random.Random(cfg.seed)
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
@@ -331,8 +320,8 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = _relocated(inst, *_draw(inst, current, rng))
-            r = rng.random()
+            cand = _relocated(inst, *_draw(inst, current, run.rng))
+            r = run.rng.random()
             if current.makespan:
                 delta = (cand.makespan - current.makespan) / current.makespan
                 try:

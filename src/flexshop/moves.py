@@ -25,8 +25,8 @@ v→next give way to prev→next, which never points backwards, so G⁻ keeps
 G's order and ranks.  The applied move edits G⁻ into G⁺: before→after
 gives way to before→v and v→after.  Every timing flags the vertices that
 two predecessors finish at the start of; when one lies on the new critical
-path, τ would follow the order's tie-break, so the graph is timed again
-from scratch (``_walked``) and gives ``build_schedule``'s path.  The one
+path, τ would follow the order's tie-break, so ``_edited`` times the graph
+again from scratch and gives ``build_schedule``'s path.  The one
 timing of G⁻ gives the reduction's bounds and the times from which each
 insertion is priced.
 
@@ -258,10 +258,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
 
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = shifted[0] if shifted else None
-    timing, path, xi, tau = _walked(
-        _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),), w_minus,
-                {v, *shifted}),
-        q_minus, w_minus)
+    timing, path, xi, tau = _edited(inst, graph, ((prev, v), (v, nxt)),
+                                    ((prev, nxt),), w_minus, {v, *shifted},
+                                    q_minus)
     if table is not None:
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
@@ -404,9 +403,10 @@ def _drops(weights: dict, seq: tuple, later: list, lowest: int) -> list:
 
 
 def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
-            weights: dict, stale: set) -> Timing:
-    """Timing of ``base``'s graph with the machine arcs ``drop`` removed
-    and those in ``add`` added (see the module's docstring).
+            weights: dict, stale: set, sequences: tuple) -> tuple:
+    """``(timing, path, length, tau)`` of ``base``'s graph with the machine
+    arcs ``drop`` removed and those in ``add`` added, whose machine
+    sequences are ``sequences`` (see the module's docstring).
 
     Pairs that hold ``None`` and precedence arcs are left alone; successor
     lists stay sorted, as ``build_arcs`` gives them, and predecessors are
@@ -414,7 +414,10 @@ def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
     mended by ``_reorder``: of an insertion's two at most one does, since
     before→after was an arc of G⁻.  The ``stale`` vertices and whatever
     their changed completions reach are re-timed and their tie flags
-    counted again; the rest keep ``base``'s times and setters.
+    counted again; the rest keep ``base``'s times and setters.  When a
+    vertex on the critical path is tied, τ would follow the order's
+    tie-break, so the graph is timed again from scratch and the rebuild's
+    order decides it.
     """
     succs = list(base.succs)
     preds = base.preds.copy()
@@ -457,17 +460,10 @@ def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
             stale.update(succs[u])
         if not stale:
             break
-    return Timing(tuple(succs), order, rank, preds, start, completion, setter,
-                  tied)
-
-
-def _walked(timing: Timing, sequences: tuple, weights: dict) -> tuple:
-    """``(timing, path, length, tau)``: ``critical_path`` of an edited
-    ``timing``, or of the graph timed again from scratch when a vertex on
-    the path has two predecessors that finish at its start.  Then τ would
-    follow the order's tie-break, so the rebuild's order decides it."""
+    timing = Timing(tuple(succs), order, rank, preds, start, completion,
+                    setter, tied)
     path, length, tau = critical_path(timing, sequences)
-    if any(map(timing.tied.__getitem__, path)):
+    if any(map(tied.__getitem__, path)):
         timing = time_graph(timing.succs, weights)
         path, length, tau = critical_path(timing, sequences)
     return timing, path, length, tau
@@ -534,10 +530,9 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     weights.update(zip((v, *moved), _times(inst, (v, *moved), k, gamma)))
     before = seq[gamma - 2] if gamma > 1 else None
     after = moved[0] if moved else None
-    timing, path, length, _ = _walked(
-        _edited(inst, rs.timing, ((before, after),), ((before, v), (v, after)),
-                weights, {v, *moved}),
-        q_plus, weights)
+    timing, path, length, _ = _edited(
+        inst, rs.timing, ((before, after),), ((before, v), (v, after)),
+        weights, {v, *moved}, q_plus)
     return Schedule(q_plus, weights, path, length, timing)
 
 

@@ -132,8 +132,11 @@ def test_criterion_6_oracle_optimality_desk_scale():
         for algo in hits:
             # TS draws no random number: its seeds would repeat one run
             for seed in range(1 if algo == "ts" else 5):
+                # the cap ends a run that misses; every hit takes at most
+                # 11 (ILS), 3 (GRASP), 8 (TS) or 86 (SA) iterations
                 cfg = MetaConfig.calibrated(
                     algo, "reduced", time_budget=2.0, seed=seed,
+                    max_iterations=1000 if algo == "sa" else 100,
                     target_makespan=optimum,
                 )
                 record = run(inst, cfg)

@@ -259,6 +259,32 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
            "operation 2: assignment says machine 2, sequences say machine 1")
 
 
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        ({"assignment": {**FIG2A_ASSIGNMENT, "2": "1"}},
+         "operation 2's machine \"1\" is not an integer"),
+        ({"assignment": {**FIG2A_ASSIGNMENT, "2": 1.0}},
+         "operation 2's machine 1.0 is not an integer"),
+        ({"assignment": {**FIG2A_ASSIGNMENT, "2": True}},
+         "operation 2's machine true is not an integer"),
+        ({"assignment": FIG2A_ASSIGNMENT, "makespan": "658"},
+         "makespan \"658\" is not an integer"),
+    ],
+    ids=["machine-string", "machine-float", "machine-bool", "makespan-string"],
+)
+def test_validate_rejects_a_declared_value_that_is_not_an_integer(
+        instance_file, tmp_path, capsys, declared, message):
+    # each value equals or spells the right one, yet the file is not a
+    # schedule of integers
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"sequences": FIG2A_SEQUENCES,
+                                    **declared}))
+    err = _fails(["validate", "--instance", str(instance_file),
+                  "--solution", str(solution)], capsys, message)
+    assert err.startswith("error: ")
+
+
 def test_validate_reports_an_operation_the_assignment_lacks(
         instance_file, tmp_path, capsys):
     assignment = dict(FIG2A_ASSIGNMENT)

@@ -71,6 +71,26 @@ def test_rcl_alpha_out_of_range(fig1):
         construct_ect(fig1, rcl_alpha=-0.1)
 
 
+def test_rcl_alpha_needs_an_rng(fig1):
+    # without an RNG a restricted candidate list cannot be drawn from
+    for construct in (construct_est, construct_ect, best_of_est_ect):
+        with pytest.raises(ValueError, match="rcl_alpha 0.5 > 0 needs an rng"):
+            construct(fig1, rcl_alpha=0.5)
+
+
+def test_randomized_best_of_pair_builds_ect_first():
+    # one RNG serves both builds, ECT's draws first; EST is kept on ties
+    rng = random.Random(23)
+    for seed in range(40):
+        inst = random_instance(rng)
+        draws = random.Random(seed)
+        ect = construct_ect(inst, 0.5, draws)
+        est = construct_est(inst, 0.5, draws)
+        expected = ect if ect.makespan < est.makespan else est
+        best = best_of_est_ect(inst, 0.5, random.Random(seed))
+        assert best.key() == expected.key()
+
+
 def test_randomized_builds_are_feasible():
     rng = random.Random(17)
     for _ in range(30):

@@ -20,6 +20,7 @@ from flexshop import (
 
 from flexshop.metaheuristics import (
     ALGORITHMS,
+    CHECK_EVERY,
     SA_DELTA,
     SA_SWEEP,
     SA_T0_M,
@@ -260,6 +261,49 @@ def test_ts_ignores_its_seed():
                 a.stalled_iterations, a.schedule.key()) == (
             b.best_makespan, b.iterations, b.neighbors_evaluated,
             b.stalled_iterations, b.schedule.key())
+
+
+def _large_instance(seed: int):
+    rng = random.Random(seed)
+    while True:
+        inst = random_instance(rng, max_ops=60, max_machines=4)
+        if inst.num_operations >= 40:
+            return inst
+
+
+@pytest.mark.parametrize("algo, cap", [("ts", 3), ("sa", 60)])
+def test_clock_is_read_every_check_every_candidates(algo, cap, monkeypatch):
+    # once per outer iteration (the stop test) and once per CHECK_EVERY
+    # candidates, neither every candidate nor never
+    from flexshop.metaheuristics import _Run
+
+    calls = []
+    out_of_time = _Run.out_of_time
+    monkeypatch.setattr(_Run, "out_of_time",
+                        lambda self: calls.append(1) or out_of_time(self))
+    record = run(_large_instance(43),
+                 MetaConfig.calibrated(algo, max_iterations=cap, seed=2))
+    assert record.stop_reason == "iteration-cap"
+    assert record.neighbors_evaluated >= 2 * CHECK_EVERY
+    assert len(calls) == (record.iterations
+                          + record.neighbors_evaluated // CHECK_EVERY)
+
+
+@pytest.mark.parametrize("algo", ["ils", "grasp"])
+def test_descents_count_their_neighbors(algo, monkeypatch):
+    # a run's neighbors are those of its descents, one per iteration
+    import flexshop.metaheuristics
+
+    results = []
+    descend = flexshop.metaheuristics.local_search
+    monkeypatch.setattr(flexshop.metaheuristics, "local_search",
+                        lambda *args: results.append(descend(*args))
+                        or results[-1])
+    record = run(_large_instance(47),
+                 MetaConfig.calibrated(algo, max_iterations=3, seed=5))
+    assert record.iterations == len(results) == 3
+    assert record.neighbors_evaluated == sum(
+        r.neighbors_evaluated for r in results) > 0
 
 
 def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
