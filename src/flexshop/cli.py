@@ -82,6 +82,15 @@ def _method_pair(spec: str, records) -> tuple:
     return tuple(names)
 
 
+def _names(option: str, spec: str) -> list:
+    """The comma-separated names of ``--option``, each at most once."""
+    names = [name.strip() for name in spec.split(",")]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"--{option} names {name!r} more than once")
+    return names
+
+
 def _meta_config(args) -> MetaConfig:
     overrides = {
         "time_budget": args.time_limit,
@@ -113,7 +122,7 @@ def main(argv=None) -> int:
     p.add_argument("--rule", choices=("est", "ect", "best"), default="best")
     p.add_argument("--rcl-alpha", type=float, default=0.0,
                    help="restricted candidate list width in [0, 1] "
-                        "(est and ect only; 0 is greedy)")
+                        "(0 is greedy; rule best builds both with it)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the randomized pick, with --rcl-alpha > 0")
 
@@ -179,20 +188,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "construct":
-        if not 0 <= args.rcl_alpha <= 1:
-            raise ValueError(
-                f"rcl_alpha must lie in [0, 1], got {args.rcl_alpha}")
-        if args.rule == "best" and args.rcl_alpha:
-            raise ValueError(f"--rcl-alpha {args.rcl_alpha} needs --rule est "
-                             f"or ect: rule best is greedy")
         inst = _load(args)
-        rng = random.Random(args.seed) if args.rcl_alpha > 0 else None
-        if args.rule == "est":
-            sched = construct_est(inst, args.rcl_alpha, rng)
-        elif args.rule == "ect":
-            sched = construct_ect(inst, args.rcl_alpha, rng)
-        else:
-            sched = best_of_est_ect(inst)
+        rule = {"est": construct_est, "ect": construct_ect,
+                "best": best_of_est_ect}[args.rule]
+        sched = rule(inst, args.rcl_alpha, random.Random(args.seed))
         sys.stdout.write(schedule_to_json(inst, sched))
         return 0
 
@@ -229,19 +228,16 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bench":
-        paths = sorted(Path(args.instances).iterdir())
-        paths = [p for p in paths if p.is_file()]
+        configs = [
+            MetaConfig.calibrated(algo, mode, time_budget=args.time_limit,
+                                  max_iterations=args.iterations)
+            for algo in _names("algos", args.algos)
+            for mode in _names("neighborhoods", args.neighborhoods)
+        ]
+        paths = [p for p in sorted(Path(args.instances).iterdir())
+                 if p.is_file()]
         if not paths:
             raise ValueError(f"no instance files in {args.instances}")
-        configs = [
-            MetaConfig.calibrated(
-                algo.strip(), mode.strip(),
-                time_budget=args.time_limit,
-                max_iterations=args.iterations,
-            )
-            for algo in args.algos.split(",")
-            for mode in args.neighborhoods.split(",")
-        ]
         records = run_benchmark(
             paths, configs, runs=args.runs, seed_base=args.seed_base,
             fmt=args.format, learning_rate=args.alpha, workers=args.workers,

@@ -11,6 +11,7 @@ cap (for deterministic testing), or both.
 import math
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from .instance import Instance
@@ -137,7 +138,6 @@ class _Run:
         self.stalled = 0
         self.incumbent: Schedule | None = None
         self.time_to_best = 0.0
-        self.last_improved = self.started
         self.stop_reason = "budget"
 
     def elapsed(self) -> float:
@@ -165,7 +165,7 @@ class _Run:
             self.stop_reason = "budget"
             return True
         if (self.cfg.no_improve_limit is not None
-                and time.monotonic() - self.last_improved
+                and self.elapsed() - self.time_to_best
                 > self.cfg.no_improve_limit):
             self.stop_reason = "no-improvement"
             return True
@@ -183,7 +183,6 @@ class _Run:
         if self.incumbent is None or sched.makespan < self.incumbent.makespan:
             self.incumbent = sched
             self.time_to_best = self.elapsed()
-            self.last_improved = time.monotonic()
         if (self.cfg.target_makespan is not None
                 and self.incumbent.makespan <= self.cfg.target_makespan):
             self.stop_reason = "target"
@@ -259,7 +258,9 @@ def run_grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
 def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Tabu search over the configured neighborhood (``cfg.mode``).
 
-    The chosen move's (operation, machine) pair becomes tabu; a tabu move
+    The chosen move's (operation, machine) pair becomes the newest tabu
+    entry; the memory is a set of at most ``ts_list_size`` pairs ordered
+    oldest first, so a membership test costs O(1).  A tabu move
     is still admissible when it beats both the scan's best and the
     incumbent; a move that either lower bound rules out is not priced.  A
     scan with no admissible move evicts the oldest tabu entry and is
@@ -269,7 +270,7 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
-    tabu: list = []
+    tabu: OrderedDict = OrderedDict()  # (operation, machine), oldest first
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
         best: Move | None = None
@@ -284,22 +285,19 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
             if move.beats(cutoff):
                 best = move
         run.iterations += 1
-        if interrupted and best is None:
-            break
-        if best is None:
+        if best is not None:
+            chosen = (best.operation, best.machine)
+            tabu[chosen] = None
+            tabu.move_to_end(chosen)
+            if len(tabu) > t_max:
+                tabu.popitem(last=False)
+            current = best.schedule
+            if run.offer(current):
+                break
+        elif not interrupted:
             run.stalled += 1
             if tabu:
-                tabu.pop(0)
-            continue
-        chosen = (best.operation, best.machine)
-        if chosen in tabu:
-            tabu.remove(chosen)
-        tabu.append(chosen)
-        if len(tabu) > t_max:
-            tabu.pop(0)
-        current = best.schedule
-        if run.offer(current):
-            break
+                tabu.popitem(last=False)
         if interrupted:
             break
     return run.finish()
@@ -310,7 +308,10 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
 
     Each candidate is ``perturb``'s random slot, drawn in the same order
     and priced on the reduced graph as a ``Move``; its ``Schedule`` is
-    built only when it is accepted.
+    built only when it is accepted.  A candidate no worse than the current
+    schedule is always accepted, a worse one with probability
+    exp(-(gap / C) / T) for the current makespan C > 0, and never from
+    C = 0, which has no relative gap.
     """
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -322,21 +323,13 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
         for _ in range(SA_SWEEP):
             cand = _relocated(inst, *_draw(inst, current, run.rng))
             r = run.rng.random()
-            if current.makespan:
-                delta = (cand.makespan - current.makespan) / current.makespan
-                try:
-                    accept = math.exp(-delta / temperature) >= r
-                except OverflowError:
-                    accept = delta < 0
-            else:  # no relative gap from a zero makespan: keep only a zero
-                accept = not cand.makespan
-            if accept:
+            gap = cand.makespan - current.makespan
+            if gap <= 0 or (current.makespan and math.exp(
+                    -(gap / current.makespan) / temperature) >= r):
                 current = cand.schedule
-                if run.offer(current):
-                    stop = True
-                    break
-            if run.record_candidate():
-                stop = True
+                stop = run.offer(current)
+            stop = stop or run.record_candidate()
+            if stop:
                 break
         run.iterations += 1
         if stop:

@@ -5,8 +5,10 @@ grid of seeded, iteration-capped metaheuristic runs on a fixed set of
 seeded random instances, half of them with standard times in {1, 2} so
 that many paths tie.  The digests were frozen from the code before the
 scan derived each reduced graph from the current one; a speed-up of the
-neighbor evaluation must leave all three unchanged.  A deliberate change
-of behaviour updates them and says why.
+neighbor evaluation must leave all three unchanged.  A fourth digest,
+frozen while the tabu list was still a plain list, pins the order in
+which tabu search's memory evicts entries.  A deliberate change of
+behaviour updates them and says why.
 """
 
 import hashlib
@@ -37,6 +39,8 @@ FROZEN = {
         "102004698399d1a4e35cbcf14dca7c17515f87da973d930a705ce2733a78f35c",
     "runs":
         "217be7bc91b7b28ae8715f8987eb648e3071851b641d2d8a04b135da57607065",
+    "tabu":
+        "5abe37cfc37e4954b88c26ea232810681d728739c9c3a54925057b89536a0335",
 }
 
 
@@ -110,3 +114,23 @@ def test_capped_runs_are_unchanged(cases):
                            rec.neighbors_evaluated, rec.stalled_iterations,
                            rec.stop_reason, rec.schedule.key())
     assert _digest(lines()) == FROZEN["runs"]
+
+
+def test_tabu_memory_is_unchanged(cases):
+    """Capped tabu runs whose memory evicts entries.  Short lists
+    (``ts_factor`` 0.05 and 0.3, cap 40) overflow in 153 of 160 runs and
+    stall in 180 iterations; the default list over 150 iterations on the
+    first eight instances also re-chooses pairs that are still tabu,
+    which then become the newest entries."""
+    grid = [(0.05, 40, cases), (0.3, 40, cases), (0.9, 150, cases[:8])]
+
+    def lines():
+        for factor, cap, insts in grid:
+            for inst, _ in insts:
+                for mode in ("reduced", "cropped"):
+                    rec = run(inst, MetaConfig.calibrated(
+                        "ts", mode, ts_factor=factor, max_iterations=cap))
+                    yield (factor, mode, rec.best_makespan, rec.iterations,
+                           rec.neighbors_evaluated, rec.stalled_iterations,
+                           rec.schedule.key())
+    assert _digest(lines()) == FROZEN["tabu"]

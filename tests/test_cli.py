@@ -1,9 +1,13 @@
 import json
+import random
 
 import pytest
 
 from flexshop.cli import main
+from flexshop.constructive import best_of_est_ect
+from flexshop.graph import schedule_to_json
 from flexshop.harness import emit_results
+from flexshop.instance import parse_instance
 from flexshop.metaheuristics import RunRecord
 
 from conftest import FIG1_OPTIMUM, FIG1_TEXT
@@ -22,6 +26,17 @@ def test_construct(instance_file, capsys):
     assert set(payload) == {"assignment", "sequences", "start", "completion",
                             "makespan"}
     assert payload["makespan"] > 0
+
+
+def test_construct_best_with_rcl_alpha_is_grasps_first_start(
+        instance_file, capsys):
+    assert main(["construct", "--instance", str(instance_file), "--rule",
+                 "best", "--rcl-alpha", "0.5", "--seed", "1"]) == 0
+    inst = parse_instance(FIG1_TEXT)
+    first_start = best_of_est_ect(inst, 0.5, random.Random(1))
+    assert capsys.readouterr().out == schedule_to_json(inst, first_start)
+    # seed 1 draws a start that the greedy rule does not build
+    assert first_start.makespan != best_of_est_ect(inst).makespan
 
 
 def test_localsearch(instance_file, capsys):
@@ -312,15 +327,17 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "error: rcl_alpha must lie in [0, 1], got -0.5"),
         (["construct", "--instance", "{fig1}", "--rcl-alpha", "nan"],
          "error: rcl_alpha must lie in [0, 1], got nan"),
-        (["construct", "--instance", "{fig1}", "--rcl-alpha", "0.5",
-          "--seed", "2"],
-         "error: --rcl-alpha 0.5 needs --rule est or ect: rule best is "
-         "greedy"),
         (["solve", "--instance", "{fig1}", "--algo", "ils",
           "--perturb-min", "5", "--perturb-max", "2"],
          "error: need 1 <= ils_perturb_min <= ils_perturb_max"),
         (["bench", "--instances", "{dir}", "--algos", "bogus"],
          "error: unknown algorithm 'bogus'"),
+        # a repeated name is rejected before the directory is read
+        (["bench", "--instances", "{dir}/missing", "--algos", "ils, ts,ils"],
+         "error: --algos names 'ils' more than once"),
+        (["bench", "--instances", "{dir}/missing", "--neighborhoods",
+          "reduced,cropped,cropped"],
+         "error: --neighborhoods names 'cropped' more than once"),
         (["solve", "--instance", "{fig1}", "--algo", "ts",
           "--tabu-factor", "-1", "--iterations", "3"],
          "error: ts_factor must be finite and > 0, got -1.0"),
@@ -352,8 +369,8 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "error: limit must be >= 1, got -1"),
     ],
     ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
-         "rcl-alpha-best-nan", "rcl-alpha-best", "perturb-range",
-         "unknown-algo", "tabu-factor",
+         "rcl-alpha-best-nan", "perturb-range", "unknown-algo",
+         "repeated-algo", "repeated-neighborhood", "tabu-factor",
          "iterations", "time-limit", "no-improve", "localsearch-time-limit",
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
          "workers-0", "workers-negative", "oracle-limit-0",
