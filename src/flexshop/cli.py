@@ -208,7 +208,13 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         inst = _load(args)
-        record = run(inst, _meta_config(args))
+        cfg = _meta_config(args)
+        # a target alone may never be reached
+        if (cfg.time_budget, cfg.max_iterations,
+                cfg.no_improve_limit) == (None, None, None):
+            raise ValueError("solve needs a stop: --time-limit, "
+                             "--iterations or --no-improve")
+        record = run(inst, cfg)
         sys.stdout.write(schedule_to_json(inst, record.schedule))
         print(
             f"makespan {record.best_makespan} after {record.iterations} "

@@ -12,10 +12,16 @@ from the given RNG, from the restricted candidate list of pairs within an
 ``rcl_alpha`` fraction of the best; ``rcl_alpha > 0`` without an RNG is a
 ValueError.  With ``rcl_alpha == 0`` the pick is deterministic (first pair
 in ascending (operation, machine) order), regardless of the RNG.
+
+Each step reads the start and the adjusted time that the construction
+keeps for every ready (operation, machine) pair; a placement re-prices
+only the pairs on the machine it used.  ``best_of_est_ect`` compares the
+two constructions' makespans and builds only the kept one's ``Schedule``.
 """
 
 import bisect
 import random
+from operator import itemgetter
 
 from .instance import Instance
 from .learning import actual_time
@@ -23,59 +29,77 @@ from .graph import Schedule, build_schedule
 
 __all__ = ["construct_est", "construct_ect", "best_of_est_ect"]
 
+_OPERATION = itemgetter(0)
+
 
 class _State:
+    """A construction in progress.
+
+    ``pairs`` holds one entry ``[operation, machine, release, start, time]``
+    per (operation, machine) pair whose operation has every predecessor
+    placed, in ascending (operation, machine) order.  ``start`` is
+    ``max(release, machine release)`` and ``time`` the learning-adjusted
+    time at the machine's next position; a placement re-prices only the
+    entries on the machine it used.  ``makespan`` is the latest completion
+    placed.
+    """
+
     def __init__(self, inst: Instance):
         self.inst = inst
         self.preds = {op: inst.predecessors(op) for op in inst.operations}
         self.succs = {op: inst.successors(op) for op in inst.operations}
         self.waiting = {op: len(self.preds[op]) for op in inst.operations}
-        self.unscheduled = set(inst.operations)
         self.completion = {}
         self.machine_release = [0] * inst.num_machines
         self.next_position = [1] * inst.num_machines
         self.sequences = [[] for _ in range(inst.num_machines)]
-        self.ready = []  # operations with every predecessor placed, ascending
-        self.pairs = {}  # ready operation -> its (operation, machine, release)
+        self.makespan = 0
+        self.pairs = []
+        # on_machine[k - 1]: ready operation -> its entry on machine k
+        self.on_machine = [{} for _ in range(inst.num_machines)]
         for op in inst.operations:
             if not self.waiting[op]:
                 self._release(op)
 
+    def _price(self, entry):
+        """Set the entry's start and time on its machine as it stands."""
+        v, k, release, _, _ = entry
+        entry[3] = max(release, self.machine_release[k - 1])
+        entry[4] = actual_time(self.inst.std_time[(v, k)],
+                               self.next_position[k - 1],
+                               self.inst.learning_rate)
+
     def _release(self, v):
-        """Make ``v``, whose predecessors are all placed, ready."""
+        """Price the pairs of ``v``, whose predecessors are all placed."""
         release = max((self.completion[i] for i in self.preds[v]), default=0)
-        self.pairs[v] = [(v, k, release)
-                         for k in sorted(self.inst.eligible_machines(v))]
-        bisect.insort(self.ready, v)
+        entries = [[v, k, release, 0, 0]
+                   for k in sorted(self.inst.eligible_machines(v))]
+        for entry in entries:
+            self._price(entry)
+            self.on_machine[entry[1] - 1][v] = entry
+        at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
+        self.pairs[at:at] = entries
 
-    def ready_pairs(self):
-        """(operation, machine) pairs whose precedence predecessors are all
-        scheduled, with the operation's release time; ascending order."""
-        pairs = self.pairs
-        return [pair for v in self.ready for pair in pairs[v]]
-
-    def processing_time(self, v, k):
-        return actual_time(
-            self.inst.std_time[(v, k)],
-            self.next_position[k - 1],
-            self.inst.learning_rate,
-        )
-
-    def place(self, v, k, completion):
-        self.completion[v] = completion
-        self.machine_release[k - 1] = completion
-        self.next_position[k - 1] += 1
+    def place(self, entry):
+        """Append the entry's operation to its machine, at its start."""
+        v, k, _, start, time = entry
+        end = start + time
+        self.completion[v] = end
+        self.makespan = max(self.makespan, end)
         self.sequences[k - 1].append(v)
-        self.unscheduled.remove(v)
-        self.ready.remove(v)
-        del self.pairs[v]
+        machines = self.inst.eligible_machines(v)
+        for m in machines:
+            del self.on_machine[m - 1][v]
+        at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
+        del self.pairs[at:at + len(machines)]
+        self.machine_release[k - 1] = end
+        self.next_position[k - 1] += 1
+        for other in self.on_machine[k - 1].values():
+            self._price(other)
         for j in self.succs[v]:
             self.waiting[j] -= 1
             if not self.waiting[j]:
                 self._release(j)
-
-    def finish(self) -> Schedule:
-        return build_schedule(self.inst, self.sequences)
 
 
 def _check(rcl_alpha, rng):
@@ -89,47 +113,47 @@ def _pick(candidates, rcl_alpha, rng):
     return rng.choice(candidates) if rcl_alpha else candidates[0]
 
 
+def _est(pairs, rcl_alpha, rng):
+    """Among the pairs that start soonest, one whose time lies within an
+    ``rcl_alpha`` fraction of the shortest."""
+    r_min = min([entry[3] for entry in pairs])
+    earliest = [entry for entry in pairs if entry[3] == r_min]
+    times = [entry[4] for entry in earliest]
+    lo = min(times)
+    threshold = lo + rcl_alpha * (max(times) - lo)
+    rcl = [entry for entry in earliest if entry[4] <= threshold]
+    return _pick(rcl, rcl_alpha, rng)
+
+
+def _ect(pairs, rcl_alpha, rng):
+    """A pair whose completion lies within an ``rcl_alpha`` fraction of
+    the earliest."""
+    finish = [entry[3] + entry[4] for entry in pairs]
+    lo = min(finish)
+    threshold = lo + rcl_alpha * (max(finish) - lo)
+    rcl = [entry for entry, end in zip(pairs, finish) if end <= threshold]
+    return _pick(rcl, rcl_alpha, rng)
+
+
+def _construct(inst, rule, rcl_alpha, rng) -> _State:
+    """Place every operation by ``rule``."""
+    _check(rcl_alpha, rng)
+    state = _State(inst)
+    while state.pairs:
+        state.place(rule(state.pairs, rcl_alpha, rng))
+    return state
+
+
 def construct_est(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-starting-time constructive heuristic."""
-    _check(rcl_alpha, rng)
-    state = _State(inst)
-    while state.unscheduled:
-        pairs = state.ready_pairs()
-        r_min = min(max(rel, state.machine_release[k - 1]) for _, k, rel in pairs)
-        earliest = [
-            (v, k) for v, k, rel in pairs
-            if max(rel, state.machine_release[k - 1]) == r_min
-        ]
-        times = {pair: state.processing_time(*pair) for pair in earliest}
-        lo = min(times.values())
-        hi = max(times.values())
-        threshold = lo + rcl_alpha * (hi - lo)
-        rcl = [pair for pair in earliest if times[pair] <= threshold]
-        v, k = _pick(rcl, rcl_alpha, rng)
-        state.place(v, k, r_min + times[(v, k)])
-    return state.finish()
+    return build_schedule(inst, _construct(inst, _est, rcl_alpha, rng).sequences)
 
 
 def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-completion-time constructive heuristic."""
-    _check(rcl_alpha, rng)
-    state = _State(inst)
-    while state.unscheduled:
-        pairs = state.ready_pairs()
-        finish = {
-            (v, k): max(rel, state.machine_release[k - 1])
-            + state.processing_time(v, k)
-            for v, k, rel in pairs
-        }
-        lo = min(finish.values())
-        hi = max(finish.values())
-        threshold = lo + rcl_alpha * (hi - lo)
-        rcl = [pair for pair in finish if finish[pair] <= threshold]
-        v, k = _pick(rcl, rcl_alpha, rng)
-        state.place(v, k, finish[(v, k)])
-    return state.finish()
+    return build_schedule(inst, _construct(inst, _ect, rcl_alpha, rng).sequences)
 
 
 def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
@@ -137,8 +161,10 @@ def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
     """Better of the ECT and EST constructions, both built with
     ``rcl_alpha`` and ``rng`` (greedy by default), ECT first.
 
-    ECT is compared first with a strict `<`, so EST is kept on ties.
+    ECT is compared first with a strict `<`, so EST is kept on ties.  Only
+    the kept construction becomes a Schedule.
     """
-    ect = construct_ect(inst, rcl_alpha, rng)
-    est = construct_est(inst, rcl_alpha, rng)
-    return ect if ect.makespan < est.makespan else est
+    ect = _construct(inst, _ect, rcl_alpha, rng)
+    est = _construct(inst, _est, rcl_alpha, rng)
+    kept = ect if ect.makespan < est.makespan else est
+    return build_schedule(inst, kept.sequences)

@@ -203,8 +203,11 @@ def wilcoxon(pairs) -> WilcoxonOutcome:
     Zero differences are dropped; absolute differences are ranked
     ascending with mid-ranks on ties.  The statistic ``W = R+ - R-`` is
     normalized by ``sqrt(N(N+1)(2N+1)/6)`` and the two-tailed p-value
-    comes from the normal approximation.
+    comes from the normal approximation.  No pairs, or only zero
+    differences, leave the test undefined: a ValueError.
     """
+    if not pairs:
+        raise ValueError("no paired values; the test is undefined")
     diffs = [c2 - c1 for c1, c2 in pairs if c2 != c1]
     n = len(diffs)
     if n == 0:

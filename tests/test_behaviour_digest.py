@@ -7,7 +7,9 @@ that many paths tie.  The digests were frozen from the code before the
 scan derived each reduced graph from the current one; a speed-up of the
 neighbor evaluation must leave all three unchanged.  A fourth digest,
 frozen while the tabu list was still a plain list, pins the order in
-which tabu search's memory evicts entries.  A deliberate change of
+which tabu search's memory evicts entries.  A fifth digest, frozen
+before construction cached its (operation, machine) prices, pins every
+greedy and randomized constructive start.  A deliberate change of
 behaviour updates them and says why.
 """
 
@@ -17,9 +19,12 @@ import random
 import pytest
 
 from flexshop import (
+    Instance,
     LocalSearchConfig,
     MetaConfig,
     best_of_est_ect,
+    construct_ect,
+    construct_est,
     enumerate_neighbors,
     local_search,
     perturb,
@@ -41,7 +46,12 @@ FROZEN = {
         "217be7bc91b7b28ae8715f8987eb648e3071851b641d2d8a04b135da57607065",
     "tabu":
         "5abe37cfc37e4954b88c26ea232810681d728739c9c3a54925057b89536a0335",
+    "constructions":
+        "b402025d9e866f0b75c5a79496ad3e885795afeea2a2e36a1a8ca1c71af023ac",
 }
+
+# restricted candidate list widths: GRASP's calibrations and the widest
+RCL_ALPHAS = (0.38, 0.59, 1.0)
 
 
 def _instances():
@@ -134,3 +144,55 @@ def test_tabu_memory_is_unchanged(cases):
                            rec.neighbors_evaluated, rec.stalled_iterations,
                            rec.schedule.key())
     assert _digest(lines()) == FROZEN["tabu"]
+
+
+def _large_instances():
+    """Seeded instances at n = 60-150: a random DAG of short arcs (each
+    ``i -> j`` with ``j <= i + 6`` drawn with probability 0.3) and jobs
+    that form one chain each, half with standard times in {1, 2}."""
+    rng = random.Random(20261019)
+    out = []
+    for index, n in enumerate((60, 90, 120, 150)):
+        for layout in ("dag", "chain"):
+            m = rng.randint(4, 10)
+            max_time = 2 if index % 2 else 99
+            eligible = tuple(
+                tuple(sorted(rng.sample(range(1, m + 1), rng.randint(1, 3))))
+                for _ in range(n))
+            std_time = {(op, k): rng.randint(1, max_time)
+                        for op in range(1, n + 1) for k in eligible[op - 1]}
+            if layout == "dag":
+                arcs = {(i, j) for i in range(1, n + 1)
+                        for j in range(i + 1, min(n, i + 6) + 1)
+                        if rng.random() < 0.3}
+            else:
+                arcs, first = set(), 1
+                while first <= n:
+                    last = min(n, first + rng.randint(2, 9))
+                    arcs.update((i, i + 1) for i in range(first, last))
+                    first = last + 1
+            out.append(Instance(n, m, eligible, std_time, frozenset(arcs),
+                                rng.choice((0.1, 0.2, 0.3)),
+                                f"{layout}-{n}x{m}"))
+    return out
+
+
+def test_constructions_are_unchanged():
+    """Every rule, greedy and over three RCL widths with three seeds each,
+    on the digest's instances and on larger DAGs and chains: the machine
+    sequences, the makespan and the RNG's next draw after the build."""
+    insts = [inst for inst, _ in _instances()] + _large_instances()
+    rules = (construct_est, construct_ect, best_of_est_ect)
+
+    def lines():
+        for index, inst in enumerate(insts):
+            for rule in rules:
+                grid = [(0.0, index)] + [(alpha, index + 1000 * s)
+                                         for alpha in RCL_ALPHAS
+                                         for s in range(1, 4)]
+                for alpha, seed in grid:
+                    rng = random.Random(seed)
+                    sched = rule(inst, alpha, rng)
+                    yield (rule.__name__, alpha, sched.sequences,
+                           sched.makespan, rng.random())
+    assert _digest(lines()) == FROZEN["constructions"]

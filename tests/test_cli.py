@@ -154,6 +154,19 @@ def test_stats_wilcoxon_rejects_bad_pair(paired_results, capsys, spec,
            capsys, message)
 
 
+def test_stats_wilcoxon_without_shared_instances(tmp_path, capsys):
+    # a runs only on i0 and i1, b only on i2 and i3: nothing is paired
+    records = [RunRecord(f"i{i}", "ab"[i // 2], 0, 100 + i, 0.0, 0.0, 1, 1,
+                         0, "iteration-cap") for i in range(4)]
+    out = tmp_path / "results.csv"
+    emit_results(records, path=out)
+    assert main(["stats", "--in", str(out), "--wilcoxon", "a,b"]) == 0
+    assert json.loads(capsys.readouterr().out)["wilcoxon"] == {
+        "methods": ["a", "b"],
+        "error": "no paired values; the test is undefined",
+    }
+
+
 def test_bench_json_output(instance_file, tmp_path, capsys):
     out = tmp_path / "results.json"
     assert main(["bench", "--instances", str(instance_file.parent),
@@ -367,6 +380,11 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "error: limit must be >= 1, got 0"),
         (["oracle", "--instance", "{fig1}", "--limit", "-1"],
          "error: limit must be >= 1, got -1"),
+        (["solve", "--instance", "{fig1}", "--algo", "ils"],
+         "error: solve needs a stop: --time-limit, --iterations or "
+         "--no-improve"),
+        (["solve", "--instance", "{fig1}", "--algo", "sa", "--target", "453"],
+         "error: solve needs a stop"),
     ],
     ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
          "rcl-alpha-best-nan", "perturb-range", "unknown-algo",
@@ -374,7 +392,7 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "iterations", "time-limit", "no-improve", "localsearch-time-limit",
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
          "workers-0", "workers-negative", "oracle-limit-0",
-         "oracle-limit-negative"],
+         "oracle-limit-negative", "solve-no-stop", "solve-target-only"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):

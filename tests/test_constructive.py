@@ -3,7 +3,9 @@ import random
 import pytest
 
 from flexshop import (
+    actual_time,
     best_of_est_ect,
+    build_schedule,
     construct_ect,
     construct_est,
     parse_instance,
@@ -118,28 +120,44 @@ def test_best_of_pair_takes_the_minimum():
 
 
 def test_ready_pairs_match_a_full_scan():
-    """The kept ready set yields, at every placement, the pairs a scan of
-    every unscheduled operation gives: same pairs, order and releases."""
+    """At every placement the kept ready pairs are those a scan of every
+    unplaced operation gives, in the same order and with the same
+    releases; each pair's start and time equal max(release, machine
+    release) and the learning-adjusted time at the machine's next
+    position, recomputed from the placements; the running makespan is
+    the latest completion and, at the end, the built schedule's."""
     from flexshop.constructive import _State
 
     rng = random.Random(29)
     steps = 0
     for case in range(40):
         inst = random_instance(rng, max_ops=14, max_machines=4,
-                               arc_prob=(0.0, 0.2, 0.5)[case % 3])
+                               arc_prob=(0.0, 0.2, 0.5)[case % 3],
+                               max_time=2 if case % 2 else 10)
         state = _State(inst)
-        while state.unscheduled:
+        done = {}  # placed operation -> its completion
+        sequences = [[] for _ in inst.machines]
+        while len(done) < inst.num_operations:
             want = []
-            for v in sorted(state.unscheduled):
+            for v in inst.operations:
                 preds = inst.predecessors(v)
-                if any(i in state.unscheduled for i in preds):
+                if v in done or any(i not in done for i in preds):
                     continue
-                release = max((state.completion[i] for i in preds), default=0)
-                want += [(v, k, release) for k in sorted(inst.eligible_machines(v))]
-            pairs = state.ready_pairs()
-            assert pairs == want
-            v, k, release = rng.choice(pairs)
-            start = max(release, state.machine_release[k - 1])
-            state.place(v, k, start + state.processing_time(v, k))
+                release = max((done[i] for i in preds), default=0)
+                for k in sorted(inst.eligible_machines(v)):
+                    seq = sequences[k - 1]
+                    free = done[seq[-1]] if seq else 0
+                    time = actual_time(inst.std_time[(v, k)], len(seq) + 1,
+                                       inst.learning_rate)
+                    want.append([v, k, release, max(release, free), time])
+            assert state.pairs == want
+            index = rng.randrange(len(want))
+            v, k, _, start, time = want[index]
+            state.place(state.pairs[index])
+            done[v] = start + time
+            sequences[k - 1].append(v)
+            assert state.makespan == max(done.values())
             steps += 1
+        assert not state.pairs and state.sequences == sequences
+        assert state.makespan == build_schedule(inst, sequences).makespan
     assert steps > 200

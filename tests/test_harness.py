@@ -65,6 +65,11 @@ def test_wilcoxon_all_zero_raises():
         wilcoxon([(5, 5), (7, 7)])
 
 
+def test_wilcoxon_without_pairs_says_so():
+    with pytest.raises(ValueError, match="^no paired values"):
+        wilcoxon([])
+
+
 def test_gap_stats_two_methods():
     records = [
         _record("a", "m1", 0, 100),
