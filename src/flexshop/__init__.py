@@ -35,16 +35,7 @@ from .moves import (
 )
 from .local_search import LocalSearchConfig, LocalSearchResult, local_search
 from .constructive import best_of_est_ect, construct_ect, construct_est
-from .metaheuristics import (
-    MetaConfig,
-    RunRecord,
-    perturb,
-    run,
-    run_grasp,
-    run_ils,
-    run_sa,
-    run_ts,
-)
+from .metaheuristics import MetaConfig, RunRecord, perturb, run
 from .oracle import OracleLimitError, OracleResult, solve_exhaustive
 from .harness import emit_results, gap_stats, run_benchmark, wilcoxon
 

@@ -105,7 +105,8 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     Seeds are ``seed_base + run_index``.  Each instance file is parsed
     once and the parsed instance is handed to its runs.  Unreadable
     instances and runs that raise produce a failed record (stop_reason
-    ``error: ...``) and the batch continues.
+    ``error: ...``) and the batch continues.  Every record returned, the
+    failed ones included, is passed to ``sink`` in the same order.
     ``workers > 1`` dispatches runs over a process pool; oversubscription
     beyond the CPUs this process may run on is refused so per-run
     wall-clock budgets stay honest.
@@ -138,9 +139,9 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
             results = list(pool.map(_one_run, jobs))
     else:
         results = [_one_run(job) for job in jobs]
-    for record in results:
-        records.append(record)
-        if sink is not None:
+    records.extend(results)
+    if sink is not None:
+        for record in records:
             sink(record)
     return records
 

@@ -3,11 +3,12 @@
 Six variants: {full, reduced, cropped} neighborhood x {best, first}
 improvement.  Best improvement scans the whole neighborhood and keeps the
 first-encountered strict minimum; first improvement accepts the first
-strictly improving neighbor and restarts the scan.  A neighbor counts only
-if it beats a cutoff: the best improving makespan found so far in the scan,
-or the current one.  Its two lower bounds are tested first
-(``Move.beats``), so a neighbor that either rules out is never priced; a
-Schedule is built only for the move that is applied.
+strictly improving neighbor and restarts the scan.  Both choose with
+``moves.best_neighbor``, as tabu search does: a neighbor counts only if it
+beats a cutoff, the best improving makespan found so far in the scan or
+the current one.  Its two lower bounds are tested first (``Move.beats``),
+so a neighbor that either rules out is never priced; a Schedule is built
+only for the move that is applied.
 """
 
 import time
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .instance import Instance
 from .graph import Schedule
-from .moves import NEIGHBORHOOD_MODES, enumerate_neighbors
+from .moves import NEIGHBORHOOD_MODES, best_neighbor
 
 __all__ = ["LocalSearchConfig", "LocalSearchResult", "local_search"]
 
@@ -58,7 +59,8 @@ def local_search(inst: Instance, start: Schedule,
 
     The result is monotone (makespan never increases) and deterministic:
     ties among equally good neighbors break by scan order.  With a time
-    budget, a scan may be abandoned mid-neighborhood; the best improving
+    budget the clock is read before each neighbor and after each applied
+    move; a scan may be abandoned mid-neighborhood, and the best improving
     move found so far, if any, is still applied.  Each scan derives its
     removals from the timing its schedule carries.
     """
@@ -67,24 +69,24 @@ def local_search(inst: Instance, start: Schedule,
         deadline = time.monotonic() + cfg.time_budget
     current = start
     result = LocalSearchResult(current, 0, 0, [current.key()])
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
+    def stop() -> bool:
+        result.neighbors_evaluated += 1
+        return out_of_time()
+
     while True:
-        best = None
-        cutoff = current.makespan
-        for move in enumerate_neighbors(inst, current, cfg.mode):
-            result.neighbors_evaluated += 1
-            if move.beats(cutoff):
-                best = move
-                cutoff = move.makespan
-                if cfg.strategy == "first":
-                    break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
+        best, _ = best_neighbor(inst, current, cfg.mode,
+                                lambda move: current.makespan, stop,
+                                cfg.strategy == "first")
         if best is None:
             break
         current = best.schedule
         result.iterations += 1
         result.trajectory.append(current.key())
-        if deadline is not None and time.monotonic() >= deadline:
+        if out_of_time():
             break
     result.schedule = current
     return result

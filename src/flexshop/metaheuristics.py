@@ -2,8 +2,9 @@
 
 All four start from the better of the two constructive heuristics
 (``best_of_est_ect``; GRASP's are randomized) and share the remove/insert
-move machinery.  A run's bookkeeping lives in ``_Run``: its one seeded
-RNG, the descent that ILS and GRASP embed, the candidate clock, the
+move machinery.  ``run`` is the one entry: it dispatches on the
+configuration's ``algo``.  A run's bookkeeping lives in ``_Run``: its one
+seeded RNG, the descent that ILS and GRASP embed, the candidate clock, the
 incumbent and the stop.  Budgets can be wall-clock seconds, an iteration
 cap (for deterministic testing), or both.
 """
@@ -16,15 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .instance import Instance
 from .graph import Schedule
-from .moves import (
-    NEIGHBORHOOD_MODES,
-    Move,
-    _build_insertion,
-    _relocated,
-    enumerate_neighbors,
-    feasible_window,
-    remove_op,
-)
+from .moves import NEIGHBORHOOD_MODES, best_neighbor, random_relocation
 from .local_search import LocalSearchConfig, check_seconds, local_search
 from .constructive import best_of_est_ect
 
@@ -34,10 +27,6 @@ __all__ = [
     "RunRecord",
     "perturb",
     "run",
-    "run_ils",
-    "run_grasp",
-    "run_ts",
-    "run_sa",
 ]
 
 ALGORITHMS = ("ils", "grasp", "ts", "sa")
@@ -74,7 +63,9 @@ class MetaConfig:
     grasp_alpha: float = 0.38
     ts_factor: float = 0.9
     target_makespan: int | None = None  # stop once the incumbent reaches it
-    no_improve_limit: float | None = None  # seconds; opt-in secondary stop
+    # seconds; opt-in secondary stop.  ILS and GRASP test it only between
+    # descents, which report their improvements when they end
+    no_improve_limit: float | None = None
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -208,25 +199,12 @@ class _Run:
 
 
 def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
-    """Relocate one random operation: the operation is drawn uniformly,
-    then one of its eligible machines uniformly, then a position uniformly
-    within that machine's cycle-free window.  Only the cycle bounds
-    constrain the slot; the longest-path reduction is not applied."""
-    return _build_insertion(inst, *_draw(inst, sched, rng))
+    """Relocate one random operation (``random_relocation``) and build the
+    result at once."""
+    return random_relocation(inst, sched, rng).schedule
 
 
-def _draw(inst: Instance, sched: Schedule, rng: random.Random) -> tuple:
-    """``perturb``'s random slot ``(rs, k, gamma)``, drawn in its order:
-    operation, machine, a position of the window."""
-    v = rng.randint(1, inst.num_operations)
-    rs = remove_op(inst, sched, v)
-    machines = sorted(inst.eligible_machines(v))
-    k = machines[rng.randrange(len(machines))]
-    window = feasible_window(rs, k, reduction_active=False, c_max=0)
-    return rs, k, rng.randint(window.lower + 1, window.upper)
-
-
-def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
+def _ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Iterated local search: descend, perturb the local optimum, repeat."""
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -242,7 +220,7 @@ def run_ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
     return run.finish()
 
 
-def run_grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
+def _grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """GRASP: randomized construction plus local search, best kept.
 
     At least one iteration always runs so the incumbent is well defined.
@@ -255,16 +233,16 @@ def run_grasp(inst: Instance, cfg: MetaConfig) -> RunRecord:
     return run.finish()
 
 
-def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
+def _ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Tabu search over the configured neighborhood (``cfg.mode``).
 
     The chosen move's (operation, machine) pair becomes the newest tabu
     entry; the memory is a set of at most ``ts_list_size`` pairs ordered
-    oldest first, so a membership test costs O(1).  A tabu move
-    is still admissible when it beats both the scan's best and the
-    incumbent; a move that either lower bound rules out is not priced.  A
-    scan with no admissible move evicts the oldest tabu entry and is
-    counted as stalled.
+    oldest first, so a membership test costs O(1).  Each scan chooses with
+    ``best_neighbor``: a tabu move is still admissible when it beats both
+    the scan's best and the incumbent, and a move that either lower bound
+    rules out is not priced.  A scan with no admissible move evicts the
+    oldest tabu entry and is counted as stalled.
     """
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -273,17 +251,11 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
     tabu: OrderedDict = OrderedDict()  # (operation, machine), oldest first
     t_max = cfg.ts_list_size(inst)
     while not run.exhausted():
-        best: Move | None = None
-        interrupted = False
-        for move in enumerate_neighbors(inst, current, cfg.mode):
-            if run.record_candidate():
-                interrupted = True
-                break
-            cutoff = math.inf if best is None else best.makespan
-            if (move.operation, move.machine) in tabu:
-                cutoff = min(cutoff, run.incumbent.makespan)
-            if move.beats(cutoff):
-                best = move
+        best, cut = best_neighbor(
+            inst, current, cfg.mode,
+            lambda m: (run.incumbent.makespan
+                       if (m.operation, m.machine) in tabu else math.inf),
+            run.record_candidate)
         run.iterations += 1
         if best is not None:
             chosen = (best.operation, best.machine)
@@ -294,24 +266,23 @@ def run_ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
             current = best.schedule
             if run.offer(current):
                 break
-        elif not interrupted:
+        elif not cut:
             run.stalled += 1
             if tabu:
                 tabu.popitem(last=False)
-        if interrupted:
+        if cut:
             break
     return run.finish()
 
 
-def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
+def _sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Simulated annealing with geometric cooling on the relative gap.
 
-    Each candidate is ``perturb``'s random slot, drawn in the same order
-    and priced on the reduced graph as a ``Move``; its ``Schedule`` is
-    built only when it is accepted.  A candidate no worse than the current
-    schedule is always accepted, a worse one with probability
-    exp(-(gap / C) / T) for the current makespan C > 0, and never from
-    C = 0, which has no relative gap.
+    Each candidate is a ``random_relocation``, as ``perturb``'s, priced on
+    the reduced graph; its ``Schedule`` is built only when it is accepted.
+    A candidate no worse than the current schedule is always accepted, a
+    worse one with probability exp(-(gap / C) / T) for the current
+    makespan C > 0, and never from C = 0, which has no relative gap.
     """
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
@@ -321,7 +292,7 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = _relocated(inst, *_draw(inst, current, run.rng))
+            cand = random_relocation(inst, current, run.rng)
             r = run.rng.random()
             gap = cand.makespan - current.makespan
             if gap <= 0 or (current.makespan and math.exp(
@@ -338,9 +309,9 @@ def run_sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     return run.finish()
 
 
-_RUNNERS = {"ils": run_ils, "grasp": run_grasp, "ts": run_ts, "sa": run_sa}
+_RUNNERS = {"ils": _ils, "grasp": _grasp, "ts": _ts, "sa": _sa}
 
 
 def run(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Dispatch to the configured metaheuristic."""
+    """Run the metaheuristic that ``cfg.algo`` names on ``inst``."""
     return _RUNNERS[cfg.algo](inst, cfg)

@@ -70,9 +70,11 @@ The neighbor's ``Schedule`` is built on demand, for the move a search
 applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
 next scan or removal, and is stripped from every ``RunRecord``.  Outside a
 scan ``insert_op`` checks a slot and builds it the same way, without a
-``Move``; only SA's drawn candidate is a ``Move``, priced before it is built.
+``Move``; ``random_relocation`` draws a slot as a ``Move``.  Local search
+and tabu search choose among the scanned moves with ``best_neighbor``.
 """
 
+import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -98,6 +100,8 @@ __all__ = [
     "feasible_window",
     "insert_op",
     "enumerate_neighbors",
+    "best_neighbor",
+    "random_relocation",
     "NEIGHBORHOOD_MODES",
 ]
 
@@ -151,21 +155,22 @@ class Move:
     ``bound`` is a lower bound on the makespan, known at once.  ``makespan``
     is exact and priced from the reduced state ``rs`` on first access;
     ``later[i]`` is the time of the target machine's ``i``-th operation one
-    position further back.  A scanned move also has ``tails`` for
+    position further back, worked out then when it is None.  A scanned
+    move also has ``tails`` for
     ``head_tail_bound``: the scan's ``_ScanTable``, the largest tail in G
     among the operation's successors in G⁻, and ``drop[i]``, what the
     target machine's operations from index ``i`` on lose by moving one
     position later.  ``schedule`` is built from ``rs`` on first access.
-    The one move made outside a scan is SA's candidate (``_relocated``):
-    it has no ``tails`` and is read only for ``makespan`` and ``schedule``.
+    A move made outside a scan (``random_relocation``) has no ``tails``
+    and is read only for ``makespan`` and ``schedule``.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
                  "_rs", "_later", "_tails", "_time", "_makespan", "_schedule")
 
     def __init__(self, operation: int, machine: int, position: int,
-                 bound: int, inst: Instance, rs: ReducedState, later: list,
-                 tails: tuple | None = None):
+                 bound: int, inst: Instance, rs: ReducedState,
+                 later: list | None, tails: tuple | None = None):
         self.operation = operation
         self.machine = machine
         self.position = position
@@ -203,11 +208,12 @@ class Move:
     @property
     def makespan(self) -> int:
         if self._makespan is None:
-            rs, gamma = self._rs, self.position
+            rs, k = self._rs, self.machine
+            seq = rs.q_minus[k - 1]
+            if self._later is None:
+                self._later = _times(self._inst, seq, k, 2)
             self._makespan = _insertion_makespan(
-                rs, rs.q_minus[self.machine - 1], self._later, gamma,
-                self._time_v()
-            )
+                rs, seq, self._later, self.position, self._time_v())
         return self._makespan
 
     def _time_v(self) -> int:
@@ -501,11 +507,19 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     return _build_insertion(inst, rs, k, gamma)
 
 
-def _relocated(inst: Instance, rs: ReducedState, k: int, gamma: int) -> Move:
-    """SA's candidate: the move to a slot drawn from the cycle-free window of
-    an eligible machine, unchecked, with the trivial lower bound 0."""
-    return Move(rs.removed, k, gamma, 0, inst, rs,
-                _times(inst, rs.q_minus[k - 1], k, 2))
+def random_relocation(inst: Instance, sched: Schedule,
+                      rng: random.Random) -> Move:
+    """A random relocation with the trivial lower bound 0: an operation,
+    one of its eligible machines and a position of that machine's
+    cycle-free window, each drawn uniformly in that order.  The slot needs
+    no further check; the longest-path reduction is not applied."""
+    v = rng.randint(1, inst.num_operations)
+    rs = remove_op(inst, sched, v)
+    machines = sorted(inst.eligible_machines(v))
+    k = machines[rng.randrange(len(machines))]
+    window = feasible_window(rs, k, reduction_active=False, c_max=0)
+    return Move(v, k, rng.randint(window.lower + 1, window.upper), 0, inst,
+                rs, None)
 
 
 def _build_insertion(inst: Instance, rs: ReducedState, k: int,
@@ -684,3 +698,22 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
             for gamma in window.positions:
                 yield Move(v, k, gamma, rs.xi - loss[gamma - 1], inst, rs,
                            later, tails)
+
+
+def best_neighbor(inst: Instance, sched: Schedule, mode: str,
+                  ceiling: Callable, stop: Callable,
+                  first: bool = False) -> tuple:
+    """``(move, cut)``: the first neighbor in scan order whose makespan is
+    the smallest below ``ceiling(move)`` (None if none is), and whether
+    ``stop()``, asked before each neighbor, cut the scan short.  A move
+    that either lower bound rules out is not priced (``Move.beats``); with
+    ``first`` the scan ends at the first move that counts."""
+    best, least = None, float("inf")
+    for move in enumerate_neighbors(inst, sched, mode):
+        if stop():
+            return best, True
+        if move.beats(min(ceiling(move), least)):
+            best, least = move, move.makespan
+            if first:
+                break
+    return best, False

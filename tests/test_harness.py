@@ -304,6 +304,21 @@ def test_run_benchmark_sink_sees_every_record(tmp_path):
     assert len(seen) == len(records) == 3
 
 
+def test_run_benchmark_sink_sees_load_failures(tmp_path):
+    # an unreadable file's failed record reaches the sink like a run's
+    good = tmp_path / "fig1.txt"
+    good.write_text(FIG1_TEXT)
+    bad = tmp_path / "broken.txt"
+    bad.write_text("not an instance")
+    seen = []
+    records = run_benchmark([bad, good], [MetaConfig(max_iterations=1)],
+                            runs=1, sink=seen.append)
+    assert len(records) == 2
+    assert seen == records
+    assert seen[0].instance_id == "broken"
+    assert seen[0].stop_reason.startswith("error:")
+
+
 def test_run_benchmark_parses_each_instance_once(tmp_path, monkeypatch):
     paths = []
     for name in ("a", "b"):

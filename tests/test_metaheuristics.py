@@ -11,14 +11,14 @@ from flexshop import (
     parse_instance,
     perturb,
     run,
-    run_grasp,
-    run_ils,
-    run_sa,
-    run_ts,
     validate_schedule,
 )
 
 from flexshop.metaheuristics import (
+    _grasp as run_grasp,
+    _ils as run_ils,
+    _sa as run_sa,
+    _ts as run_ts,
     ALGORITHMS,
     CHECK_EVERY,
     SA_DELTA,
@@ -136,9 +136,9 @@ def test_perturb_fuzz_keeps_feasibility():
             assert validate_schedule(inst, sched) == []
 
 
-def test_perturb_makes_no_move(monkeypatch):
-    """A perturbation builds its drawn slot directly: it makes no Move and
-    prices nothing."""
+def test_perturb_prices_nothing(monkeypatch):
+    """A perturbation builds the one Move that ``random_relocation`` draws
+    and prices nothing."""
     import flexshop.moves
 
     made, priced = [], []
@@ -156,7 +156,7 @@ def test_perturb_makes_no_move(monkeypatch):
         for _ in range(4):
             sched = perturb(inst, sched, rng)
             assert sched == build_schedule(inst, sched.sequences)
-    assert made == [] and priced == []
+    assert len(made) == 5 * 4 and priced == []
 
 
 @pytest.mark.parametrize("algo", ["ils", "grasp", "ts", "sa"])

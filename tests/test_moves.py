@@ -164,7 +164,7 @@ def test_insert_checks_operation_then_window_then_machine(v, k, gamma, error,
 def test_perturb_builds_the_checked_insertion_of_its_draw():
     # the drawn slot passes insert_op's checks, and perturb builds what
     # insert_op builds there, with the same random draws
-    from flexshop.metaheuristics import _draw
+    from flexshop.moves import random_relocation
 
     rng = random.Random(37)
     for _ in range(20):
@@ -172,7 +172,8 @@ def test_perturb_builds_the_checked_insertion_of_its_draw():
         sched = best_of_est_ect(inst)
         for _ in range(3):
             state = rng.getstate()
-            rs, k, gamma = _draw(inst, sched, rng)
+            move = random_relocation(inst, sched, rng)
+            rs, k, gamma = move._rs, move.machine, move.position
             checked = insert_op(inst, rs, rs.removed, k, gamma)
             after = rng.getstate()
             rng.setstate(state)
@@ -184,16 +185,15 @@ def test_perturb_builds_the_checked_insertion_of_its_draw():
 
 
 def test_sa_candidate_prices_what_it_builds():
-    from flexshop.metaheuristics import _draw
-    from flexshop.moves import _relocated
+    from flexshop.moves import random_relocation
 
     rng = random.Random(41)
     for _ in range(20):
         inst = random_instance(rng)
         sched = best_of_est_ect(inst)
         for _ in range(3):
-            rs, k, gamma = _draw(inst, sched, rng)
-            move = _relocated(inst, rs, k, gamma)
+            move = random_relocation(inst, sched, rng)
+            rs, k, gamma = move._rs, move.machine, move.position
             built = insert_op(inst, rs, rs.removed, k, gamma)
             assert move.makespan == built.makespan
             assert move.schedule == built
@@ -356,8 +356,7 @@ def test_searched_windows_match_reach_sets():
     operation DAG and chain instances and of tie-heavy small ones, after
     a few of SA's drawn moves, every machine's window, the removed
     operation's own included, is the one that v's reach sets in G⁻ give."""
-    from flexshop.metaheuristics import _draw
-    from flexshop.moves import _relocated
+    from flexshop.moves import random_relocation
 
     rng = random.Random(1711)
     cases = [_large_instance(rng, layout) for layout in ("dag", "chain") * 2]
@@ -367,7 +366,7 @@ def test_searched_windows_match_reach_sets():
     for inst in cases:
         sched = best_of_est_ect(inst)
         for _ in range(rng.randint(1, 3)):
-            sched = _relocated(inst, *_draw(inst, sched, rng)).schedule
+            sched = random_relocation(inst, sched, rng).schedule
         for v in inst.operations:
             rs = remove_op(inst, sched, v)
             rebuilt += rs.timing.rank is not sched.timing.rank
@@ -518,7 +517,6 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
     perturbations that carry each built timing to the next removal; the
     order kept, reordered and timed-from-scratch builds all occur."""
     import flexshop.moves
-    from flexshop.metaheuristics import _draw
 
     rebuilds = []
     time_from_scratch = flexshop.moves.time_graph
@@ -556,8 +554,7 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
                 assert sched == build_schedule(inst, sched.sequences)
                 continue
             if step == "sa":
-                moves = [flexshop.moves._relocated(inst,
-                                                   *_draw(inst, sched, rng))]
+                moves = [flexshop.moves.random_relocation(inst, sched, rng)]
             else:
                 moves = list(enumerate_neighbors(inst, sched, step))
             for move in moves:

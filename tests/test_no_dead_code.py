@@ -6,7 +6,9 @@ the solver; this test names it.  A definition counts as used when a
 statement other than itself, in any module of the package, refers to its
 name: as a name, an attribute or an imported alias.  An import counts as
 used when its module refers to the name it binds, or lists it in
-``__all__``; ``__init__.py`` imports to re-export and is left out.
+``__all__``; ``__init__.py`` imports to re-export and is left out.  No
+module imports another module's private (``_``-prefixed) name: what two
+modules share is public.
 """
 
 import ast
@@ -85,3 +87,17 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}:{name}"
                    for line, name in _bound_names(tree) if name not in used]
     assert paths and not unused, unused
+
+
+def test_no_private_names_across_modules():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            # relative imports, or absolute ones of the package
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "flexshop"):
+                private += [f"{path.name}:{node.lineno}:{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private
