@@ -51,13 +51,13 @@ class Schedule:
 
     ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``,
     the one stored encoding of the solution; ``actual_times[i]`` is the
-    learning-adjusted processing time of operation ``i``.  ``timing``, that
-    of its solution graph, feeds the next removal or scan; a ``RunRecord``'s
-    schedule and one built by hand have none.
+    learning-adjusted processing time of vertex ``i``, 0 for the dummies.
+    ``timing``, that of its solution graph, feeds the next removal or scan;
+    a ``RunRecord``'s schedule and one built by hand have none.
     """
 
     sequences: tuple
-    actual_times: dict
+    actual_times: list
     critical_path: tuple
     makespan: int
     timing: "Timing | None" = field(default=None, repr=False, compare=False)
@@ -168,8 +168,8 @@ def time_graph(adjacency, weights) -> Timing:
     topological order and whether two predecessors tie at its start, by one
     forward pass.
 
-    ``weights`` maps vertices to processing times; the dummies must weigh
-    0.  Raises CycleError on a directed cycle.
+    ``weights[i]`` is vertex ``i``'s processing time; the dummies must
+    weigh 0.  Raises CycleError on a directed cycle.
     """
     order = topological_sort_plus(adjacency)
     size = len(adjacency)
@@ -258,10 +258,10 @@ def _sequence_faults(inst: Instance, sequences) -> list:
     return faults
 
 
-def _weigh(inst: Instance, sequences) -> dict:
-    """Learning-adjusted times of well-formed ``sequences``, with the
-    dummies' zero weights."""
-    weights = {SOURCE: 0, inst.num_operations + 1: 0}
+def _weigh(inst: Instance, sequences) -> list:
+    """Learning-adjusted times of well-formed ``sequences`` by vertex, with
+    the dummies' zero weights."""
+    weights = [0] * (inst.num_operations + 2)
     for k, seq in enumerate(sequences, start=1):
         for pos, op in enumerate(seq, start=1):
             weights[op] = actual_time(inst.std_time[(op, k)], pos, inst.learning_rate)
@@ -290,12 +290,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> list:
     if violations:
         return violations
     weights = _weigh(inst, sched.sequences)
+    given = sched.actual_times
     for op in sched.assignment:
-        if sched.actual_times.get(op) != weights[op]:
-            violations.append(
-                f"operation {op}: stale actual time "
-                f"{sched.actual_times.get(op)} (expected {weights[op]})"
-            )
+        time = given[op] if op < len(given) else None
+        if time != weights[op]:
+            violations.append(f"operation {op}: stale actual time {time} "
+                              f"(expected {weights[op]})")
     try:
         timing = time_graph(build_arcs(inst, sched.sequences), weights)
     except CycleError:

@@ -3,14 +3,19 @@
 An operation processed at position ``r`` of a machine's sequence takes
 ``floor(100 * p / r**alpha + 1/2)`` time units, where ``p`` is the standard
 processing time and ``alpha > 0`` is the learning rate.  Position 1 always
-yields exactly ``100 * p``.
+yields exactly ``100 * p``.  Values are cached, so that the schedules of
+a run share them.
 """
 
 import math
+from functools import lru_cache
 
 __all__ = ["actual_time"]
 
 
+# unbounded: the keys are (standard time, position, learning rate) triples,
+# a few thousand per instance, and the values are ints
+@lru_cache(maxsize=None)
 def actual_time(p: int, r: int, alpha: float) -> int:
     """Actual processing time of an operation at machine position ``r``.
 

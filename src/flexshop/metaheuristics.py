@@ -198,10 +198,8 @@ class _Run:
         )
 
 
-def perturb(inst: Instance, sched: Schedule, rng: random.Random) -> Schedule:
-    """Relocate one random operation (``random_relocation``) and build the
-    result at once."""
-    return random_relocation(inst, sched, rng).schedule
+# one random relocation, built: ILS's perturbation step and SA's candidate
+perturb = random_relocation
 
 
 def _ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
@@ -278,9 +276,9 @@ def _ts(inst: Instance, cfg: MetaConfig) -> RunRecord:
 def _sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Simulated annealing with geometric cooling on the relative gap.
 
-    Each candidate is a ``random_relocation``, as ``perturb``'s, priced on
-    the reduced graph; its ``Schedule`` is built only when it is accepted.
-    A candidate no worse than the current schedule is always accepted, a
+    Each candidate is ``perturb``'s random relocation, built by one edit
+    of the current schedule's graph and read for its makespan.  A
+    candidate no worse than the current schedule is always accepted, a
     worse one with probability exp(-(gap / C) / T) for the current
     makespan C > 0, and never from C = 0, which has no relative gap.
     """
@@ -292,12 +290,12 @@ def _sa(inst: Instance, cfg: MetaConfig) -> RunRecord:
     while not run.exhausted():
         stop = False
         for _ in range(SA_SWEEP):
-            cand = random_relocation(inst, current, run.rng)
+            cand = perturb(inst, current, run.rng)
             r = run.rng.random()
             gap = cand.makespan - current.makespan
             if gap <= 0 or (current.makespan and math.exp(
                     -(gap / current.makespan) / temperature) >= r):
-                current = cand.schedule
+                current = cand
                 stop = run.offer(current)
             stop = stop or run.record_candidate()
             if stop:

@@ -15,19 +15,22 @@ its removals read of G: each vertex's ancestors and descendants as bitsets
 of G's ranks, each machine's operations, and each operation's time one
 position earlier and one later.
 
-Both halves of a move edit a timed graph in one way (``_edited``): the
-machine arcs the move breaks are dropped, those it makes are added, the
-order is kept unless an added arc points backwards in it, which a local
-reorder mends (Pearce and Kelly's dynamic topological sort), and only the
-operations whose position changed and what their new completions reach
-are re-timed.  A removal edits G into its reduced graph G⁻: prev→v and
-v→next give way to prev→next, which never points backwards, so G⁻ keeps
-G's order and ranks.  The applied move edits G⁻ into G⁺: before→after
-gives way to before→v and v→after.  Every timing flags the vertices that
-two predecessors finish at the start of; when one lies on the new critical
+Every change of a timed graph is one edit (``_edited``): the machine arcs
+it breaks are dropped, those it makes are added, the order is kept unless
+an added arc points backwards in it, which a local reorder mends (Pearce
+and Kelly's dynamic topological sort), and only the operations whose
+position changed, the heads of the changed arcs and what their new
+completions reach are re-timed.  A removal edits G into its reduced graph
+G⁻: prev→v and v→next give way to prev→next, which never points
+backwards, so G⁻ keeps G's order and ranks.  A scanned move that is
+applied edits G⁻ into G⁺: before→after gives way to before→v and
+v→after.  A random relocation edits G into G⁺ at once: the consecutive
+pairs of the one or two machines that change are swapped for the new
+ones, and G⁻ is never timed.  Every timing flags the vertices that two
+predecessors finish at the start of; when one lies on the new critical
 path, τ would follow the order's tie-break, so ``_edited`` times the graph
-again from scratch and gives ``build_schedule``'s path.  The one
-timing of G⁻ gives the reduction's bounds and the times from which each
+again from scratch and gives ``build_schedule``'s path.  The one timing
+of G⁻ gives the reduction's bounds and the times from which each
 insertion is priced.
 
 The insertion window on a machine lies between the last ancestor and the
@@ -36,8 +39,10 @@ starts at the removed operation can use the machine arcs that its removal
 rewires, so its ancestors in G⁻ are those of its predecessors in G, its
 descendants those of its successors, and ranks rise along every machine
 sequence: in a scan each bound is one bit operation on the table.  Outside
-a scan each machine asked gets two searches of G⁻ that pop vertices in
-rank order and stop at its first operation met (``_searched_bounds``).
+a scan each machine asked gets two searches of G⁻'s arcs that pop
+vertices in rank order and stop at its first operation met
+(``_searched_bounds``); G's order suits G⁻, so a random relocation
+searches G's arc lists with prev→v and v→next replaced by prev→next.
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -70,8 +75,9 @@ The neighbor's ``Schedule`` is built on demand, for the move a search
 applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
 next scan or removal, and is stripped from every ``RunRecord``.  Outside a
 scan ``insert_op`` checks a slot and builds it the same way, without a
-``Move``; ``random_relocation`` draws a slot as a ``Move``.  Local search
-and tabu search choose among the scanned moves with ``best_neighbor``.
+``Move``; ``random_relocation`` draws a slot and returns its ``Schedule``,
+edited from G in one step.  Local search and tabu search choose among the
+scanned moves with ``best_neighbor``.
 """
 
 import random
@@ -121,7 +127,7 @@ class ReducedState:
 
     removed: int
     q_minus: tuple
-    w_minus: dict
+    w_minus: list  # weight by vertex: 0 for the removed one and the dummies
     path: tuple  # critical path of the reduced graph, s to t
     xi: int
     tau: tuple
@@ -150,19 +156,17 @@ class InsertionWindow:
 
 
 class Move:
-    """One neighbor: ``operation`` reinserted at ``position`` of ``machine``.
+    """One scanned neighbor: ``operation`` reinserted at ``position`` of
+    ``machine``.
 
     ``bound`` is a lower bound on the makespan, known at once.  ``makespan``
     is exact and priced from the reduced state ``rs`` on first access;
     ``later[i]`` is the time of the target machine's ``i``-th operation one
-    position further back, worked out then when it is None.  A scanned
-    move also has ``tails`` for
-    ``head_tail_bound``: the scan's ``_ScanTable``, the largest tail in G
-    among the operation's successors in G⁻, and ``drop[i]``, what the
-    target machine's operations from index ``i`` on lose by moving one
-    position later.  ``schedule`` is built from ``rs`` on first access.
-    A move made outside a scan (``random_relocation``) has no ``tails``
-    and is read only for ``makespan`` and ``schedule``.
+    position further back.  ``tails`` serves ``head_tail_bound``: the
+    scan's ``_ScanTable``, the largest tail in G among the operation's
+    successors in G⁻, and ``drop[i]``, what the target machine's operations
+    from index ``i`` on lose by moving one position later.  ``schedule``
+    is built from ``rs`` on first access.
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
@@ -170,7 +174,7 @@ class Move:
 
     def __init__(self, operation: int, machine: int, position: int,
                  bound: int, inst: Instance, rs: ReducedState,
-                 later: list | None, tails: tuple | None = None):
+                 later: list, tails: tuple):
         self.operation = operation
         self.machine = machine
         self.position = position
@@ -208,12 +212,10 @@ class Move:
     @property
     def makespan(self) -> int:
         if self._makespan is None:
-            rs, k = self._rs, self.machine
-            seq = rs.q_minus[k - 1]
-            if self._later is None:
-                self._later = _times(self._inst, seq, k, 2)
+            rs = self._rs
             self._makespan = _insertion_makespan(
-                rs, seq, self._later, self.position, self._time_v())
+                rs, rs.q_minus[self.machine - 1], self._later, self.position,
+                self._time_v())
         return self._makespan
 
     def _time_v(self) -> int:
@@ -253,14 +255,15 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     q_minus[old_machine - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     q_minus = tuple(q_minus)
 
-    w_minus = dict(sched.actual_times)
+    w_minus = list(sched.actual_times)
     w_minus[v] = 0
     shifted = old_seq[gamma:]  # one position earlier now
     if table is not None:
         earlier = table.earlier[old_machine - 1][gamma - 1:]
     else:
         earlier = _times(inst, shifted, old_machine, gamma)
-    w_minus.update(zip(shifted, earlier))
+    for op, time in zip(shifted, earlier):
+        w_minus[op] = time
 
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = shifted[0] if shifted else None
@@ -270,7 +273,8 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     if table is not None:
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
-        bounds = _searched_bounds(timing, v, q_minus)
+        bounds = _searched_bounds(timing.succs, timing.preds, timing.order,
+                                  timing.rank, v, q_minus)
     return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
 
 
@@ -349,19 +353,20 @@ class _ScanTable:
         return bounds
 
 
-def _searched_bounds(reduced: Timing, v: int, q_minus: tuple) -> Callable:
-    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻
-    (timing ``reduced``) per machine k asked.  Each pops vertices from a
-    heap in rank order and stops at the first operation of q⁻_k: over
-    ``preds`` in decreasing rank for ``lower``, over ``succs`` in
-    increasing rank for ``upper``.  G⁻'s ranks are a topological order and
-    each q⁻ sequence is a chain of G⁻'s arcs, so ranks rise along it: v's
-    ancestors on k form a prefix and its descendants a suffix.  Popping in
-    decreasing rank pops every ancestor ranked above r before any vertex
-    ranked at or below r, so the first hit is the last ancestor, and there
-    is none once the top ranks below q⁻_k[0]; the descendants mirror this.
+def _searched_bounds(succs: list, preds: list, order: list, rank: list,
+                     v: int, q_minus: tuple) -> Callable:
+    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻'s
+    arc lists ``succs`` and ``preds`` per machine k asked, given a
+    topological ``order`` of G⁻ and its ``rank``s.  Each pops vertices
+    from a heap in rank order and stops at the first operation of q⁻_k:
+    over ``preds`` in decreasing rank for ``lower``, over ``succs`` in
+    increasing rank for ``upper``.  Each q⁻ sequence is a chain of G⁻'s
+    arcs, so ranks rise along it: v's ancestors on k form a prefix and its
+    descendants a suffix.  Popping in decreasing rank pops every ancestor
+    ranked above r before any vertex ranked at or below r, so the first
+    hit is the last ancestor, and there is none once the top ranks below
+    q⁻_k[0]; the descendants mirror this.
     """
-    order, rank = reduced.order, reduced.rank
 
     def first(adjacency, sign: int, where: dict, end: int):
         # where[u] of the first u popped in order of sign * rank, up to end
@@ -384,8 +389,8 @@ def _searched_bounds(reduced: Timing, v: int, q_minus: tuple) -> Callable:
         if not seq:
             return 0, 1
         where = {op: pos for pos, op in enumerate(seq, start=1)}
-        return (first(reduced.preds, -1, where, seq[0]) or 0,
-                first(reduced.succs, 1, where, seq[-1]) or len(seq) + 1)
+        return (first(preds, -1, where, seq[0]) or 0,
+                first(succs, 1, where, seq[-1]) or len(seq) + 1)
 
     return bounds
 
@@ -398,7 +403,7 @@ def _times(inst: Instance, ops: tuple, k: int, first: int) -> list:
             for pos, op in enumerate(ops, start=first)]
 
 
-def _drops(weights: dict, seq: tuple, later: list, lowest: int) -> list:
+def _drops(weights: list, seq: tuple, later: list, lowest: int) -> list:
     """``drop[i]``, for ``i`` from ``lowest`` on: what the operations of
     ``seq`` from index ``i`` on lose when each takes its ``later`` time
     instead of its weight."""
@@ -408,22 +413,14 @@ def _drops(weights: dict, seq: tuple, later: list, lowest: int) -> list:
     return drop
 
 
-def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
-            weights: dict, stale: set, sequences: tuple) -> tuple:
-    """``(timing, path, length, tau)`` of ``base``'s graph with the machine
-    arcs ``drop`` removed and those in ``add`` added, whose machine
-    sequences are ``sequences`` (see the module's docstring).
+def _rewired(inst: Instance, base: Timing, drop, add) -> tuple:
+    """``(succs, preds, backward)``: ``base``'s arc lists, copied, with the
+    machine arcs ``drop`` removed and those in ``add`` added, and the added
+    arcs that point backwards in ``base``'s order.
 
     Pairs that hold ``None`` and precedence arcs are left alone; successor
     lists stay sorted, as ``build_arcs`` gives them, and predecessors are
-    appended.  An added arc that points backwards in ``base``'s order is
-    mended by ``_reorder``: of an insertion's two at most one does, since
-    before→after was an arc of G⁻.  The ``stale`` vertices and whatever
-    their changed completions reach are re-timed and their tie flags
-    counted again; the rest keep ``base``'s times and setters.  When a
-    vertex on the critical path is tied, τ would follow the order's
-    tie-break, so the graph is timed again from scratch and the rebuild's
-    order decides it.
+    appended.
     """
     succs = list(base.succs)
     preds = base.preds.copy()
@@ -432,16 +429,42 @@ def _edited(inst: Instance, base: Timing, drop: tuple, add: tuple,
         if i is not None and j is not None and (i, j) not in arcs:
             succs[i] = tuple(x for x in succs[i] if x != j)
             preds[j] = [x for x in preds[j] if x != i]
-    order, rank = base.order, base.rank
-    backward = None
+    rank = base.rank
+    backward = []
     for i, j in add:
         if i is not None and j is not None and (i, j) not in arcs:
             succs[i] = tuple(sorted(succs[i] + (j,)))
             preds[j] = preds[j] + [i]
             if rank[i] > rank[j]:
-                backward = i, j
+                backward.append((i, j))
+    return succs, preds, backward
+
+
+def _edited(inst: Instance, base: Timing, drop, add, weights: list,
+            stale: set, sequences: tuple) -> tuple:
+    """``(timing, path, length, tau)`` of ``base``'s graph with the machine
+    arcs ``drop`` removed and those in ``add`` added (``_rewired``), whose
+    machine sequences are ``sequences`` (see the module's docstring).
+
+    An added arc that points backwards in ``base``'s order is mended by
+    ``_reorder``.  One edit adds at most one: an insertion between a and
+    b, where a→b is an arc of ``base``'s graph, adds a→v and v→b, and as b
+    ranks after a at most one of them points backwards; a removal's
+    prev→next never does.  A second backward arc raises ValueError.  The
+    ``stale`` vertices, which must hold every vertex whose weight or
+    predecessors changed, and whatever their changed completions reach are
+    re-timed and their tie flags counted again; the rest keep ``base``'s
+    times and setters.  When a vertex on the critical path is tied, τ
+    would follow the order's tie-break, so the graph is timed again from
+    scratch and the rebuild's order decides it.
+    """
+    succs, preds, backward = _rewired(inst, base, drop, add)
+    order, rank = base.order, base.rank
+    if len(backward) > 1:
+        raise ValueError(f"machine arcs {backward[0]} and {backward[1]} both "
+                         "point backwards in the order")
     if backward:
-        order, rank = _reorder(succs, preds, order, rank, *backward)
+        order, rank = _reorder(succs, preds, order, rank, *backward[0])
 
     start = base.start.copy()
     completion = base.completion.copy()
@@ -508,18 +531,57 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
 
 
 def random_relocation(inst: Instance, sched: Schedule,
-                      rng: random.Random) -> Move:
-    """A random relocation with the trivial lower bound 0: an operation,
-    one of its eligible machines and a position of that machine's
-    cycle-free window, each drawn uniformly in that order.  The slot needs
-    no further check; the longest-path reduction is not applied."""
+                      rng: random.Random) -> Schedule:
+    """The ``Schedule`` of a random relocation: an operation, one of its
+    eligible machines and a position of that machine's cycle-free window
+    in q⁻, each drawn uniformly in that order; the longest-path reduction
+    is not applied.  A draw of the operation's own slot returns ``sched``.
+
+    The window comes from G's arc lists rewired into G⁻'s, searched in G's
+    order; G is then edited into G⁺ once (see the module's docstring).
+    The slot needs no further check: ``insert_op(inst, remove_op(...))``
+    builds the same schedule.
+    """
     v = rng.randint(1, inst.num_operations)
-    rs = remove_op(inst, sched, v)
+    graph = timing_of(inst, sched)
+    origin = sched.assignment[v]
+    old_seq = sched.sequences[origin - 1]
+    gamma = sched.position_of(v)
+    prev = old_seq[gamma - 2] if gamma > 1 else None
+    nxt = old_seq[gamma] if gamma < len(old_seq) else None
+    sequences = list(sched.sequences)
+    sequences[origin - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
-    window = feasible_window(rs, k, reduction_active=False, c_max=0)
-    return Move(v, k, rng.randint(window.lower + 1, window.upper), 0, inst,
-                rs, None)
+    succs, preds, _ = _rewired(inst, graph, ((prev, v), (v, nxt)),
+                               ((prev, nxt),))
+    lower, upper = _searched_bounds(succs, preds, graph.order, graph.rank, v,
+                                    sequences)(k)
+    slot = rng.randint(lower + 1, upper)
+    if k == origin and slot == gamma:
+        return sched
+    seq = sequences[k - 1]
+    sequences[k - 1] = seq[:slot - 1] + (v,) + seq[slot - 1:]
+    sequences = tuple(sequences)
+
+    weights = list(sched.actual_times)
+    drop, add, stale = [], [], {v}
+    std, alpha = inst.std_time, inst.learning_rate
+    # arcs in any order: each vertex gains and loses one machine arc at most
+    for m in {origin, k}:
+        old, new = sched.sequences[m - 1], sequences[m - 1]
+        old_pairs = set(zip(old, old[1:]))
+        new_pairs = set(zip(new, new[1:]))
+        drop += old_pairs - new_pairs
+        add += new_pairs - old_pairs
+        for pos, op in enumerate(new, start=1):
+            if pos > len(old) or old[pos - 1] != op:  # a new position
+                weights[op] = actual_time(std[(op, m)], pos, alpha)
+                stale.add(op)
+    stale.update(j for _, j in drop + add)
+    timing, path, length, _ = _edited(inst, graph, drop, add, weights, stale,
+                                      sequences)
+    return Schedule(sequences, weights, path, length, timing)
 
 
 def _build_insertion(inst: Instance, rs: ReducedState, k: int,
@@ -540,8 +602,9 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
     q_plus = tuple(q_plus)
 
-    weights = dict(rs.w_minus)
-    weights.update(zip((v, *moved), _times(inst, (v, *moved), k, gamma)))
+    weights = list(rs.w_minus)
+    for op, time in zip((v, *moved), _times(inst, (v, *moved), k, gamma)):
+        weights[op] = time
     before = seq[gamma - 2] if gamma > 1 else None
     after = moved[0] if moved else None
     timing, path, length, _ = _edited(

@@ -121,7 +121,7 @@ def scratch_removal(inst: Instance, sched, v: int) -> ReducedState:
     sequences = [list(seq) for seq in sched.sequences]
     sequences[sched.assignment[v] - 1].remove(v)
     q_minus = tuple(map(tuple, sequences))
-    w_minus = {0: 0, inst.num_operations + 1: 0, v: 0}
+    w_minus = [0] * (inst.num_operations + 2)
     for k, seq in enumerate(q_minus, start=1):
         for pos, op in enumerate(seq, start=1):
             w_minus[op] = actual_time(inst.std_time[(op, k)], pos,

@@ -9,8 +9,11 @@ neighbor evaluation must leave all three unchanged.  A fourth digest,
 frozen while the tabu list was still a plain list, pins the order in
 which tabu search's memory evicts entries.  A fifth digest, frozen
 before construction cached its (operation, machine) prices, pins every
-greedy and randomized constructive start.  A deliberate change of
-behaviour updates them and says why.
+greedy and randomized constructive start.  A sixth, frozen before a
+random relocation edited the schedule's graph once instead of removing
+and then reinserting, pins simulated annealing on larger instances and
+walks of perturbations.  A deliberate change of behaviour updates them
+and says why.
 """
 
 import hashlib
@@ -48,6 +51,8 @@ FROZEN = {
         "5abe37cfc37e4954b88c26ea232810681d728739c9c3a54925057b89536a0335",
     "constructions":
         "b402025d9e866f0b75c5a79496ad3e885795afeea2a2e36a1a8ca1c71af023ac",
+    "relocations":
+        "a17d2b6616aacb443b5f2a27d59c4cb23d7ab28def5aa21bd225b24a68aba558",
 }
 
 # restricted candidate list widths: GRASP's calibrations and the widest
@@ -196,3 +201,34 @@ def test_constructions_are_unchanged():
                     yield (rule.__name__, alpha, sched.sequences,
                            sched.makespan, rng.random())
     assert _digest(lines()) == FROZEN["constructions"]
+
+
+# simulated annealing's iteration cap on the larger instances
+SA_CAP = 150
+
+
+def test_relocations_are_unchanged(cases):
+    """Capped SA runs on the larger DAGs and chains, whose candidates are
+    all random relocations, and 20-step perturbation walks from the
+    constructive start of every instance: each step's solution, its
+    makespan and the RNG's next draw."""
+    large = _large_instances()
+
+    def lines():
+        for index, inst in enumerate(large):
+            for mode in ("reduced", "cropped"):
+                rec = run(inst, MetaConfig.calibrated(
+                    "sa", mode, seed=index, max_iterations=SA_CAP))
+                yield (mode, rec.best_makespan, rec.iterations,
+                       rec.neighbors_evaluated, rec.stop_reason,
+                       rec.schedule.key())
+        insts = [inst for inst, _ in cases] + large
+        for index, inst in enumerate(insts):
+            rng = random.Random(index)
+            sched = best_of_est_ect(inst)
+            for _ in range(20):
+                sched = perturb(inst, sched, rng)
+                peek = random.Random()
+                peek.setstate(rng.getstate())
+                yield sched.key(), sched.makespan, peek.random()
+    assert _digest(lines()) == FROZEN["relocations"]

@@ -136,27 +136,40 @@ def test_perturb_fuzz_keeps_feasibility():
             assert validate_schedule(inst, sched) == []
 
 
+def _counting(monkeypatch, module, name) -> list:
+    """The calls of ``module.name``, patched to record each."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_perturb_prices_nothing(monkeypatch):
-    """A perturbation builds the one Move that ``random_relocation`` draws
-    and prices nothing."""
+    """A perturbation makes no Move, removes and prices nothing, and edits
+    the schedule's graph once, or not at all when it draws the operation's
+    own slot and returns the schedule it was given."""
     import flexshop.moves
 
-    made, priced = [], []
-    init = flexshop.moves.Move.__init__
-    monkeypatch.setattr(flexshop.moves.Move, "__init__",
-                        lambda self, *args: made.append(args)
-                        or init(self, *args))
-    price = flexshop.moves._insertion_makespan
-    monkeypatch.setattr(flexshop.moves, "_insertion_makespan",
-                        lambda *args: priced.append(args) or price(*args))
+    made = _counting(monkeypatch, flexshop.moves.Move, "__init__")
+    removed = _counting(monkeypatch, flexshop.moves, "remove_op")
+    priced = _counting(monkeypatch, flexshop.moves, "_insertion_makespan")
+    edited = _counting(monkeypatch, flexshop.moves, "_edited")
     rng = random.Random(29)
-    for _ in range(5):
-        inst = random_instance(rng)
+    steps = kept = 0
+    for _ in range(8):
+        inst = random_instance(rng, max_machines=2)
         sched = best_of_est_ect(inst)
-        for _ in range(4):
-            sched = perturb(inst, sched, rng)
-            assert sched == build_schedule(inst, sched.sequences)
-    assert len(made) == 5 * 4 and priced == []
+        for _ in range(6):
+            before = len(edited)
+            perturbed = perturb(inst, sched, rng)
+            assert perturbed == build_schedule(inst, perturbed.sequences)
+            assert len(edited) - before == (perturbed is not sched)
+            kept += perturbed is sched
+            steps += 1
+            sched = perturbed
+    assert made == removed == priced == []
+    assert 0 < kept < steps
 
 
 @pytest.mark.parametrize("algo", ["ils", "grasp", "ts", "sa"])
@@ -320,33 +333,32 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sa_builds_only_accepted_candidates(monkeypatch):
-    """Each SA candidate is priced once, on the reduced graph; a Schedule
-    is built for exactly the accepted ones (each offered to the run)."""
+def test_sa_draws_each_candidate_through_perturb(monkeypatch):
+    """Each SA candidate is one ``perturb`` call, which edits the graph at
+    most once; no candidate is removed, priced or built from a reduced
+    graph, and the accepted ones are offered to the run."""
     import flexshop.metaheuristics
     import flexshop.moves
 
-    def counting(module, name, calls):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args: calls.append(args) or original(*args))
-
-    built, priced, offered = [], [], []
-    counting(flexshop.moves, "_build_insertion", built)
-    counting(flexshop.moves, "_insertion_makespan", priced)
-    counting(flexshop.metaheuristics._Run, "offer", offered)
+    drawn = _counting(monkeypatch, flexshop.metaheuristics, "perturb")
+    edited = _counting(monkeypatch, flexshop.moves, "_edited")
+    removed = _counting(monkeypatch, flexshop.moves, "remove_op")
+    priced = _counting(monkeypatch, flexshop.moves, "_insertion_makespan")
+    built = _counting(monkeypatch, flexshop.moves, "_build_insertion")
+    offered = _counting(monkeypatch, flexshop.metaheuristics._Run, "offer")
     rng = random.Random(61)
     candidates = accepted = 0
     for seed in range(8):
         inst = random_instance(rng, max_ops=14, max_machines=4)
-        built.clear(), priced.clear(), offered.clear()
+        drawn.clear(), edited.clear(), offered.clear()
         record = run_sa(inst, MetaConfig(algo="sa", max_iterations=20,
                                          seed=seed))
         assert record.stop_reason == "iteration-cap"
-        assert len(priced) == record.neighbors_evaluated
-        assert len(built) == len(offered) - 1  # the start is offered too
+        assert len(drawn) == record.neighbors_evaluated
+        assert len(edited) <= len(drawn)
         candidates += record.neighbors_evaluated
-        accepted += len(built)
+        accepted += len(offered) - 1  # the start is offered too
+    assert removed == priced == built == []
     assert 0 < accepted < candidates
 
 

@@ -161,46 +161,6 @@ def test_insert_checks_operation_then_window_then_machine(v, k, gamma, error,
     assert type(excinfo.value) is error
 
 
-def test_perturb_builds_the_checked_insertion_of_its_draw():
-    # the drawn slot passes insert_op's checks, and perturb builds what
-    # insert_op builds there, with the same random draws
-    from flexshop.moves import random_relocation
-
-    rng = random.Random(37)
-    for _ in range(20):
-        inst = random_instance(rng)
-        sched = best_of_est_ect(inst)
-        for _ in range(3):
-            state = rng.getstate()
-            move = random_relocation(inst, sched, rng)
-            rs, k, gamma = move._rs, move.machine, move.position
-            checked = insert_op(inst, rs, rs.removed, k, gamma)
-            after = rng.getstate()
-            rng.setstate(state)
-            perturbed = perturb(inst, sched, rng)
-            assert rng.getstate() == after
-            assert perturbed == checked
-            assert perturbed.key() == checked.key()
-            sched = perturbed
-
-
-def test_sa_candidate_prices_what_it_builds():
-    from flexshop.moves import random_relocation
-
-    rng = random.Random(41)
-    for _ in range(20):
-        inst = random_instance(rng)
-        sched = best_of_est_ect(inst)
-        for _ in range(3):
-            move = random_relocation(inst, sched, rng)
-            rs, k, gamma = move._rs, move.machine, move.position
-            built = insert_op(inst, rs, rs.removed, k, gamma)
-            assert move.makespan == built.makespan
-            assert move.schedule == built
-            assert validate_schedule(inst, built) == []
-            sched = built
-
-
 def test_remove_insert_identity(fig1, fig2a):
     for v in fig1.operations:
         rs = remove_op(fig1, fig2a, v)
@@ -358,6 +318,8 @@ def test_searched_windows_match_reach_sets():
     operation's own included, is the one that v's reach sets in G⁻ give."""
     from flexshop.moves import random_relocation
 
+    from flexshop.moves import _rewired, _searched_bounds
+
     rng = random.Random(1711)
     cases = [_large_instance(rng, layout) for layout in ("dag", "chain") * 2]
     cases += [random_instance(rng, max_ops=12, max_machines=4, max_time=2)
@@ -366,15 +328,27 @@ def test_searched_windows_match_reach_sets():
     for inst in cases:
         sched = best_of_est_ect(inst)
         for _ in range(rng.randint(1, 3)):
-            sched = random_relocation(inst, sched, rng).schedule
+            sched = random_relocation(inst, sched, rng)
+        graph = sched.timing
         for v in inst.operations:
             rs = remove_op(inst, sched, v)
-            rebuilt += rs.timing.rank is not sched.timing.rank
+            rebuilt += rs.timing.rank is not graph.rank
             ancestors = reachable_from(rs.timing.preds, v)
             descendants = reachable_from(rs.timing.succs, v)
+            # a random relocation's: G's arc lists rewired, in G's order
+            seq = sched.sequences[sched.assignment[v] - 1]
+            i = seq.index(v)
+            prev = seq[i - 1] if i else None
+            nxt = seq[i + 1] if i + 1 < len(seq) else None
+            succs, preds, backward = _rewired(
+                inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),))
+            assert backward == []
+            relocation = _searched_bounds(succs, preds, graph.order,
+                                          graph.rank, v, rs.q_minus)
             for k in inst.machines:
-                assert rs.cycle_bounds(k) == reach_bounds(
-                    rs.q_minus[k - 1], ancestors, descendants), (v, k)
+                want = reach_bounds(rs.q_minus[k - 1], ancestors, descendants)
+                assert rs.cycle_bounds(k) == want, (v, k)
+                assert relocation(k) == want, (v, k)
     assert rebuilt  # tie rebuilds, with their own ranks, are covered
 
 
@@ -468,21 +442,20 @@ def _assert_same_reach(inst, v, got, want):
             == [want.cycle_bounds(k) for k in inst.machines])
 
 
-def _assert_built_like_scratch(inst, sched, move):
-    """The move's Schedule equals build_schedule's for its sequences, field
+def _assert_built_like_scratch(inst, sched, v, k, gamma, got):
+    """``got``, the Schedule that reinserts ``v`` at position ``gamma`` of
+    machine ``k`` (in q⁻), equals build_schedule's for its sequences, field
     by field, and its timing has the rebuilt graph's arcs and times in a
     topological order with consistent ranks."""
-    v, k, gamma = move.operation, move.machine, move.position
     sequences = [list(seq) for seq in sched.sequences]
     sequences[sched.assignment[v] - 1].remove(v)
     sequences[k - 1].insert(gamma - 1, v)
     want = build_schedule(inst, sequences)
-    got = move.schedule
     assert got.sequences == want.sequences
     assert got.assignment == want.assignment
     assert got.actual_times == want.actual_times
     assert got.critical_path == want.critical_path
-    assert got.makespan == want.makespan == move.makespan
+    assert got.makespan == want.makespan
     assert (critical_path(got.timing, got.sequences)[2]
             == critical_path(want.timing, want.sequences)[2])
     timing = got.timing
@@ -508,14 +481,14 @@ def _assert_removals_like_scratch(inst, sched):
         assert got.timing.completion == want.timing.completion
 
 
-STEPS = ("full", "reduced", "cropped", "sa", "perturb")
+STEPS = ("full", "reduced", "cropped", "perturb")
 
 
 def test_incremental_build_matches_build_schedule(monkeypatch):
-    """Every Schedule a move builds from its reduced graph is the one
-    build_schedule gives, along walks of scan moves, SA candidates and
-    perturbations that carry each built timing to the next removal; the
-    order kept, reordered and timed-from-scratch builds all occur."""
+    """Every Schedule a scanned move builds from its reduced graph is the
+    one build_schedule gives, along walks of scan moves and perturbations
+    that carry each built timing to the next removal; the order kept,
+    reordered and timed-from-scratch builds all occur."""
     import flexshop.moves
 
     rebuilds = []
@@ -534,7 +507,9 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
             paths["in order"] += 1
         else:
             paths["reordered"] += 1
-        _assert_built_like_scratch(inst, sched, move)
+        _assert_built_like_scratch(inst, sched, move.operation, move.machine,
+                                   move.position, move.schedule)
+        assert move.makespan == move.schedule.makespan
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), chain=st.booleans(),
@@ -552,11 +527,9 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
             if step == "perturb":
                 sched = perturb(inst, sched, rng)
                 assert sched == build_schedule(inst, sched.sequences)
+                _assert_removals_like_scratch(inst, sched)
                 continue
-            if step == "sa":
-                moves = [flexshop.moves.random_relocation(inst, sched, rng)]
-            else:
-                moves = list(enumerate_neighbors(inst, sched, step))
+            moves = list(enumerate_neighbors(inst, sched, step))
             for move in moves:
                 check(inst, sched, move)
             if moves:
@@ -679,3 +652,88 @@ def test_carried_timings_are_never_mutated():
             if moves:  # the next scan reads a built move's carried timing
                 sched = moves[rng.randrange(len(moves))].schedule
     assert priced > 0 and built > 0
+
+
+def _reference_draw(inst, sched, rng) -> tuple:
+    """``(v, k, gamma, rs)``: a random relocation's draws, made through the
+    reference removal ``remove_op`` and its window."""
+    v = rng.randint(1, inst.num_operations)
+    rs = remove_op(inst, sched, v)
+    machines = sorted(inst.eligible_machines(v))
+    k = machines[rng.randrange(len(machines))]
+    window = feasible_window(rs, k, reduction_active=False, c_max=0)
+    return v, k, rng.randint(window.lower + 1, window.upper), rs
+
+
+def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
+    """Every perturbation, a random relocation, makes the draws that a
+    removal and its cycle-free window make, in the same order, and builds
+    what insert_op builds in the drawn slot and build_schedule builds from
+    its sequences, timing included, along walks on small, tie-heavy, chain
+    and 200-300 operation instances that carry each built timing to the
+    next draw.
+    Draws to another machine, to another slot of the own machine and back
+    into the own slot, and builds that keep the order, reorder it and
+    time the graph again on a tie, all occur."""
+    import flexshop.moves
+
+    rebuilds = []
+    time_from_scratch = flexshop.moves.time_graph
+    monkeypatch.setattr(
+        flexshop.moves, "time_graph",
+        lambda *args: rebuilds.append(args) or time_from_scratch(*args))
+    kinds = dict.fromkeys(("other machine", "same machine", "own slot",
+                           "in order", "reordered", "tie rebuild"), 0)
+    rng = random.Random(37)
+    cases = [(_large_instance(rng, layout), 6) for layout in ("dag", "chain")]
+    for case in range(90):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        cases.append((inst, 8))
+    for inst, steps in cases:
+        sched = best_of_est_ect(inst)
+        for _ in range(steps):
+            state = rng.getstate()
+            v, k, gamma, rs = _reference_draw(inst, sched, rng)
+            after = rng.getstate()
+            rng.setstate(state)
+            rebuilds.clear()
+            got = perturb(inst, sched, rng)
+            assert rng.getstate() == after
+            origin = sched.assignment[v]
+            if (k, gamma) == (origin, sched.position_of(v)):
+                assert got is sched
+                kinds["own slot"] += 1
+                continue
+            kinds["same machine" if k == origin else "other machine"] += 1
+            if rebuilds:
+                kinds["tie rebuild"] += 1
+            elif got.timing.order is sched.timing.order:
+                kinds["in order"] += 1
+            else:
+                kinds["reordered"] += 1
+            want = insert_op(inst, rs, v, k, gamma)
+            assert got == want and got.key() == want.key()
+            _assert_built_like_scratch(inst, sched, v, k, gamma, got)
+            assert validate_schedule(inst, got) == []
+            sched = got
+    assert all(kinds.values()), kinds
+
+
+def test_edit_refuses_a_second_backward_arc():
+    """Swapping the two operations of each of two machines adds two arcs
+    that point backwards in the order; one local reorder mends only one,
+    so the edit is refused instead of timed in a wrong order."""
+    from flexshop.moves import _edited
+
+    inst = parse_instance("4 2 1.0\n1 1 3\n1 1 4\n1 2 5\n1 2 6\n0")
+    sched = build_schedule(inst, [[1, 2], [3, 4]])
+    swapped = ((2, 1), (4, 3))
+    with pytest.raises(ValueError, match=r"machine arcs \(2, 1\) and "
+                       r"\(4, 3\) both point backwards"):
+        _edited(inst, sched.timing, ((1, 2), (3, 4)), swapped,
+                list(sched.actual_times), {1, 2, 3, 4}, swapped)
