@@ -724,6 +724,31 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
     assert all(kinds.values()), kinds
 
 
+def test_sa_candidate_prices_what_it_builds():
+    """SA prices a candidate, a random relocation, by the makespan of the
+    Schedule it returns; that Schedule is the one insert_op builds in the
+    drawn slot, its makespan is build_schedule's for its sequences, and it
+    is valid."""
+    from flexshop.moves import random_relocation
+
+    rng = random.Random(41)
+    for _ in range(20):
+        inst = random_instance(rng)
+        sched = best_of_est_ect(inst)
+        for _ in range(3):
+            state = rng.getstate()
+            v, k, gamma, rs = _reference_draw(inst, sched, rng)
+            rng.setstate(state)
+            candidate = random_relocation(inst, sched, rng)
+            built = insert_op(inst, rs, v, k, gamma)
+            assert candidate.makespan == built.makespan
+            assert (candidate.makespan
+                    == build_schedule(inst, candidate.sequences).makespan)
+            assert candidate == built
+            assert validate_schedule(inst, candidate) == []
+            sched = candidate
+
+
 def test_edit_refuses_a_second_backward_arc():
     """Swapping the two operations of each of two machines adds two arcs
     that point backwards in the order; one local reorder mends only one,
