@@ -10,13 +10,16 @@ directly picks the pair that finishes soonest.
 With ``rcl_alpha > 0`` the greedy pick is replaced by a uniform draw,
 from the given RNG, from the restricted candidate list of pairs within an
 ``rcl_alpha`` fraction of the best; ``rcl_alpha > 0`` without an RNG is a
-ValueError.  With ``rcl_alpha == 0`` the pick is deterministic (first pair
-in ascending (operation, machine) order), regardless of the RNG.
+ValueError.  With ``rcl_alpha == 0`` the pick is deterministic, regardless
+of the RNG: one pass over the ready pairs takes the first, in ascending
+(operation, machine) order, with the least (start, time) for EST and the
+least completion for ECT, the pair that the list filter would keep first.
 
-Each step reads the start and the adjusted time that the construction
-keeps for every ready (operation, machine) pair; a placement re-prices
-only the pairs on the machine it used.  ``best_of_est_ect`` compares the
-two constructions' makespans and builds only the kept one's ``Schedule``.
+Each step reads the start, the adjusted time and the completion that the
+construction keeps for every ready (operation, machine) pair; a placement
+re-prices only the pairs on the machine it used.  ``best_of_est_ect``
+compares the two constructions' makespans and builds only the kept one's
+``Schedule``.
 """
 
 import bisect
@@ -30,25 +33,33 @@ from .graph import Schedule, build_schedule
 __all__ = ["construct_est", "construct_ect", "best_of_est_ect"]
 
 _OPERATION = itemgetter(0)
+_START_TIME = itemgetter(3, 4)
+_COMPLETION = itemgetter(5)
 
 
 class _State:
     """A construction in progress.
 
-    ``pairs`` holds one entry ``[operation, machine, release, start, time]``
-    per (operation, machine) pair whose operation has every predecessor
-    placed, in ascending (operation, machine) order.  ``start`` is
-    ``max(release, machine release)`` and ``time`` the learning-adjusted
-    time at the machine's next position; a placement re-prices only the
-    entries on the machine it used.  ``makespan`` is the latest completion
-    placed.
+    ``pairs`` holds one entry ``[operation, machine, release, start, time,
+    completion]`` per (operation, machine) pair whose operation has every
+    predecessor placed, in ascending (operation, machine) order.  ``start``
+    is ``max(release, machine release)``, ``time`` the learning-adjusted
+    time at the machine's next position and ``completion`` their sum; a
+    placement re-prices only the entries on the machine it used.  Each
+    operation's predecessors, successors and sorted eligible machines are
+    read from the instance once, when the construction starts.
+    ``makespan`` is the latest completion placed.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.preds = {op: inst.predecessors(op) for op in inst.operations}
-        self.succs = {op: inst.successors(op) for op in inst.operations}
-        self.waiting = {op: len(self.preds[op]) for op in inst.operations}
+        self.preds = [[] for _ in range(inst.num_operations + 1)]
+        self.succs = [[] for _ in range(inst.num_operations + 1)]
+        for i, j in inst.precedence_arcs:
+            self.preds[j].append(i)
+            self.succs[i].append(j)
+        self.machines = [()] + [sorted(ks) for ks in inst.eligible]
+        self.waiting = [len(preds) for preds in self.preds]
         self.completion = {}
         self.machine_release = [0] * inst.num_machines
         self.next_position = [1] * inst.num_machines
@@ -61,41 +72,41 @@ class _State:
             if not self.waiting[op]:
                 self._release(op)
 
-    def _price(self, entry):
-        """Set the entry's start and time on its machine as it stands."""
-        v, k, release, _, _ = entry
-        entry[3] = max(release, self.machine_release[k - 1])
-        entry[4] = actual_time(self.inst.std_time[(v, k)],
-                               self.next_position[k - 1],
-                               self.inst.learning_rate)
-
     def _release(self, v):
         """Price the pairs of ``v``, whose predecessors are all placed."""
-        release = max((self.completion[i] for i in self.preds[v]), default=0)
-        entries = [[v, k, release, 0, 0]
-                   for k in sorted(self.inst.eligible_machines(v))]
-        for entry in entries:
-            self._price(entry)
-            self.on_machine[entry[1] - 1][v] = entry
+        release = max([self.completion[i] for i in self.preds[v]], default=0)
+        std, alpha = self.inst.std_time, self.inst.learning_rate
+        entries = []
+        for k in self.machines[v]:
+            free = self.machine_release[k - 1]
+            start = release if release > free else free
+            time = actual_time(std[(v, k)], self.next_position[k - 1], alpha)
+            entry = [v, k, release, start, time, start + time]
+            self.on_machine[k - 1][v] = entry
+            entries.append(entry)
         at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
         self.pairs[at:at] = entries
 
     def place(self, entry):
         """Append the entry's operation to its machine, at its start."""
-        v, k, _, start, time = entry
-        end = start + time
+        v, k, _, _, _, end = entry
         self.completion[v] = end
-        self.makespan = max(self.makespan, end)
+        if end > self.makespan:
+            self.makespan = end
         self.sequences[k - 1].append(v)
-        machines = self.inst.eligible_machines(v)
+        machines = self.machines[v]
         for m in machines:
             del self.on_machine[m - 1][v]
         at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
         del self.pairs[at:at + len(machines)]
         self.machine_release[k - 1] = end
         self.next_position[k - 1] += 1
+        std, alpha = self.inst.std_time, self.inst.learning_rate
+        position = self.next_position[k - 1]
         for other in self.on_machine[k - 1].values():
-            self._price(other)
+            start = other[2] if other[2] > end else end
+            time = actual_time(std[(other[0], k)], position, alpha)
+            other[3:] = start, time, start + time
         for j in self.succs[v]:
             self.waiting[j] -= 1
             if not self.waiting[j]:
@@ -109,30 +120,30 @@ def _check(rcl_alpha, rng):
         raise ValueError(f"rcl_alpha {rcl_alpha} > 0 needs an rng")
 
 
-def _pick(candidates, rcl_alpha, rng):
-    return rng.choice(candidates) if rcl_alpha else candidates[0]
-
-
 def _est(pairs, rcl_alpha, rng):
     """Among the pairs that start soonest, one whose time lies within an
-    ``rcl_alpha`` fraction of the shortest."""
+    ``rcl_alpha`` fraction of the shortest; greedily, the first with the
+    least (start, time)."""
+    if not rcl_alpha:
+        return min(pairs, key=_START_TIME)
     r_min = min([entry[3] for entry in pairs])
     earliest = [entry for entry in pairs if entry[3] == r_min]
     times = [entry[4] for entry in earliest]
     lo = min(times)
     threshold = lo + rcl_alpha * (max(times) - lo)
-    rcl = [entry for entry in earliest if entry[4] <= threshold]
-    return _pick(rcl, rcl_alpha, rng)
+    return rng.choice([entry for entry in earliest if entry[4] <= threshold])
 
 
 def _ect(pairs, rcl_alpha, rng):
     """A pair whose completion lies within an ``rcl_alpha`` fraction of
-    the earliest."""
-    finish = [entry[3] + entry[4] for entry in pairs]
+    the earliest; greedily, the first with the earliest."""
+    if not rcl_alpha:
+        return min(pairs, key=_COMPLETION)
+    finish = [entry[5] for entry in pairs]
     lo = min(finish)
     threshold = lo + rcl_alpha * (max(finish) - lo)
-    rcl = [entry for entry, end in zip(pairs, finish) if end <= threshold]
-    return _pick(rcl, rcl_alpha, rng)
+    return rng.choice([entry for entry, end in zip(pairs, finish)
+                       if end <= threshold])
 
 
 def _construct(inst, rule, rcl_alpha, rng) -> _State:

@@ -24,14 +24,17 @@ completions reach are re-timed.  A removal edits G into its reduced graph
 G⁻: prev→v and v→next give way to prev→next, which never points
 backwards, so G⁻ keeps G's order and ranks.  A scanned move that is
 applied edits G⁻ into G⁺: before→after gives way to before→v and
-v→after.  A random relocation edits G into G⁺ at once: the consecutive
-pairs of the one or two machines that change are swapped for the new
-ones, and G⁻ is never timed.  Every timing flags the vertices that two
-predecessors finish at the start of; when one lies on the new critical
-path, τ would follow the order's tie-break, so ``_edited`` times the graph
-again from scratch and gives ``build_schedule``'s path.  The one timing
-of G⁻ gives the reduction's bounds and the times from which each
-insertion is priced.
+v→after.  A random relocation edits G into G⁺ at once, by the removal's
+edit composed with the insertion's: prev→v, v→next and before→after give
+way to prev→next, before→v and v→after.  Only the operations whose
+position changed are re-weighed (v's old suffix and the suffix that v
+pushes, or on a move within one machine the stretch between the two
+positions), and G⁻ is never timed.  Every timing flags the vertices
+that two predecessors finish at the start of; when one lies on the new
+critical path, τ would follow the order's tie-break, so ``_edited`` times
+the graph again from scratch and gives ``build_schedule``'s path.  The
+one timing of G⁻ gives the reduction's bounds and the times from which
+each insertion is priced.
 
 The insertion window on a machine lies between the last ancestor and the
 first descendant of the removed operation there.  No path that ends or
@@ -42,7 +45,10 @@ sequence: in a scan each bound is one bit operation on the table.  Outside
 a scan each machine asked gets two searches of G⁻'s arcs that pop
 vertices in rank order and stop at its first operation met
 (``_searched_bounds``); G's order suits G⁻, so a random relocation
-searches G's arc lists with prev→v and v→next replaced by prev→next.
+searches G's own arc lists with only v's rewired: prev leaves its
+predecessors and next its successors.  In G⁻ next never reaches v and v
+never reaches prev, so their lists, which the removal rewires too, are
+never read.
 
 Each neighbor carries an O(1) lower bound on its makespan and is priced
 only when its makespan is read.  Let P be G⁻'s critical path, of length ξ.
@@ -274,7 +280,8 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
         bounds = _searched_bounds(timing.succs, timing.preds, timing.order,
-                                  timing.rank, v, q_minus)
+                                  timing.rank,
+                                  (timing.preds[v], timing.succs[v]), q_minus)
     return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
 
 
@@ -354,25 +361,28 @@ class _ScanTable:
 
 
 def _searched_bounds(succs: list, preds: list, order: list, rank: list,
-                     v: int, q_minus: tuple) -> Callable:
-    """``ReducedState.cycle_bounds`` for ``v`` from two searches of G⁻'s
-    arc lists ``succs`` and ``preds`` per machine k asked, given a
-    topological ``order`` of G⁻ and its ``rank``s.  Each pops vertices
-    from a heap in rank order and stops at the first operation of q⁻_k:
-    over ``preds`` in decreasing rank for ``lower``, over ``succs`` in
-    increasing rank for ``upper``.  Each q⁻ sequence is a chain of G⁻'s
-    arcs, so ranks rise along it: v's ancestors on k form a prefix and its
-    descendants a suffix.  Popping in decreasing rank pops every ancestor
-    ranked above r before any vertex ranked at or below r, so the first
-    hit is the last ancestor, and there is none once the top ranks below
-    q⁻_k[0]; the descendants mirror this.
+                     ends: tuple, q_minus: tuple) -> Callable:
+    """``ReducedState.cycle_bounds`` for the removed operation v, whose
+    predecessors and successors in G⁻ are ``ends``, from two searches per
+    machine k asked over the arc lists ``succs`` and ``preds`` of the
+    vertices v reaches and that reach v in G⁻, given a topological
+    ``order`` of G⁻ and its ``rank``s.  Each pops vertices from a heap in
+    rank order and stops at the first operation of q⁻_k: over ``preds`` in
+    decreasing rank for ``lower``, over ``succs`` in increasing rank for
+    ``upper``.  Each q⁻ sequence is a chain of G⁻'s arcs, so ranks rise
+    along it: v's ancestors on k form a prefix and its descendants a
+    suffix.  Popping in decreasing rank pops every ancestor ranked above r
+    before any vertex ranked at or below r, so the first hit is the last
+    ancestor, and there is none once the top ranks below q⁻_k[0]; the
+    descendants mirror this.
     """
+    above, below = ends
 
-    def first(adjacency, sign: int, where: dict, end: int):
+    def first(adjacency, start, sign: int, where: dict, end: int):
         # where[u] of the first u popped in order of sign * rank, up to end
-        heap = [sign * rank[u] for u in adjacency[v]]
+        heap = [sign * rank[u] for u in start]
         heapify(heap)
-        seen = set(adjacency[v])
+        seen = set(start)
         limit = sign * rank[end]
         while heap and heap[0] <= limit:
             u = order[sign * heappop(heap)]
@@ -389,8 +399,8 @@ def _searched_bounds(succs: list, preds: list, order: list, rank: list,
         if not seq:
             return 0, 1
         where = {op: pos for pos, op in enumerate(seq, start=1)}
-        return (first(preds, -1, where, seq[0]) or 0,
-                first(succs, 1, where, seq[-1]) or len(seq) + 1)
+        return (first(preds, above, -1, where, seq[0]) or 0,
+                first(succs, below, 1, where, seq[-1]) or len(seq) + 1)
 
     return bounds
 
@@ -450,13 +460,17 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     ``_reorder``.  One edit adds at most one: an insertion between a and
     b, where a→b is an arc of ``base``'s graph, adds a→v and v→b, and as b
     ranks after a at most one of them points backwards; a removal's
-    prev→next never does.  A second backward arc raises ValueError.  The
-    ``stale`` vertices, which must hold every vertex whose weight or
-    predecessors changed, and whatever their changed completions reach are
-    re-timed and their tie flags counted again; the rest keep ``base``'s
-    times and setters.  When a vertex on the critical path is tied, τ
-    would follow the order's tie-break, so the graph is timed again from
-    scratch and the rebuild's order decides it.
+    prev→next never does, since v ranks between prev and next.  A random
+    relocation's composed edit adds prev→next, before→v and v→after:
+    before→after, which it drops, is an arc of G too (unless it is
+    prev→next, which is a draw of v's own slot), so again at most one of
+    the last two points backwards.  A second backward arc raises
+    ValueError.  The ``stale`` vertices, which must hold every vertex whose
+    weight or predecessors changed, and whatever their changed completions
+    reach are re-timed and their tie flags counted again; the rest keep
+    ``base``'s times and setters.  When a vertex on the critical path is
+    tied, τ would follow the order's tie-break, so the graph is timed again
+    from scratch and the rebuild's order decides it.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
     order, rank = base.order, base.rank
@@ -537,50 +551,60 @@ def random_relocation(inst: Instance, sched: Schedule,
     in q⁻, each drawn uniformly in that order; the longest-path reduction
     is not applied.  A draw of the operation's own slot returns ``sched``.
 
-    The window comes from G's arc lists rewired into G⁻'s, searched in G's
-    order; G is then edited into G⁺ once (see the module's docstring).
-    The slot needs no further check: ``insert_op(inst, remove_op(...))``
-    builds the same schedule.
+    The operation's machine is found among its eligible machines'
+    sequences; ScheduleError names it when it sits on none.  The window
+    comes from a search of G's own arc lists, in G's order, with only the
+    operation's own lists rewired into G⁻'s.  G is then edited into G⁺
+    once, by the removal's arc edit composed with the insertion's, and only
+    the operations whose position changed are re-weighed (see the module's
+    docstring).  The slot needs no further check:
+    ``insert_op(inst, remove_op(...))`` builds the same schedule.
     """
     v = rng.randint(1, inst.num_operations)
+    machines = sorted(inst.eligible_machines(v))
+    origin = next((m for m in machines if v in sched.sequences[m - 1]), None)
+    if origin is None:
+        raise ScheduleError(f"operation {v} is on none of its eligible "
+                            f"machines {machines}")
     graph = timing_of(inst, sched)
-    origin = sched.assignment[v]
     old_seq = sched.sequences[origin - 1]
-    gamma = sched.position_of(v)
+    gamma = old_seq.index(v) + 1
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = old_seq[gamma] if gamma < len(old_seq) else None
     sequences = list(sched.sequences)
     sequences[origin - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
-    machines = sorted(inst.eligible_machines(v))
     k = machines[rng.randrange(len(machines))]
-    succs, preds, _ = _rewired(inst, graph, ((prev, v), (v, nxt)),
-                               ((prev, nxt),))
-    lower, upper = _searched_bounds(succs, preds, graph.order, graph.rank, v,
-                                    sequences)(k)
+    # in G⁻ next never reaches v and v never reaches prev, so the searches
+    # read no rewired list but v's own
+    arcs = inst.precedence_arcs
+    ends = ([i for i in graph.preds[v] if i != prev or (i, v) in arcs],
+            [j for j in graph.succs[v] if j != nxt or (v, j) in arcs])
+    lower, upper = _searched_bounds(graph.succs, graph.preds, graph.order,
+                                    graph.rank, ends, sequences)(k)
     slot = rng.randint(lower + 1, upper)
     if k == origin and slot == gamma:
         return sched
     seq = sequences[k - 1]
+    before = seq[slot - 2] if slot > 1 else None
+    after = seq[slot - 1] if slot <= len(seq) else None
     sequences[k - 1] = seq[:slot - 1] + (v,) + seq[slot - 1:]
     sequences = tuple(sequences)
 
     weights = list(sched.actual_times)
-    drop, add, stale = [], [], {v}
-    std, alpha = inst.std_time, inst.learning_rate
-    # arcs in any order: each vertex gains and loses one machine arc at most
-    for m in {origin, k}:
-        old, new = sched.sequences[m - 1], sequences[m - 1]
-        old_pairs = set(zip(old, old[1:]))
-        new_pairs = set(zip(new, new[1:]))
-        drop += old_pairs - new_pairs
-        add += new_pairs - old_pairs
-        for pos, op in enumerate(new, start=1):
-            if pos > len(old) or old[pos - 1] != op:  # a new position
-                weights[op] = actual_time(std[(op, m)], pos, alpha)
-                stale.add(op)
-    stale.update(j for _, j in drop + add)
-    timing, path, length, _ = _edited(inst, graph, drop, add, weights, stale,
-                                      sequences)
+    if k == origin:  # the stretch between the two positions
+        first, last = min(gamma, slot), max(gamma, slot)
+        moved = [(k, first, sequences[k - 1][first - 1:last])]
+    else:  # v's old suffix, and v with the suffix it pushes
+        moved = [(origin, gamma, sequences[origin - 1][gamma - 1:]),
+                 (k, slot, sequences[k - 1][slot - 1:])]
+    stale = {v, nxt, after} - {None}  # the heads of the changed arcs
+    for m, first, ops in moved:
+        for op, time in zip(ops, _times(inst, ops, m, first)):
+            weights[op] = time
+        stale.update(ops)
+    timing, path, length, _ = _edited(
+        inst, graph, ((prev, v), (v, nxt), (before, after)),
+        ((prev, nxt), (before, v), (v, after)), weights, stale, sequences)
     return Schedule(sequences, weights, path, length, timing)
 
 

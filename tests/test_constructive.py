@@ -122,10 +122,11 @@ def test_best_of_pair_takes_the_minimum():
 def test_ready_pairs_match_a_full_scan():
     """At every placement the kept ready pairs are those a scan of every
     unplaced operation gives, in the same order and with the same
-    releases; each pair's start and time equal max(release, machine
-    release) and the learning-adjusted time at the machine's next
-    position, recomputed from the placements; the running makespan is
-    the latest completion and, at the end, the built schedule's."""
+    releases; each pair's start, time and completion equal max(release,
+    machine release), the learning-adjusted time at the machine's next
+    position and their sum, recomputed from the placements; the running
+    makespan is the latest completion and, at the end, the built
+    schedule's."""
     from flexshop.constructive import _State
 
     rng = random.Random(29)
@@ -149,15 +150,79 @@ def test_ready_pairs_match_a_full_scan():
                     free = done[seq[-1]] if seq else 0
                     time = actual_time(inst.std_time[(v, k)], len(seq) + 1,
                                        inst.learning_rate)
-                    want.append([v, k, release, max(release, free), time])
+                    start = max(release, free)
+                    want.append([v, k, release, start, time, start + time])
             assert state.pairs == want
             index = rng.randrange(len(want))
-            v, k, _, start, time = want[index]
+            v, k, _, _, _, end = want[index]
             state.place(state.pairs[index])
-            done[v] = start + time
+            done[v] = end
             sequences[k - 1].append(v)
             assert state.makespan == max(done.values())
             steps += 1
         assert not state.pairs and state.sequences == sequences
         assert state.makespan == build_schedule(inst, sequences).makespan
     assert steps > 200
+
+
+def _reference_est(pairs, rcl_alpha, rng):
+    """The EST pick by the full restricted-list filter: the pairs that
+    start soonest, then those whose time lies within an ``rcl_alpha``
+    fraction of the shortest; the first of them, or a draw."""
+    r_min = min([entry[3] for entry in pairs])
+    earliest = [entry for entry in pairs if entry[3] == r_min]
+    times = [entry[4] for entry in earliest]
+    lo = min(times)
+    threshold = lo + rcl_alpha * (max(times) - lo)
+    rcl = [entry for entry in earliest if entry[4] <= threshold]
+    return rng.choice(rcl) if rcl_alpha else rcl[0]
+
+
+def _reference_ect(pairs, rcl_alpha, rng):
+    """The ECT pick by the full restricted-list filter: the pairs whose
+    completion lies within an ``rcl_alpha`` fraction of the earliest; the
+    first of them, or a draw."""
+    finish = [entry[3] + entry[4] for entry in pairs]
+    lo = min(finish)
+    threshold = lo + rcl_alpha * (max(finish) - lo)
+    rcl = [entry for entry, end in zip(pairs, finish) if end <= threshold]
+    return rng.choice(rcl) if rcl_alpha else rcl[0]
+
+
+def test_greedy_pick_matches_the_list_filter():
+    """At every placement of greedy EST and ECT, the one-pass pick is the
+    entry that the full restricted-list filter keeps first at
+    ``rcl_alpha=0``, on random, tie-heavy (times in {1, 2}) and 60-150
+    operation DAG and chain instances.  With ``rcl_alpha > 0`` the rules
+    draw what the filter draws, from the same RNG state."""
+    from flexshop.constructive import _State, _ect, _est
+
+    from test_behaviour_digest import _large_instances
+
+    rng = random.Random(31)
+    cases = [random_instance(rng, max_ops=14, max_machines=4,
+                             max_time=2 if case % 2 else 10)
+             for case in range(60)]
+    cases += _large_instances()
+    rules = ((_est, _reference_est), (_ect, _reference_ect))
+    ties = picks = 0
+    for inst in cases:
+        for rule, reference in rules:
+            for rcl_alpha in (0.0, 0.5):
+                state = _State(inst)
+                while state.pairs:
+                    draws = rng.getstate()
+                    want = reference(state.pairs, rcl_alpha, rng)
+                    after = rng.getstate()
+                    rng.setstate(draws)
+                    got = rule(state.pairs, rcl_alpha, rng)
+                    assert got is want
+                    assert rng.getstate() == after
+                    if not rcl_alpha:
+                        key = (want[3], want[4]) if rule is _est else want[5]
+                        keys = [(e[3], e[4]) if rule is _est else e[5]
+                                for e in state.pairs]
+                        ties += keys.count(key) > 1
+                        picks += 1
+                    state.place(got)
+    assert picks > 2000 and ties > 100  # equal keys: the first one wins

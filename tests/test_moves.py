@@ -315,7 +315,9 @@ def test_searched_windows_match_reach_sets():
     G⁻ that stop at the asked machine: on every removal of 200-300
     operation DAG and chain instances and of tie-heavy small ones, after
     a few of SA's drawn moves, every machine's window, the removed
-    operation's own included, is the one that v's reach sets in G⁻ give."""
+    operation's own included, is the one that v's reach sets in G⁻ give:
+    searched over G's arc lists rewired into G⁻'s, and over G's own lists
+    with only v's rewired, as a random relocation searches them."""
     from flexshop.moves import random_relocation
 
     from flexshop.moves import _rewired, _searched_bounds
@@ -335,7 +337,7 @@ def test_searched_windows_match_reach_sets():
             rebuilt += rs.timing.rank is not graph.rank
             ancestors = reachable_from(rs.timing.preds, v)
             descendants = reachable_from(rs.timing.succs, v)
-            # a random relocation's: G's arc lists rewired, in G's order
+            # G's arc lists rewired into G⁻'s, searched in G's order
             seq = sched.sequences[sched.assignment[v] - 1]
             i = seq.index(v)
             prev = seq[i - 1] if i else None
@@ -343,11 +345,17 @@ def test_searched_windows_match_reach_sets():
             succs, preds, backward = _rewired(
                 inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),))
             assert backward == []
-            relocation = _searched_bounds(succs, preds, graph.order,
-                                          graph.rank, v, rs.q_minus)
+            ends = preds[v], succs[v]
+            rewired = _searched_bounds(succs, preds, graph.order,
+                                       graph.rank, ends, rs.q_minus)
+            # a random relocation's: G's own lists, with only v's rewired
+            relocation = _searched_bounds(graph.succs, graph.preds,
+                                          graph.order, graph.rank, ends,
+                                          rs.q_minus)
             for k in inst.machines:
                 want = reach_bounds(rs.q_minus[k - 1], ancestors, descendants)
                 assert rs.cycle_bounds(k) == want, (v, k)
+                assert rewired(k) == want, (v, k)
                 assert relocation(k) == want, (v, k)
     assert rebuilt  # tie rebuilds, with their own ranks, are covered
 
@@ -747,6 +755,42 @@ def test_sa_candidate_prices_what_it_builds():
             assert candidate == built
             assert validate_schedule(inst, candidate) == []
             sched = candidate
+
+
+def test_relocations_read_no_assignment(monkeypatch):
+    """A random relocation finds the drawn operation's machine among its
+    eligible machines' sequences: along a 50-step perturb walk and a
+    capped SA run on a 200-300 operation DAG, no returned Schedule, and
+    not the run's record, ever builds its operation -> machine dict."""
+    import flexshop.metaheuristics
+    from flexshop import MetaConfig, run
+
+    inst = _large_instance(random.Random(43), "dag")
+    rng = random.Random(47)
+    walk = [best_of_est_ect(inst)]
+    for _ in range(50):
+        walk.append(perturb(inst, walk[-1], rng))
+    returned = []
+    monkeypatch.setattr(
+        flexshop.metaheuristics, "perturb",
+        lambda *args: returned.append(perturb(*args)) or returned[-1])
+    record = run(inst, MetaConfig(algo="sa", max_iterations=40, seed=3))
+    assert len(returned) == 120
+    for sched in walk + returned + [record.schedule]:
+        assert "assignment" not in sched.__dict__
+
+
+def test_relocation_names_an_operation_on_no_eligible_machine():
+    """A schedule whose drawn operation sits on none of its eligible
+    machines is refused with a ScheduleError that names the operation."""
+    from flexshop import Schedule
+    from flexshop.moves import random_relocation
+
+    inst = parse_instance("1 2 1.0\n1 1 3\n0")  # operation 1: machine 1
+    stray = Schedule(((), (1,)), [0, 300, 0], (0, 1, 2), 300)
+    with pytest.raises(ScheduleError, match="operation 1 is on none of its "
+                       r"eligible machines \[1\]"):
+        random_relocation(inst, stray, random.Random(0))
 
 
 def test_edit_refuses_a_second_backward_arc():
