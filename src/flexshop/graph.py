@@ -27,6 +27,8 @@ __all__ = [
     "time_graph",
     "timing_of",
     "critical_path",
+    "path_as_built",
+    "solution_key",
     "build_schedule",
     "validate_schedule",
     "start_completion_times",
@@ -47,18 +49,18 @@ class ScheduleError(ValueError):
 
 @dataclass
 class Schedule:
-    """A feasible solution with its timing and critical path.
+    """A feasible solution with its timing.
 
     ``sequences[k-1]`` is the ordered tuple of operations on machine ``k``,
     the one stored encoding of the solution; ``actual_times[i]`` is the
     learning-adjusted processing time of vertex ``i``, 0 for the dummies.
-    ``timing``, that of its solution graph, feeds the next removal or scan;
-    a ``RunRecord``'s schedule and one built by hand have none.
+    ``timing``, that of its solution graph, feeds the next removal or scan
+    and the critical path; a ``RunRecord``'s schedule and one built by hand
+    have none.
     """
 
     sequences: tuple
     actual_times: list
-    critical_path: tuple
     makespan: int
     timing: "Timing | None" = field(default=None, repr=False, compare=False)
 
@@ -71,13 +73,31 @@ class Schedule:
             assignment.update(dict.fromkeys(seq, k))
         return assignment
 
+    @cached_property
+    def critical_path(self) -> tuple:
+        """The longest ``s -> t`` path that ``build_schedule``'s timing
+        gives, walked from ``timing`` when first read (``path_as_built``).
+        A ``RunRecord``'s schedule keeps the path its run read."""
+        if self.timing is None:
+            raise ValueError("a schedule without a timing has no critical "
+                             "path to walk")
+        return path_as_built(self.timing, self.actual_times,
+                             self.sequences)[1]
+
     def position_of(self, op: int) -> int:
         """1-based position of ``op`` in its machine sequence."""
         return self.sequences[self.assignment[op] - 1].index(op) + 1
 
     def key(self) -> tuple:
         """Hashable identity of the underlying solution."""
-        return (tuple(sorted(self.assignment.items())), self.sequences)
+        return solution_key(self.sequences)
+
+
+def solution_key(sequences) -> tuple:
+    """``Schedule.key`` of the solution with machine sequences
+    ``sequences``."""
+    return (tuple(sorted((op, k) for k, seq in enumerate(sequences, start=1)
+                         for op in seq)), sequences)
 
 
 def build_arcs(inst: Instance, sequences) -> tuple:
@@ -156,10 +176,12 @@ class Timing(NamedTuple):
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
     # a predecessor whose completion is the start (time_graph: the first in
-    # order; an edit: the first in preds); the critical path follows these
+    # order; an edit: the first in preds); the critical path is walked back
+    # along these
     setter: list
     # whether two predecessors finish at the start, so that another order
-    # could set it from another one
+    # could set it from another one: a tie on the critical path makes
+    # path_as_built time the graph again from scratch
     tied: list
 
 
@@ -232,6 +254,22 @@ def critical_path(timing: Timing, sequences):
     return tuple(path), timing.start[sink], tuple(tau)
 
 
+def path_as_built(timing: Timing, weights, sequences) -> tuple:
+    """``(timing, path, length, tau)``: ``critical_path`` as
+    ``build_schedule``'s timing of the same graph gives it.  The path runs
+    back along ``timing``'s setters, but a tied vertex on it would follow
+    that order's tie-break: then the graph is timed again from scratch
+    (``time_graph``, with ``weights``), and that timing is walked and
+    returned."""
+    i = len(timing.start) - 1
+    while i != SOURCE:
+        if timing.tied[i]:
+            timing = time_graph(timing.succs, weights)
+            break
+        i = timing.setter[i]
+    return (timing, *critical_path(timing, sequences))
+
+
 def _sequence_faults(inst: Instance, sequences) -> list:
     """Why ``sequences`` are not one sequence per machine that together
     hold every operation exactly once, each on an eligible machine."""
@@ -280,8 +318,7 @@ def build_schedule(inst: Instance, sequences) -> Schedule:
         raise ScheduleError(faults[0])
     weights = _weigh(inst, sequences)
     timing = time_graph(build_arcs(inst, sequences), weights)
-    path, length, _ = critical_path(timing, sequences)
-    return Schedule(sequences, weights, path, length, timing)
+    return Schedule(sequences, weights, timing.start[-1], timing)
 
 
 def validate_schedule(inst: Instance, sched: Schedule) -> list:

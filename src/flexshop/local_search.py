@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .instance import Instance
-from .graph import Schedule
+from .graph import Schedule, solution_key
 from .moves import NEIGHBORHOOD_MODES, best_neighbor
 
 __all__ = ["LocalSearchConfig", "LocalSearchResult", "local_search"]
@@ -48,8 +48,14 @@ class LocalSearchResult:
     schedule: Schedule
     iterations: int  # accepted moves
     neighbors_evaluated: int
-    # identity of every iterate, starting solution included
-    trajectory: list = field(default_factory=list)
+    # the machine sequences of every iterate, starting solution included
+    iterates: list = field(default_factory=list)
+
+    @property
+    def trajectory(self) -> list:
+        """The identity (``Schedule.key``) of every iterate, starting
+        solution included, worked out when read."""
+        return [solution_key(sequences) for sequences in self.iterates]
 
 
 def local_search(inst: Instance, start: Schedule,
@@ -68,7 +74,7 @@ def local_search(inst: Instance, start: Schedule,
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
     current = start
-    result = LocalSearchResult(current, 0, 0, [current.key()])
+    result = LocalSearchResult(current, 0, 0, [current.sequences])
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -85,7 +91,7 @@ def local_search(inst: Instance, start: Schedule,
             break
         current = best.schedule
         result.iterations += 1
-        result.trajectory.append(current.key())
+        result.iterates.append(current.sequences)
         if out_of_time():
             break
     result.schedule = current

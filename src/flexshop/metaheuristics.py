@@ -182,6 +182,10 @@ class _Run:
 
     def finish(self) -> RunRecord:
         assert self.incumbent is not None
+        # callers keep records by the thousand: drop the timing, but walk
+        # the path while it is there
+        kept = replace(self.incumbent, timing=None)
+        kept.critical_path = self.incumbent.critical_path
         return RunRecord(
             self.inst.name,
             f"{self.cfg.algo}-{self.cfg.mode}",
@@ -193,8 +197,7 @@ class _Run:
             self.neighbors,
             self.stalled,
             self.stop_reason,
-            # callers keep records by the thousand: drop the timing
-            replace(self.incumbent, timing=None),
+            kept,
         )
 
 

@@ -30,9 +30,12 @@ way to prev→next, before→v and v→after.  Only the operations whose
 position changed are re-weighed (v's old suffix and the suffix that v
 pushes, or on a move within one machine the stretch between the two
 positions), and G⁻ is never timed.  Every timing flags the vertices
-that two predecessors finish at the start of; when one lies on the new
-critical path, τ would follow the order's tie-break, so ``_edited`` times
-the graph again from scratch and gives ``build_schedule``'s path.  The
+that two predecessors finish at the start of.  An edit walks no critical
+path: a removal walks G⁻'s at once, for ξ, τ⁻ and P, and a built
+``Schedule`` walks its own when it is first read, by a cropped scan or
+for a ``RunRecord`` (``graph.path_as_built``).  When a vertex on the
+walked path is tied, τ would follow the order's tie-break, so the graph
+is timed again from scratch and the path is ``build_schedule``'s.  The
 one timing of G⁻ gives the reduction's bounds and the times from which
 each insertion is priced.
 
@@ -79,7 +82,8 @@ only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
 applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
-next scan or removal, and is stripped from every ``RunRecord``.  Outside a
+next scan or removal, and is stripped from every ``RunRecord``, which
+keeps the path walked from it instead.  Outside a
 scan ``insert_op`` checks a slot and builds it the same way, without a
 ``Move``; ``random_relocation`` draws a slot and returns its ``Schedule``,
 edited from G in one step.  Local search and tabu search choose among the
@@ -99,8 +103,7 @@ from .graph import (
     Schedule,
     ScheduleError,
     Timing,
-    critical_path,
-    time_graph,
+    path_as_built,
     timing_of,
 )
 
@@ -244,8 +247,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
               table: "_ScanTable | None" = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph G.
 
-    The reduced graph is derived from G's timing (``timing_of``); its order
-    is G's unless a critical-path tie made it be timed from scratch.
+    The reduced graph is derived from G's timing (``timing_of``) and its
+    critical path walked at once (``path_as_built``); its order is G's
+    unless a tie on that path made it be timed from scratch.
     ``table``, a scan's ``_ScanTable`` of the schedule, holds that timing
     and gives the shifted times and the windows without searches.  A
     Schedule built by hand carries no timing, so each call times G again.
@@ -273,9 +277,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
 
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = shifted[0] if shifted else None
-    timing, path, xi, tau = _edited(inst, graph, ((prev, v), (v, nxt)),
-                                    ((prev, nxt),), w_minus, {v, *shifted},
-                                    q_minus)
+    timing = _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),),
+                     w_minus, {v, *shifted})
+    timing, path, xi, tau = path_as_built(timing, w_minus, q_minus)
     if table is not None:
         bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
     else:
@@ -451,10 +455,10 @@ def _rewired(inst: Instance, base: Timing, drop, add) -> tuple:
 
 
 def _edited(inst: Instance, base: Timing, drop, add, weights: list,
-            stale: set, sequences: tuple) -> tuple:
-    """``(timing, path, length, tau)`` of ``base``'s graph with the machine
-    arcs ``drop`` removed and those in ``add`` added (``_rewired``), whose
-    machine sequences are ``sequences`` (see the module's docstring).
+            stale: set) -> Timing:
+    """The timing of ``base``'s graph with the machine arcs ``drop``
+    removed and those in ``add`` added (``_rewired``), vertex ``i``
+    weighing ``weights[i]`` (see the module's docstring).
 
     An added arc that points backwards in ``base``'s order is mended by
     ``_reorder``.  One edit adds at most one: an insertion between a and
@@ -468,9 +472,8 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     ValueError.  The ``stale`` vertices, which must hold every vertex whose
     weight or predecessors changed, and whatever their changed completions
     reach are re-timed and their tie flags counted again; the rest keep
-    ``base``'s times and setters.  When a vertex on the critical path is
-    tied, τ would follow the order's tie-break, so the graph is timed again
-    from scratch and the rebuild's order decides it.
+    ``base``'s times, setters and flags.  No path is walked: the flags let
+    ``path_as_built`` walk the critical path when it is read.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
     order, rank = base.order, base.rank
@@ -503,13 +506,8 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
             stale.update(succs[u])
         if not stale:
             break
-    timing = Timing(tuple(succs), order, rank, preds, start, completion,
-                    setter, tied)
-    path, length, tau = critical_path(timing, sequences)
-    if any(map(tied.__getitem__, path)):
-        timing = time_graph(timing.succs, weights)
-        path, length, tau = critical_path(timing, sequences)
-    return timing, path, length, tau
+    return Timing(tuple(succs), order, rank, preds, start, completion,
+                  setter, tied)
 
 
 def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
@@ -557,7 +555,7 @@ def random_relocation(inst: Instance, sched: Schedule,
     operation's own lists rewired into G⁻'s.  G is then edited into G⁺
     once, by the removal's arc edit composed with the insertion's, and only
     the operations whose position changed are re-weighed (see the module's
-    docstring).  The slot needs no further check:
+    docstring); no path is walked.  The slot needs no further check:
     ``insert_op(inst, remove_op(...))`` builds the same schedule.
     """
     v = rng.randint(1, inst.num_operations)
@@ -602,10 +600,9 @@ def random_relocation(inst: Instance, sched: Schedule,
         for op, time in zip(ops, _times(inst, ops, m, first)):
             weights[op] = time
         stale.update(ops)
-    timing, path, length, _ = _edited(
-        inst, graph, ((prev, v), (v, nxt), (before, after)),
-        ((prev, nxt), (before, v), (v, after)), weights, stale, sequences)
-    return Schedule(sequences, weights, path, length, timing)
+    timing = _edited(inst, graph, ((prev, v), (v, nxt), (before, after)),
+                     ((prev, nxt), (before, v), (v, after)), weights, stale)
+    return Schedule(sequences, weights, timing.start[-1], timing)
 
 
 def _build_insertion(inst: Instance, rs: ReducedState, k: int,
@@ -615,9 +612,8 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
     may run on, built from G⁻'s timing.
 
     Its timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
-    its order is G⁻'s, locally reordered when needed.  A tie on the
-    critical path makes G⁺ be timed from scratch, so the path is
-    ``build_schedule``'s.
+    its order is G⁻'s, locally reordered when needed.  No path is walked
+    until the Schedule's ``critical_path`` is read.
     """
     v = rs.removed
     seq = rs.q_minus[k - 1]
@@ -631,10 +627,9 @@ def _build_insertion(inst: Instance, rs: ReducedState, k: int,
         weights[op] = time
     before = seq[gamma - 2] if gamma > 1 else None
     after = moved[0] if moved else None
-    timing, path, length, _ = _edited(
-        inst, rs.timing, ((before, after),), ((before, v), (v, after)),
-        weights, {v, *moved}, q_plus)
-    return Schedule(q_plus, weights, path, length, timing)
+    timing = _edited(inst, rs.timing, ((before, after),),
+                     ((before, v), (v, after)), weights, {v, *moved})
+    return Schedule(q_plus, weights, timing.start[-1], timing)
 
 
 def _reorder(succs: list, preds: list, order: list, rank: list, x: int,
@@ -743,7 +738,8 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
 
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
-    operation to the current critical path.  Each neighbor carries its
+    operation to the current critical path, walked here if no one read it
+    before (``Schedule.critical_path``).  Each neighbor carries its
     lower bound; its makespan is computed incrementally from the timing of
     the reduced graph when it is read.  The removals are derived from the
     timing of the schedule's own graph (``timing_of``).

@@ -16,8 +16,8 @@ from flexshop import (
     reachable_from,
     validate_schedule,
 )
-from flexshop.graph import (SOURCE, build_arcs, critical_path, time_graph,
-                            timing_of)
+from flexshop.graph import (SOURCE, build_arcs, critical_path, path_as_built,
+                            time_graph, timing_of)
 
 from conftest import random_instance, random_schedule, simulate_makespan
 
@@ -112,7 +112,7 @@ def test_build_and_validate_agree_on_malformed_sequences(sequences, first):
     with pytest.raises(ScheduleError) as raised:
         build_schedule(inst, sequences)
     assert str(raised.value) == first
-    sched = Schedule(tuple(map(tuple, sequences)), {}, (), 0)
+    sched = Schedule(tuple(map(tuple, sequences)), {}, 0)
     assert validate_schedule(inst, sched)[0] == first
 
 
@@ -162,6 +162,44 @@ def test_critical_path_tie_break_follows_dfs_order():
     assert sched.makespan == 274
     assert sched.critical_path == (0, 3, 2, 5)
     assert _tau(sched) == (0, 2)
+
+
+def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
+    """build_schedule walks no path; a Schedule walks its critical path
+    from its timing when the path is first read, keeps it, and refuses to
+    without a timing.  On a tie along the walked path the graph is timed
+    again from scratch, so a timing whose setters broke the tie the other
+    way still gives the depth-first order's path and τ."""
+    import flexshop.graph
+
+    walks = []
+    walk = flexshop.graph.critical_path
+    monkeypatch.setattr(flexshop.graph, "critical_path",
+                        lambda *args: walks.append(args) or walk(*args))
+    sched = build_schedule(fig1, [[2], [1, 4, 5, 3]])
+    assert walks == [] and "critical_path" not in sched.__dict__
+    assert sched.critical_path == (0, 1, 4, 5, 3, 6)
+    assert sched.critical_path == (0, 1, 4, 5, 3, 6)
+    assert len(walks) == 1
+    with pytest.raises(ValueError, match="no critical path"):
+        replace(sched, timing=None).critical_path
+
+    inst = parse_instance("4 2 0.2\n2 1 2 2 2\n1 2 2\n1 2 1\n1 1 1\n0\n")
+    tied = build_schedule(inst, [[4, 1], [3, 2]])
+    sink = len(tied.timing.start) - 1
+    assert tied.timing.tied[sink] and tied.timing.setter[sink] == 2
+    setter = tied.timing.setter.copy()
+    setter[sink] = 1  # the other tied predecessor
+    other = tied.timing._replace(setter=setter)
+    assert walk(other, tied.sequences)[0] == (0, 4, 1, 5)
+    timing, path, length, tau = path_as_built(other, tied.actual_times,
+                                              tied.sequences)
+    assert timing is not other and timing.setter[sink] == 2
+    assert (path, length, tau) == ((0, 3, 2, 5), 274, (0, 2))
+    assert replace(tied, timing=other).critical_path == (0, 3, 2, 5)
+    # without a tie on the path the given timing is walked as it is
+    assert path_as_built(sched.timing, sched.actual_times,
+                         sched.sequences)[0] is sched.timing
 
 
 def test_simulation_oracle_on_random_schedules():
@@ -215,7 +253,7 @@ def test_schedule_stores_its_solution_once(fig1, fig2b):
     """The machine sequences are the one stored encoding: the assignment is
     derived from them, machine by machine in sequence order."""
     assert [f.name for f in fields(Schedule)] == [
-        "sequences", "actual_times", "critical_path", "makespan", "timing"]
+        "sequences", "actual_times", "makespan", "timing"]
     assert list(fig2b.assignment.items()) == [(1, 2), (2, 2), (4, 2), (5, 2),
                                               (3, 2)]
     moved = build_schedule(fig1, [[2], [1, 4, 5, 3]])

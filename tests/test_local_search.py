@@ -42,6 +42,39 @@ def test_full_equals_reduced_on_fig2a(fig1, fig2a):
     assert reduced.neighbors_evaluated <= full.neighbors_evaluated
 
 
+def test_descent_keys_its_iterates_only_when_read(monkeypatch):
+    """A descent keeps each iterate's sequences and keys none of them; the
+    trajectory read afterwards holds each iterate's ``Schedule.key``,
+    starting solution included."""
+    import sys
+
+    import flexshop.graph
+
+    keyed = []
+    key = flexshop.graph.solution_key
+    schedule_key = flexshop.graph.Schedule.key
+    monkeypatch.setattr(sys.modules["flexshop.local_search"], "solution_key",
+                        lambda seqs: keyed.append(seqs) or key(seqs))
+    monkeypatch.setattr(flexshop.graph.Schedule, "key", None)
+    rng = random.Random(47)
+    descended = 0
+    for _ in range(20):
+        inst = random_instance(rng)
+        start = best_of_est_ect(inst)
+        result = local_search(inst, start)
+        assert keyed == []
+        assert len(result.iterates) == result.iterations + 1
+        assert result.iterates[0] is start.sequences
+        assert result.iterates[-1] is result.schedule.sequences
+        assert result.trajectory == [
+            schedule_key(flexshop.graph.build_schedule(inst, seqs))
+            for seqs in result.iterates]
+        assert len(keyed) == result.iterations + 1
+        keyed.clear()
+        descended += result.iterations > 0
+    assert descended
+
+
 def test_cropped_never_beats_reduced_on_fig2a(fig1, fig2a):
     reduced = local_search(fig1, fig2a, LocalSearchConfig("reduced", "best"))
     cropped = local_search(fig1, fig2a, LocalSearchConfig("cropped", "best"))

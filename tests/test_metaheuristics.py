@@ -163,7 +163,9 @@ def test_perturb_prices_nothing(monkeypatch):
         for _ in range(6):
             before = len(edited)
             perturbed = perturb(inst, sched, rng)
-            assert perturbed == build_schedule(inst, perturbed.sequences)
+            built = build_schedule(inst, perturbed.sequences)
+            assert perturbed == built
+            assert perturbed.critical_path == built.critical_path
             assert len(edited) - before == (perturbed is not sched)
             kept += perturbed is sched
             steps += 1

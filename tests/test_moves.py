@@ -20,7 +20,8 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.graph import build_arcs, critical_path, time_graph
+from flexshop.graph import (build_arcs, critical_path, path_as_built,
+                            time_graph)
 from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance, reach_bounds, scratch_removal
@@ -464,8 +465,8 @@ def _assert_built_like_scratch(inst, sched, v, k, gamma, got):
     assert got.actual_times == want.actual_times
     assert got.critical_path == want.critical_path
     assert got.makespan == want.makespan
-    assert (critical_path(got.timing, got.sequences)[2]
-            == critical_path(want.timing, want.sequences)[2])
+    assert (path_as_built(got.timing, got.actual_times, got.sequences)[1:]
+            == critical_path(want.timing, want.sequences))
     timing = got.timing
     scratch = time_graph(build_arcs(inst, want.sequences), want.actual_times)
     assert timing.succs == scratch.succs
@@ -492,29 +493,38 @@ def _assert_removals_like_scratch(inst, sched):
 STEPS = ("full", "reduced", "cropped", "perturb")
 
 
+def _counting_time_graph(monkeypatch) -> list:
+    """The calls of ``graph.time_graph``, patched to record each."""
+    import flexshop.graph
+
+    calls = []
+    time_from_scratch = flexshop.graph.time_graph
+    monkeypatch.setattr(
+        flexshop.graph, "time_graph",
+        lambda *args: calls.append(args) or time_from_scratch(*args))
+    return calls
+
+
 def test_incremental_build_matches_build_schedule(monkeypatch):
     """Every Schedule a scanned move builds from its reduced graph is the
     one build_schedule gives, along walks of scan moves and perturbations
-    that carry each built timing to the next removal; the order kept,
-    reordered and timed-from-scratch builds all occur."""
-    import flexshop.moves
-
-    rebuilds = []
-    time_from_scratch = flexshop.moves.time_graph
-    monkeypatch.setattr(
-        flexshop.moves, "time_graph",
-        lambda *args: rebuilds.append(args) or time_from_scratch(*args))
-    paths = {"in order": 0, "reordered": 0, "tie rebuild": 0}
+    that carry each built timing to the next removal.  A build times
+    nothing from scratch; builds that keep the order and that reorder it,
+    and paths whose first read times the graph again on a tie, all
+    occur."""
+    rebuilds = _counting_time_graph(monkeypatch)
+    paths = {"in order": 0, "reordered": 0, "tie re-timed on read": 0}
 
     def check(inst, sched, move):
         rebuilds.clear()
         timing = move.schedule.timing
-        if rebuilds:
-            paths["tie rebuild"] += 1
-        elif timing.order is move._rs.timing.order:
+        assert not rebuilds
+        if timing.order is move._rs.timing.order:
             paths["in order"] += 1
         else:
             paths["reordered"] += 1
+        move.schedule.critical_path
+        paths["tie re-timed on read"] += bool(rebuilds)
         _assert_built_like_scratch(inst, sched, move.operation, move.machine,
                                    move.position, move.schedule)
         assert move.makespan == move.schedule.makespan
@@ -534,7 +544,9 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
         for step in steps:
             if step == "perturb":
                 sched = perturb(inst, sched, rng)
-                assert sched == build_schedule(inst, sched.sequences)
+                built = build_schedule(inst, sched.sequences)
+                assert sched == built
+                assert sched.critical_path == built.critical_path
                 _assert_removals_like_scratch(inst, sched)
                 continue
             moves = list(enumerate_neighbors(inst, sched, step))
@@ -677,21 +689,17 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
     """Every perturbation, a random relocation, makes the draws that a
     removal and its cycle-free window make, in the same order, and builds
     what insert_op builds in the drawn slot and build_schedule builds from
-    its sequences, timing included, along walks on small, tie-heavy, chain
-    and 200-300 operation instances that carry each built timing to the
-    next draw.
-    Draws to another machine, to another slot of the own machine and back
-    into the own slot, and builds that keep the order, reorder it and
-    time the graph again on a tie, all occur."""
-    import flexshop.moves
-
-    rebuilds = []
-    time_from_scratch = flexshop.moves.time_graph
-    monkeypatch.setattr(
-        flexshop.moves, "time_graph",
-        lambda *args: rebuilds.append(args) or time_from_scratch(*args))
+    its sequences, timing and critical path included, along walks on
+    small, tie-heavy, chain and 200-300 operation instances that carry
+    each built timing to the next draw.  A relocation times nothing from
+    scratch.  Draws to another machine, to another slot of the own machine
+    and back into the own slot, builds that keep the order and that
+    reorder it, and paths whose first read times the graph again on a
+    tie, all occur."""
+    rebuilds = _counting_time_graph(monkeypatch)
     kinds = dict.fromkeys(("other machine", "same machine", "own slot",
-                           "in order", "reordered", "tie rebuild"), 0)
+                           "in order", "reordered", "tie re-timed on read"),
+                          0)
     rng = random.Random(37)
     cases = [(_large_instance(rng, layout), 6) for layout in ("dag", "chain")]
     for case in range(90):
@@ -718,14 +726,16 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
                 kinds["own slot"] += 1
                 continue
             kinds["same machine" if k == origin else "other machine"] += 1
-            if rebuilds:
-                kinds["tie rebuild"] += 1
-            elif got.timing.order is sched.timing.order:
+            assert not rebuilds
+            if got.timing.order is sched.timing.order:
                 kinds["in order"] += 1
             else:
                 kinds["reordered"] += 1
+            got.critical_path
+            kinds["tie re-timed on read"] += bool(rebuilds)
             want = insert_op(inst, rs, v, k, gamma)
             assert got == want and got.key() == want.key()
+            assert got.critical_path == want.critical_path
             _assert_built_like_scratch(inst, sched, v, k, gamma, got)
             assert validate_schedule(inst, got) == []
             sched = got
@@ -753,6 +763,7 @@ def test_sa_candidate_prices_what_it_builds():
             assert (candidate.makespan
                     == build_schedule(inst, candidate.sequences).makespan)
             assert candidate == built
+            assert candidate.critical_path == built.critical_path
             assert validate_schedule(inst, candidate) == []
             sched = candidate
 
@@ -780,6 +791,97 @@ def test_relocations_read_no_assignment(monkeypatch):
         assert "assignment" not in sched.__dict__
 
 
+def test_every_built_schedule_has_build_schedules_path(monkeypatch):
+    """Every Schedule that a scanned or checked insertion
+    (``_build_insertion``), a random relocation or a constructive start
+    (``best_of_est_ect``) builds, and every record of capped {ils, grasp,
+    ts, sa} x {reduced, cropped} runs, has the critical path that
+    build_schedule gives for its sequences, on random, tie-heavy (times in
+    {1, 2}) and chain instances and along 30-step relocation walks.  Paths
+    first read after the run, and ones whose read times the graph again
+    on a tie, both occur for each kind."""
+    import flexshop.metaheuristics
+    import flexshop.moves
+    from flexshop import MetaConfig, run
+
+    built = {"insertion": [], "relocation": [], "start": []}
+
+    def recording(kind, module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: built[kind].append(
+            original(*args)) or built[kind][-1])
+
+    recording("insertion", flexshop.moves, "_build_insertion")
+    recording("relocation", flexshop.metaheuristics, "perturb")
+    recording("start", flexshop.metaheuristics, "best_of_est_ect")
+    retimed = _counting_time_graph(monkeypatch)
+    kinds = [*built, "record"]
+    read, tied = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)
+
+    def check(inst, kind, sched):
+        if "critical_path" not in sched.__dict__:
+            read[kind] += 1
+        retimed.clear()
+        path = sched.critical_path
+        tied[kind] += bool(retimed)
+        assert path == build_schedule(inst, sched.sequences).critical_path
+
+    rng = random.Random(53)
+    for case in range(36):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        for kind in built:
+            built[kind].clear()
+        records = [run(inst, MetaConfig(algo=algo, mode=mode,
+                                        max_iterations=3, seed=case))
+                   for algo in ("ils", "grasp", "ts", "sa")
+                   for mode in ("reduced", "cropped")]
+        walk = [flexshop.metaheuristics.best_of_est_ect(inst)]
+        for _ in range(30):
+            walk.append(flexshop.metaheuristics.perturb(inst, walk[-1], rng))
+        for kind, schedules in built.items():
+            for sched in schedules:
+                check(inst, kind, sched)
+        for record in records:
+            assert record.schedule.timing is None
+            check(inst, "record", record.schedule)
+    assert all(read[kind] and tied[kind] for kind in built), (read, tied)
+    assert read["record"] == 0  # each record carries the path its run read
+
+
+def test_relocations_walk_no_critical_path(monkeypatch):
+    """On a 200-300 operation DAG, a 50-step perturb walk walks no
+    critical path and times nothing from scratch, and a capped SA run
+    walks one: its record's."""
+    import flexshop.graph
+    import flexshop.metaheuristics
+    from flexshop import MetaConfig, run
+
+    walks = []
+    walk = flexshop.graph.critical_path
+    for module in (flexshop.graph, flexshop.moves, flexshop.metaheuristics):
+        if getattr(module, "critical_path", None) is walk:
+            monkeypatch.setattr(
+                module, "critical_path",
+                lambda *args: walks.append(args) or walk(*args))
+    inst = _large_instance(random.Random(43), "dag")
+    sched = best_of_est_ect(inst)
+    retimed = _counting_time_graph(monkeypatch)
+    walks.clear()
+    rng = random.Random(47)
+    for _ in range(50):
+        sched = perturb(inst, sched, rng)
+    assert walks == [] and retimed == []
+    record = run(inst, MetaConfig(algo="sa", max_iterations=40, seed=3))
+    assert len(walks) == 1
+    assert (record.schedule.critical_path
+            == build_schedule(inst, record.schedule.sequences).critical_path)
+
+
 def test_relocation_names_an_operation_on_no_eligible_machine():
     """A schedule whose drawn operation sits on none of its eligible
     machines is refused with a ScheduleError that names the operation."""
@@ -787,7 +889,7 @@ def test_relocation_names_an_operation_on_no_eligible_machine():
     from flexshop.moves import random_relocation
 
     inst = parse_instance("1 2 1.0\n1 1 3\n0")  # operation 1: machine 1
-    stray = Schedule(((), (1,)), [0, 300, 0], (0, 1, 2), 300)
+    stray = Schedule(((), (1,)), [0, 300, 0], 300)
     with pytest.raises(ScheduleError, match="operation 1 is on none of its "
                        r"eligible machines \[1\]"):
         random_relocation(inst, stray, random.Random(0))
@@ -805,4 +907,4 @@ def test_edit_refuses_a_second_backward_arc():
     with pytest.raises(ValueError, match=r"machine arcs \(2, 1\) and "
                        r"\(4, 3\) both point backwards"):
         _edited(inst, sched.timing, ((1, 2), (3, 4)), swapped,
-                list(sched.actual_times), {1, 2, 3, 4}, swapped)
+                list(sched.actual_times), {1, 2, 3, 4})
