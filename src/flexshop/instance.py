@@ -61,20 +61,16 @@ class Instance:
         return self.eligible[op - 1]
 
     @cached_property
-    def _precedence_lists(self) -> tuple:
-        """(predecessors, successors) of every operation, built from the
+    def _predecessor_lists(self) -> dict:
+        """The predecessors of every operation that has any, built from the
         precedence arcs once per instance, in their iteration order."""
-        preds, succs = {}, {}
+        preds = {}
         for i, j in self.precedence_arcs:
             preds.setdefault(j, []).append(i)
-            succs.setdefault(i, []).append(j)
-        return preds, succs
+        return preds
 
     def predecessors(self, op: int) -> list:
-        return list(self._precedence_lists[0].get(op, ()))
-
-    def successors(self, op: int) -> list:
-        return list(self._precedence_lists[1].get(op, ()))
+        return list(self._predecessor_lists.get(op, ()))
 
     def with_learning_rate(self, alpha: float) -> "Instance":
         """The same instance with learning rate ``alpha``, validated."""

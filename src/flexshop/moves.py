@@ -11,9 +11,9 @@ untouched.
 A neighbor is priced without building its graph.  A scan takes the
 timing of the schedule's own graph G, which the ``Schedule`` carries
 (``timing_of`` times G once when it carries none), and tabulates once what
-its removals read of G: each vertex's ancestors and descendants as bitsets
-of G's ranks, each machine's operations, and each operation's time one
-position earlier and one later.
+its removals and built moves read of G: each vertex's ancestors and
+descendants as bitsets of G's ranks, each machine's operations, and each
+operation's time one position earlier and one later.
 
 Every change of a timed graph is one edit (``_edited``): the machine arcs
 it breaks are dropped, those it makes are added, the order is kept unless
@@ -22,33 +22,32 @@ and Kelly's dynamic topological sort), and only the operations whose
 position changed, the heads of the changed arcs and what their new
 completions reach are re-timed.  A removal edits G into its reduced graph
 G⁻: prev→v and v→next give way to prev→next, which never points
-backwards, so G⁻ keeps G's order and ranks.  A scanned move that is
-applied edits G⁻ into G⁺: before→after gives way to before→v and
-v→after.  A random relocation edits G into G⁺ at once, by the removal's
-edit composed with the insertion's: prev→v, v→next and before→after give
-way to prev→next, before→v and v→after.  Only the operations whose
-position changed are re-weighed (v's old suffix and the suffix that v
-pushes, or on a move within one machine the stretch between the two
-positions), and G⁻ is never timed.  Every timing flags the vertices
-that two predecessors finish at the start of.  An edit walks no critical
-path: a removal walks G⁻'s at once, for ξ, τ⁻ and P, and a built
-``Schedule`` walks its own when it is first read, by a cropped scan or
-for a ``RunRecord`` (``graph.path_as_built``).  When a vertex on the
-walked path is tied, τ would follow the order's tie-break, so the graph
-is timed again from scratch and the path is ``build_schedule``'s.  The
-one timing of G⁻ gives the reduction's bounds and the times from which
-each insertion is priced.
+backwards, so G⁻ keeps G's order and ranks.  Every move that is applied,
+a scanned one as well as a random relocation, edits G into G⁺ at once
+(``_relocated``), by the removal's edit composed with the insertion's:
+prev→v, v→next and before→after give way to prev→next, before→v and
+v→after.  Only the operations whose position changed are re-weighed (v's
+old suffix and the suffix that v pushes, or on a move within one machine
+the stretch between the two positions), and G⁻ is never timed for it.
+Every timing flags the vertices that two predecessors finish at the start
+of.  An edit walks no critical path: a removal walks G⁻'s at once, for ξ,
+τ⁻ and P, and a built ``Schedule`` walks its own when it is first read,
+by a cropped scan or for a ``RunRecord`` (``graph.path_as_built``).  When
+a vertex on the walked path is tied, τ would follow the order's
+tie-break, so the graph is timed again from scratch and the path is
+``build_schedule``'s.  The one timing of G⁻ gives the reduction's bounds
+and the times from which each insertion is priced.
 
 The insertion window on a machine lies between the last ancestor and the
 first descendant of the removed operation there.  No path that ends or
 starts at the removed operation can use the machine arcs that its removal
 rewires, so its ancestors in G⁻ are those of its predecessors in G, its
 descendants those of its successors, and ranks rise along every machine
-sequence: in a scan each bound is one bit operation on the table.  Outside
-a scan each machine asked gets two searches of G⁻'s arcs that pop
-vertices in rank order and stop at its first operation met
-(``_searched_bounds``); G's order suits G⁻, so a random relocation
-searches G's own arc lists with only v's rewired: prev leaves its
+sequence: each bound is one bit operation on a scan table of G, which a
+removal outside a scan tabulates for itself.  A random relocation asks one
+machine and gets two searches that pop vertices in rank order and stop at
+its first operation met (``_searched_bounds``); G's order suits G⁻, so
+they search G's own arc lists with only v's rewired: prev leaves its
 predecessors and next its successors.  In G⁻ next never reaches v and v
 never reaches prev, so their lists, which the removal rewires too, are
 never read.
@@ -81,13 +80,15 @@ than a cutoff asks ``Move.beats``: the first bound, then the second, and
 only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
-applies, by editing G⁻ into G⁺.  The timing of G⁺ is inside it, for the
-next scan or removal, and is stripped from every ``RunRecord``, which
-keeps the path walked from it instead.  Outside a
-scan ``insert_op`` checks a slot and builds it the same way, without a
-``Move``; ``random_relocation`` draws a slot and returns its ``Schedule``,
-edited from G in one step.  Local search and tabu search choose among the
-scanned moves with ``best_neighbor``.
+applies, by the one edit of G into G⁺ that builds a random relocation;
+the move to the operation's own slot is the scanned schedule itself.  The
+timing of G⁺ is inside it, for the next scan or removal, and is stripped
+from every ``RunRecord``, which keeps the path walked from it instead.
+Outside a scan ``insert_op`` checks a slot and builds it by editing G⁻
+into G⁺, the reference that the composed edit is tested against;
+``random_relocation`` draws a slot and returns its ``Schedule``.  Local
+search and tabu search choose among the scanned moves with
+``best_neighbor``.
 """
 
 import random
@@ -175,7 +176,8 @@ class Move:
     scan's ``_ScanTable``, the largest tail in G among the operation's
     successors in G⁻, and ``drop[i]``, what the target machine's operations
     from index ``i`` on lose by moving one position later.  ``schedule``
-    is built from ``rs`` on first access.
+    is built on first access from the table's schedule and timing of G
+    (``_relocated``).
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
@@ -238,8 +240,11 @@ class Move:
     @property
     def schedule(self) -> Schedule:
         if self._schedule is None:
-            self._schedule = _build_insertion(self._inst, self._rs,
-                                              self.machine, self.position)
+            table, v = self._tails[0], self.operation
+            sched = table.sched
+            self._schedule = _relocated(
+                self._inst, sched, table.graph, v, sched.assignment[v],
+                sched.position_of(v), self.machine, self.position)
         return self._schedule
 
 
@@ -247,16 +252,16 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
               table: "_ScanTable | None" = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph G.
 
-    The reduced graph is derived from G's timing (``timing_of``) and its
-    critical path walked at once (``path_as_built``); its order is G's
-    unless a tie on that path made it be timed from scratch.
-    ``table``, a scan's ``_ScanTable`` of the schedule, holds that timing
-    and gives the shifted times and the windows without searches.  A
-    Schedule built by hand carries no timing, so each call times G again.
+    The reduced graph is derived from G's timing and its critical path
+    walked at once (``path_as_built``); its order is G's unless a tie on
+    that path made it be timed from scratch.  ``table``, a scan's
+    ``_ScanTable`` of the schedule, holds that timing, the shifted times
+    and what the windows read; without one, one is tabulated here.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
-    graph = timing_of(inst, sched) if table is None else table.graph
+    if table is None:
+        table = _ScanTable(inst, sched)
     old_machine = sched.assignment[v]
     gamma = sched.position_of(v)
 
@@ -268,30 +273,22 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     w_minus = list(sched.actual_times)
     w_minus[v] = 0
     shifted = old_seq[gamma:]  # one position earlier now
-    if table is not None:
-        earlier = table.earlier[old_machine - 1][gamma - 1:]
-    else:
-        earlier = _times(inst, shifted, old_machine, gamma)
-    for op, time in zip(shifted, earlier):
+    for op, time in zip(shifted, table.earlier[old_machine - 1][gamma - 1:]):
         w_minus[op] = time
 
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = shifted[0] if shifted else None
-    timing = _edited(inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),),
-                     w_minus, {v, *shifted})
+    timing = _edited(inst, table.graph, ((prev, v), (v, nxt)),
+                     ((prev, nxt),), w_minus, {v, *shifted})
     timing, path, xi, tau = path_as_built(timing, w_minus, q_minus)
-    if table is not None:
-        bounds = table.cycle_bounds(timing, v, old_machine, q_minus)
-    else:
-        bounds = _searched_bounds(timing.succs, timing.preds, timing.order,
-                                  timing.rank,
-                                  (timing.preds[v], timing.succs[v]), q_minus)
-    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
+    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing,
+                        table.cycle_bounds(timing, v, old_machine, q_minus))
 
 
 class _ScanTable:
-    """What the removals of one scan read of G, the scanned schedule's
-    graph, tabulated once from its timing ``graph`` (``timing_of``).
+    """What the removals and built moves of one scan read of G, the graph
+    of the scanned schedule ``sched``, tabulated once from its timing
+    ``graph`` (``timing_of``).
 
     ``anc[u]`` and ``desc[u]`` are bitsets of the ranks (``rank``, G's) of
     u's ancestors and of its descendants, u included; ``mask[k-1]`` that
@@ -303,10 +300,11 @@ class _ScanTable:
     the longest path from u's start to the end of G, u's weight included.
     """
 
-    __slots__ = ("graph", "rank", "anc", "desc", "tail", "mask", "pos",
-                 "earlier", "later", "drop")
+    __slots__ = ("sched", "graph", "rank", "anc", "desc", "tail", "mask",
+                 "pos", "earlier", "later", "drop")
 
     def __init__(self, inst: Instance, sched: Schedule):
+        self.sched = sched
         self.graph = graph = timing_of(inst, sched)
         order, rank = graph.order, graph.rank
         self.rank = rank
@@ -365,24 +363,26 @@ class _ScanTable:
 
 
 def _searched_bounds(succs: list, preds: list, order: list, rank: list,
-                     ends: tuple, q_minus: tuple) -> Callable:
-    """``ReducedState.cycle_bounds`` for the removed operation v, whose
-    predecessors and successors in G⁻ are ``ends``, from two searches per
-    machine k asked over the arc lists ``succs`` and ``preds`` of the
-    vertices v reaches and that reach v in G⁻, given a topological
-    ``order`` of G⁻ and its ``rank``s.  Each pops vertices from a heap in
-    rank order and stops at the first operation of q⁻_k: over ``preds`` in
-    decreasing rank for ``lower``, over ``succs`` in increasing rank for
-    ``upper``.  Each q⁻ sequence is a chain of G⁻'s arcs, so ranks rise
-    along it: v's ancestors on k form a prefix and its descendants a
-    suffix.  Popping in decreasing rank pops every ancestor ranked above r
-    before any vertex ranked at or below r, so the first hit is the last
-    ancestor, and there is none once the top ranks below q⁻_k[0]; the
-    descendants mirror this.
+                     ends: tuple, seq: tuple) -> tuple:
+    """``ReducedState.cycle_bounds`` of the removed operation v, whose
+    predecessors and successors in G⁻ are ``ends``, on the machine whose
+    q⁻ sequence is ``seq``, from two searches over ``succs`` and ``preds``,
+    G⁻'s arc lists of the vertices v reaches and that reach v, given a
+    topological ``order`` of G⁻ and its ``rank``s.
+    Each pops vertices from a heap in rank order and stops at the first
+    operation of ``seq``: over ``preds`` in decreasing rank for the lower
+    bound, over ``succs`` in increasing rank for the upper.  ``seq`` is a
+    chain of G⁻'s arcs, so ranks rise along it: v's ancestors on it form a
+    prefix and its descendants a suffix.  Popping in decreasing rank pops
+    every ancestor ranked above r before any vertex ranked at or below r,
+    so the first hit is the last ancestor, and there is none once the top
+    ranks below ``seq[0]``; the descendants mirror this.
     """
-    above, below = ends
+    if not seq:
+        return 0, 1
+    where = {op: pos for pos, op in enumerate(seq, start=1)}
 
-    def first(adjacency, start, sign: int, where: dict, end: int):
+    def first(adjacency, start, sign: int, end: int):
         # where[u] of the first u popped in order of sign * rank, up to end
         heap = [sign * rank[u] for u in start]
         heapify(heap)
@@ -398,15 +398,9 @@ def _searched_bounds(succs: list, preds: list, order: list, rank: list,
                     heappush(heap, sign * rank[j])
         return None
 
-    def bounds(k: int) -> tuple:
-        seq = q_minus[k - 1]
-        if not seq:
-            return 0, 1
-        where = {op: pos for pos, op in enumerate(seq, start=1)}
-        return (first(preds, above, -1, where, seq[0]) or 0,
-                first(succs, below, 1, where, seq[-1]) or len(seq) + 1)
-
-    return bounds
+    above, below = ends
+    return (first(preds, above, -1, seq[0]) or 0,
+            first(succs, below, 1, seq[-1]) or len(seq) + 1)
 
 
 def _times(inst: Instance, ops: tuple, k: int, first: int) -> list:
@@ -461,14 +455,14 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     weighing ``weights[i]`` (see the module's docstring).
 
     An added arc that points backwards in ``base``'s order is mended by
-    ``_reorder``.  One edit adds at most one: an insertion between a and
-    b, where a→b is an arc of ``base``'s graph, adds a→v and v→b, and as b
-    ranks after a at most one of them points backwards; a removal's
-    prev→next never does, since v ranks between prev and next.  A random
-    relocation's composed edit adds prev→next, before→v and v→after:
+    ``_reorder``.  One edit adds at most one: ``insert_op``'s, between a
+    and b, where a→b is an arc of G⁻, adds a→v and v→b, and as b ranks
+    after a at most one of them points backwards; a removal's prev→next
+    never does, since v ranks between prev and next.  The composed edit of
+    an applied move (``_relocated``) adds prev→next, before→v and v→after:
     before→after, which it drops, is an arc of G too (unless it is
-    prev→next, which is a draw of v's own slot), so again at most one of
-    the last two points backwards.  A second backward arc raises
+    prev→next, which is v's own slot, never edited), so again at most one
+    of the last two points backwards.  A second backward arc raises
     ValueError.  The ``stale`` vertices, which must hold every vertex whose
     weight or predecessors changed, and whatever their changed completions
     reach are re-timed and their tie flags counted again; the rest keep
@@ -525,7 +519,8 @@ def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
               gamma: int) -> Schedule:
     """Reinsert ``v``, the removed operation, at position ``gamma`` of
-    machine ``k``, outside a scan.  Raises ValueError unless ``rs`` holds
+    machine ``k``, outside a scan, by editing G⁻ into G⁺ (in G⁻'s order,
+    reordered locally when needed).  Raises ValueError unless ``rs`` holds
     ``v``, then CycleError unless ``gamma`` lies in the cycle-free window,
     and then ScheduleError unless ``v`` may run on ``k``."""
     if v != rs.removed:
@@ -539,7 +534,18 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     if k not in inst.eligible[v - 1]:
         # q⁻ came from a checked Schedule: only v's machine is new
         raise ScheduleError(f"operation {v} on ineligible machine {k}")
-    return _build_insertion(inst, rs, k, gamma)
+    seq = rs.q_minus[k - 1]
+    moved = seq[gamma - 1:]  # one position later now
+    q_plus = list(rs.q_minus)
+    q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
+    weights = list(rs.w_minus)
+    for op, time in zip((v, *moved), _times(inst, (v, *moved), k, gamma)):
+        weights[op] = time
+    before = seq[gamma - 2] if gamma > 1 else None
+    after = moved[0] if moved else None
+    timing = _edited(inst, rs.timing, ((before, after),),
+                     ((before, v), (v, after)), weights, {v, *moved})
+    return Schedule(tuple(q_plus), weights, timing.start[-1], timing)
 
 
 def random_relocation(inst: Instance, sched: Schedule,
@@ -552,11 +558,9 @@ def random_relocation(inst: Instance, sched: Schedule,
     The operation's machine is found among its eligible machines'
     sequences; ScheduleError names it when it sits on none.  The window
     comes from a search of G's own arc lists, in G's order, with only the
-    operation's own lists rewired into G⁻'s.  G is then edited into G⁺
-    once, by the removal's arc edit composed with the insertion's, and only
-    the operations whose position changed are re-weighed (see the module's
-    docstring); no path is walked.  The slot needs no further check:
-    ``insert_op(inst, remove_op(...))`` builds the same schedule.
+    operation's own lists rewired into G⁻'s, and ``_relocated`` builds the
+    slot.  It needs no further check: ``insert_op(inst, remove_op(...))``
+    builds the same schedule.
     """
     v = rng.randint(1, inst.num_operations)
     machines = sorted(inst.eligible_machines(v))
@@ -569,19 +573,38 @@ def random_relocation(inst: Instance, sched: Schedule,
     gamma = old_seq.index(v) + 1
     prev = old_seq[gamma - 2] if gamma > 1 else None
     nxt = old_seq[gamma] if gamma < len(old_seq) else None
-    sequences = list(sched.sequences)
-    sequences[origin - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     k = machines[rng.randrange(len(machines))]
+    seq = (old_seq[:gamma - 1] + old_seq[gamma:] if k == origin
+           else sched.sequences[k - 1])
     # in G⁻ next never reaches v and v never reaches prev, so the searches
     # read no rewired list but v's own
     arcs = inst.precedence_arcs
     ends = ([i for i in graph.preds[v] if i != prev or (i, v) in arcs],
             [j for j in graph.succs[v] if j != nxt or (v, j) in arcs])
     lower, upper = _searched_bounds(graph.succs, graph.preds, graph.order,
-                                    graph.rank, ends, sequences)(k)
-    slot = rng.randint(lower + 1, upper)
+                                    graph.rank, ends, seq)
+    return _relocated(inst, sched, graph, v, origin, gamma, k,
+                      rng.randint(lower + 1, upper))
+
+
+def _relocated(inst: Instance, sched: Schedule, graph: Timing, v: int,
+               origin: int, gamma: int, k: int, slot: int) -> Schedule:
+    """``Schedule`` of the graph G⁺ that moves ``v`` from position
+    ``gamma`` of machine ``origin`` to position ``slot`` of machine ``k``
+    in q⁻, a cycle-free slot on a machine it may run on, edited from
+    ``graph``, the timing of ``sched``'s graph G, in one step (see the
+    module's docstring).  Its timing has G⁺'s arcs as ``build_arcs`` gives
+    them and exact times; no path is walked until its ``critical_path`` is
+    read.  The own slot returns ``sched``: there the composed edit would
+    keep a prev→next arc that ``build_arcs`` does not make.
+    """
     if k == origin and slot == gamma:
         return sched
+    old_seq = sched.sequences[origin - 1]
+    prev = old_seq[gamma - 2] if gamma > 1 else None
+    nxt = old_seq[gamma] if gamma < len(old_seq) else None
+    sequences = list(sched.sequences)
+    sequences[origin - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     seq = sequences[k - 1]
     before = seq[slot - 2] if slot > 1 else None
     after = seq[slot - 1] if slot <= len(seq) else None
@@ -603,33 +626,6 @@ def random_relocation(inst: Instance, sched: Schedule,
     timing = _edited(inst, graph, ((prev, v), (v, nxt), (before, after)),
                      ((prev, nxt), (before, v), (v, after)), weights, stale)
     return Schedule(sequences, weights, timing.start[-1], timing)
-
-
-def _build_insertion(inst: Instance, rs: ReducedState, k: int,
-                     gamma: int) -> Schedule:
-    """``Schedule`` of the graph G⁺ that reinserts the removed operation at
-    position ``gamma`` of machine ``k``, a cycle-free slot on a machine it
-    may run on, built from G⁻'s timing.
-
-    Its timing has G⁺'s arcs as ``build_arcs`` gives them and exact times;
-    its order is G⁻'s, locally reordered when needed.  No path is walked
-    until the Schedule's ``critical_path`` is read.
-    """
-    v = rs.removed
-    seq = rs.q_minus[k - 1]
-    moved = seq[gamma - 1:]  # one position later now
-    q_plus = list(rs.q_minus)
-    q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
-    q_plus = tuple(q_plus)
-
-    weights = list(rs.w_minus)
-    for op, time in zip((v, *moved), _times(inst, (v, *moved), k, gamma)):
-        weights[op] = time
-    before = seq[gamma - 2] if gamma > 1 else None
-    after = moved[0] if moved else None
-    timing = _edited(inst, rs.timing, ((before, after),),
-                     ((before, v), (v, after)), weights, {v, *moved})
-    return Schedule(q_plus, weights, timing.start[-1], timing)
 
 
 def _reorder(succs: list, preds: list, order: list, rank: list, x: int,
@@ -679,7 +675,11 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     graph's order still holds for every vertex below it.  A re-timed vertex
     pushes a later completion to its successors; one that finishes earlier
     makes a successor whose start it set take the maximum over all its
-    predecessors again.
+    predecessors in G⁻ again.  The follower, ``seq[gamma - 1]``, whose
+    predecessor v is not one in G⁻, is never re-pulled: only the moved
+    operations, each a descendant of the follower, and their descendants
+    finish earlier, so such a predecessor of the follower would close a
+    cycle.
     """
     v = rs.removed
     succs, order, rank, preds, start, completion, *_ = rs.timing
@@ -689,11 +689,10 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     done_v = begin + time_v
     moved = seq[gamma - 1:]
     moved_time = dict(zip(moved, later[gamma - 1:]))
-    follower = moved[0] if moved else None
     # pending vertex -> latest completion pushed to it by a predecessor
     pushed = dict.fromkeys(moved, 0)
     if moved:
-        pushed[follower] = done_v
+        pushed[moved[0]] = done_v
     for j in succs[v]:
         if done_v > start[j]:
             pushed[j] = done_v
@@ -710,8 +709,6 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
             continue
         if u in repull:
             latest = max(map(new.__getitem__, preds[u]))
-            if u == follower and done_v > latest:
-                latest = done_v
         elif start[u] > latest:
             latest = start[u]
         done = latest + moved_time.get(u, weight[u])

@@ -7,6 +7,7 @@ from flexshop import (
     CycleError,
     Schedule,
     ScheduleError,
+    actual_time,
     build_schedule,
     parse_instance,
     schedule_to_dict,
@@ -229,6 +230,20 @@ def test_validate_detects_stale_times(fig1, fig2a):
     fig2a.actual_times[4] = 1
     violations = validate_schedule(fig1, fig2a)
     assert any("stale" in v for v in violations)
+
+
+def test_validate_reports_a_cyclic_solution_graph(fig1):
+    """Machine sequences that contradict a precedence arc (1→2), in a
+    Schedule built by hand with current times, are reported as a cycle
+    instead of raised."""
+    sequences = ((2, 1), (3, 4, 5))
+    times = [0] * (fig1.num_operations + 2)
+    for k, seq in enumerate(sequences, start=1):
+        for pos, op in enumerate(seq, start=1):
+            times[op] = actual_time(fig1.std_time[(op, k)], pos,
+                                    fig1.learning_rate)
+    assert validate_schedule(fig1, Schedule(sequences, times, 0)) == [
+        "solution graph contains a cycle"]
 
 
 def test_validate_detects_wrong_makespan(fig1, fig2b):

@@ -25,7 +25,6 @@ def test_parse_fig1():
     assert inst.std_time[(1, 1)] == 1
     assert inst.precedence_arcs == frozenset({(1, 2), (2, 3), (4, 5)})
     assert sorted(inst.predecessors(3)) == [2]
-    assert sorted(inst.successors(1)) == [2]
     assert sorted(inst.predecessors(1)) == []
 
 
@@ -194,6 +193,26 @@ def test_validate_reports_short_eligibility_list():
         "eligible has 1 entries for 2 operations",
         "standard time given for non-eligible pair (2, 1)",
     ]
+
+
+@pytest.mark.parametrize(
+    "inst, expected",
+    [
+        (Instance(0, 1, (), {}, frozenset(), 0.5),
+         ["instance must have at least one operation"]),
+        (Instance(1, 0, ((1,),), {(1, 1): 2}, frozenset(), 0.5),
+         ["instance must have at least one machine",
+          "operation 1: machine id 1 out of range"]),
+        (Instance(1, 2, ((1, 2),), {(1, 1): 2}, frozenset(), 0.5),
+         ["missing standard time for pair (1, 2)"]),
+    ],
+    ids=["no-operations", "no-machines", "missing-time"],
+)
+def test_validate_reports_what_no_parser_produces(inst, expected):
+    """The parsers never give an instance without operations, without
+    machines or without the standard time of an eligible pair, but one
+    built by hand can have each."""
+    assert validate_instance(inst) == expected
 
 
 def test_with_learning_rate(fig1):

@@ -132,8 +132,8 @@ def test_descent_builds_one_schedule_per_applied_move(fig1, fig2a,
     import flexshop.moves
 
     calls = []
-    build = flexshop.moves._build_insertion
-    monkeypatch.setattr(flexshop.moves, "_build_insertion",
+    build = flexshop.moves._relocated
+    monkeypatch.setattr(flexshop.moves, "_relocated",
                         lambda *args: calls.append(args) or build(*args))
     rng = random.Random(47)
     cases = [(fig1, fig2a)]

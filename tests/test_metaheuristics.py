@@ -326,8 +326,8 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
     import flexshop.moves
 
     calls = []
-    build = flexshop.moves._build_insertion
-    monkeypatch.setattr(flexshop.moves, "_build_insertion",
+    build = flexshop.moves._relocated
+    monkeypatch.setattr(flexshop.moves, "_relocated",
                         lambda *args: calls.append(args) or build(*args))
     record = run_ts(fig1, MetaConfig(algo="ts", mode="full", max_iterations=1))
     assert record.neighbors_evaluated == 15
@@ -338,7 +338,7 @@ def test_ts_builds_one_schedule_per_iteration(fig1, monkeypatch):
 def test_sa_draws_each_candidate_through_perturb(monkeypatch):
     """Each SA candidate is one ``perturb`` call, which edits the graph at
     most once; no candidate is removed, priced or built from a reduced
-    graph, and the accepted ones are offered to the run."""
+    graph (``insert_op``), and the accepted ones are offered to the run."""
     import flexshop.metaheuristics
     import flexshop.moves
 
@@ -346,7 +346,7 @@ def test_sa_draws_each_candidate_through_perturb(monkeypatch):
     edited = _counting(monkeypatch, flexshop.moves, "_edited")
     removed = _counting(monkeypatch, flexshop.moves, "remove_op")
     priced = _counting(monkeypatch, flexshop.moves, "_insertion_makespan")
-    built = _counting(monkeypatch, flexshop.moves, "_build_insertion")
+    built = _counting(monkeypatch, flexshop.moves, "insert_op")
     offered = _counting(monkeypatch, flexshop.metaheuristics._Run, "offer")
     rng = random.Random(61)
     candidates = accepted = 0

@@ -312,8 +312,8 @@ def _large_instance(rng: random.Random, layout: str) -> Instance:
 
 
 def test_searched_windows_match_reach_sets():
-    """Outside a scan each window comes from two rank-ordered searches of
-    G⁻ that stop at the asked machine: on every removal of 200-300
+    """A random relocation's window comes from two rank-ordered searches
+    of G⁻ that stop at the asked machine: on every removal of 200-300
     operation DAG and chain instances and of tie-heavy small ones, after
     a few of SA's drawn moves, every machine's window, the removed
     operation's own included, is the one that v's reach sets in G⁻ give:
@@ -347,17 +347,14 @@ def test_searched_windows_match_reach_sets():
                 inst, graph, ((prev, v), (v, nxt)), ((prev, nxt),))
             assert backward == []
             ends = preds[v], succs[v]
-            rewired = _searched_bounds(succs, preds, graph.order,
-                                       graph.rank, ends, rs.q_minus)
-            # a random relocation's: G's own lists, with only v's rewired
-            relocation = _searched_bounds(graph.succs, graph.preds,
-                                          graph.order, graph.rank, ends,
-                                          rs.q_minus)
-            for k in inst.machines:
-                want = reach_bounds(rs.q_minus[k - 1], ancestors, descendants)
+            for k, seq in enumerate(rs.q_minus, start=1):
+                want = reach_bounds(seq, ancestors, descendants)
                 assert rs.cycle_bounds(k) == want, (v, k)
-                assert rewired(k) == want, (v, k)
-                assert relocation(k) == want, (v, k)
+                assert _searched_bounds(succs, preds, graph.order,
+                                        graph.rank, ends, seq) == want, (v, k)
+                # a random relocation's: G's own lists, with only v's rewired
+                assert _searched_bounds(graph.succs, graph.preds, graph.order,
+                                        graph.rank, ends, seq) == want, (v, k)
     assert rebuilt  # tie rebuilds, with their own ranks, are covered
 
 
@@ -506,7 +503,7 @@ def _counting_time_graph(monkeypatch) -> list:
 
 
 def test_incremental_build_matches_build_schedule(monkeypatch):
-    """Every Schedule a scanned move builds from its reduced graph is the
+    """Every Schedule a scanned move builds from the scanned graph is the
     one build_schedule gives, along walks of scan moves and perturbations
     that carry each built timing to the next removal.  A build times
     nothing from scratch; builds that keep the order and that reorder it,
@@ -519,7 +516,7 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
         rebuilds.clear()
         timing = move.schedule.timing
         assert not rebuilds
-        if timing.order is move._rs.timing.order:
+        if timing.order is sched.timing.order:
             paths["in order"] += 1
         else:
             paths["reordered"] += 1
@@ -565,6 +562,46 @@ def _recounted_ties(timing) -> list:
     finish = timing.completion.__getitem__
     return [list(map(finish, preds)).count(start) > 1
             for preds, start in zip(timing.preds, timing.start)]
+
+
+def test_every_scanned_move_builds_what_insert_op_builds():
+    """In full, reduced and cropped scans of tie-heavy DAG and chain
+    instances (standard times in {1, 2}), every neighbor's Schedule, edited
+    from the scanned graph G in one step, equals field by field the one
+    that insert_op builds from the reference removal's G⁻, and
+    build_schedule's; the move to the operation's own slot is the scanned
+    schedule itself.  Moves to another machine, to another slot of the own
+    machine and to the own slot all occur."""
+    kinds = dict.fromkeys(("other machine", "same machine", "own slot"), 0)
+    rng = random.Random(59)
+    for case in range(60):
+        if case % 2:
+            inst = _chain_instance(rng, 2)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=2)
+        sched = best_of_est_ect(inst)
+        for _ in range(case % 3):
+            sched = perturb(inst, sched, rng)
+        for mode in NEIGHBORHOOD_MODES:
+            for move in enumerate_neighbors(inst, sched, mode):
+                v, k, gamma = move.operation, move.machine, move.position
+                got = move.schedule
+                _assert_built_like_scratch(inst, sched, v, k, gamma, got)
+                origin = sched.assignment[v]
+                if (k, gamma) == (origin, sched.position_of(v)):
+                    assert got is sched
+                    kinds["own slot"] += 1
+                    continue
+                kinds["same machine" if k == origin else "other machine"] += 1
+                want = insert_op(inst, scratch_removal(inst, sched, v), v, k,
+                                 gamma)
+                assert got == want and got.key() == want.key()
+                assert got.critical_path == want.critical_path
+                for name in ("succs", "start", "completion", "tied"):
+                    assert getattr(got.timing, name) == getattr(want.timing,
+                                                                name)
+    assert all(kinds.values()), kinds
 
 
 def test_scan_table_matches_reach_sets(monkeypatch):
@@ -792,10 +829,9 @@ def test_relocations_read_no_assignment(monkeypatch):
 
 
 def test_every_built_schedule_has_build_schedules_path(monkeypatch):
-    """Every Schedule that a scanned or checked insertion
-    (``_build_insertion``), a random relocation or a constructive start
-    (``best_of_est_ect``) builds, and every record of capped {ils, grasp,
-    ts, sa} x {reduced, cropped} runs, has the critical path that
+    """Every Schedule that a scanned move (``Move.schedule``), a random
+    relocation or a constructive start (``best_of_est_ect``) builds, and
+    every record of capped {ils, grasp, ts, sa} x {reduced, cropped} runs, has the critical path that
     build_schedule gives for its sequences, on random, tie-heavy (times in
     {1, 2}) and chain instances and along 30-step relocation walks.  Paths
     first read after the run, and ones whose read times the graph again
@@ -804,14 +840,23 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
     import flexshop.moves
     from flexshop import MetaConfig, run
 
-    built = {"insertion": [], "relocation": [], "start": []}
+    built = {"scanned": [], "relocation": [], "start": []}
 
     def recording(kind, module, name):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: built[kind].append(
             original(*args)) or built[kind][-1])
 
-    recording("insertion", flexshop.moves, "_build_insertion")
+    applied = flexshop.moves.Move.schedule
+
+    def scanned(move):  # each scanned move's Schedule once, when built
+        fresh = move._schedule is None
+        sched = applied.fget(move)
+        if fresh:
+            built["scanned"].append(sched)
+        return sched
+
+    monkeypatch.setattr(flexshop.moves.Move, "schedule", property(scanned))
     recording("relocation", flexshop.metaheuristics, "perturb")
     recording("start", flexshop.metaheuristics, "best_of_est_ect")
     retimed = _counting_time_graph(monkeypatch)
