@@ -18,8 +18,11 @@ least completion for ECT, the pair that the list filter would keep first.
 Each step reads the start, the adjusted time and the completion that the
 construction keeps for every ready (operation, machine) pair; a placement
 re-prices only the pairs on the machine it used.  ``best_of_est_ect``
-compares the two constructions' makespans and builds only the kept one's
-``Schedule``.
+reads each operation's predecessors, successors and sorted eligible
+machines once for both rules, compares the two constructions' makespans
+and builds only the kept one's ``Schedule``, from the sequences, times
+and placement order that its construction recorded
+(``graph.schedule_from_placement``).
 """
 
 import bisect
@@ -28,7 +31,7 @@ from operator import itemgetter
 
 from .instance import Instance
 from .learning import actual_time
-from .graph import Schedule, build_schedule
+from .graph import SOURCE, Schedule, schedule_from_placement
 
 __all__ = ["construct_est", "construct_ect", "best_of_est_ect"]
 
@@ -46,20 +49,18 @@ class _State:
     is ``max(release, machine release)``, ``time`` the learning-adjusted
     time at the machine's next position and ``completion`` their sum; a
     placement re-prices only the entries on the machine it used.  Each
-    operation's predecessors, successors and sorted eligible machines are
-    read from the instance once, when the construction starts.
-    ``makespan`` is the latest completion placed.
+    operation's predecessors, successors and sorted eligible machines come
+    from ``tables`` (``_tables``).  ``order`` holds the source and then
+    each operation as it is placed, ``weights`` the time it was placed
+    with, by vertex; ``makespan`` is the latest completion placed.
     """
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, tables: tuple):
         self.inst = inst
-        self.preds = [[] for _ in range(inst.num_operations + 1)]
-        self.succs = [[] for _ in range(inst.num_operations + 1)]
-        for i, j in inst.precedence_arcs:
-            self.preds[j].append(i)
-            self.succs[i].append(j)
-        self.machines = [()] + [sorted(ks) for ks in inst.eligible]
+        self.preds, self.succs, self.machines = tables
         self.waiting = [len(preds) for preds in self.preds]
+        self.order = [SOURCE]
+        self.weights = [0] * (inst.num_operations + 2)
         self.completion = {}
         self.machine_release = [0] * inst.num_machines
         self.next_position = [1] * inst.num_machines
@@ -89,7 +90,9 @@ class _State:
 
     def place(self, entry):
         """Append the entry's operation to its machine, at its start."""
-        v, k, _, _, _, end = entry
+        v, k, _, _, time, end = entry
+        self.order.append(v)
+        self.weights[v] = time
         self.completion[v] = end
         if end > self.makespan:
             self.makespan = end
@@ -111,6 +114,24 @@ class _State:
             self.waiting[j] -= 1
             if not self.waiting[j]:
                 self._release(j)
+
+    def schedule(self) -> Schedule:
+        """The finished construction's ``Schedule``, timed in placement
+        order."""
+        return schedule_from_placement(
+            self.inst, tuple(map(tuple, self.sequences)), self.weights,
+            self.order + [self.inst.num_operations + 1])
+
+
+def _tables(inst: Instance) -> tuple:
+    """``(preds, succs, machines)``: each operation's predecessors,
+    successors and sorted eligible machines, by operation."""
+    preds = [[] for _ in range(inst.num_operations + 1)]
+    succs = [[] for _ in range(inst.num_operations + 1)]
+    for i, j in inst.precedence_arcs:
+        preds[j].append(i)
+        succs[i].append(j)
+    return preds, succs, [()] + [sorted(ks) for ks in inst.eligible]
 
 
 def _check(rcl_alpha, rng):
@@ -146,10 +167,11 @@ def _ect(pairs, rcl_alpha, rng):
                        if end <= threshold])
 
 
-def _construct(inst, rule, rcl_alpha, rng) -> _State:
-    """Place every operation by ``rule``."""
+def _construct(inst, tables, rule, rcl_alpha, rng) -> _State:
+    """Place every operation by ``rule``, reading the instance's
+    ``tables``."""
     _check(rcl_alpha, rng)
-    state = _State(inst)
+    state = _State(inst, tables)
     while state.pairs:
         state.place(rule(state.pairs, rcl_alpha, rng))
     return state
@@ -158,13 +180,13 @@ def _construct(inst, rule, rcl_alpha, rng) -> _State:
 def construct_est(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-starting-time constructive heuristic."""
-    return build_schedule(inst, _construct(inst, _est, rcl_alpha, rng).sequences)
+    return _construct(inst, _tables(inst), _est, rcl_alpha, rng).schedule()
 
 
 def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-completion-time constructive heuristic."""
-    return build_schedule(inst, _construct(inst, _ect, rcl_alpha, rng).sequences)
+    return _construct(inst, _tables(inst), _ect, rcl_alpha, rng).schedule()
 
 
 def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
@@ -172,10 +194,12 @@ def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
     """Better of the ECT and EST constructions, both built with
     ``rcl_alpha`` and ``rng`` (greedy by default), ECT first.
 
-    ECT is compared first with a strict `<`, so EST is kept on ties.  Only
-    the kept construction becomes a Schedule.
+    ECT is compared first with a strict `<`, so EST is kept on ties.  Both
+    read one set of instance tables, and only the kept construction
+    becomes a Schedule.
     """
-    ect = _construct(inst, _ect, rcl_alpha, rng)
-    est = _construct(inst, _est, rcl_alpha, rng)
+    tables = _tables(inst)
+    ect = _construct(inst, tables, _ect, rcl_alpha, rng)
+    est = _construct(inst, tables, _est, rcl_alpha, rng)
     kept = ect if ect.makespan < est.makespan else est
-    return build_schedule(inst, kept.sequences)
+    return kept.schedule()

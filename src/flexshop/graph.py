@@ -6,6 +6,15 @@ precedence DAG, dummy arcs from ``s`` to precedence sources and from
 precedence sinks to ``t``, and machine arcs linking consecutive operations
 of each machine sequence.  The longest ``s -> t`` path is the critical
 path; its length is the makespan.
+
+A graph is timed by one forward pass in a topological order.
+``build_schedule``, the entry for sequences from outside, checks them,
+weighs every operation and finds the order by a DFS (``time_graph``).
+``schedule_from_placement`` times a construction's graph in its placement
+order, which is topological since each operation is placed after its
+precedence and machine predecessors, with the times it was placed with:
+nothing is checked, weighed or searched again.  Both give the same times,
+tie flags and critical path.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +39,7 @@ __all__ = [
     "path_as_built",
     "solution_key",
     "build_schedule",
+    "schedule_from_placement",
     "validate_schedule",
     "start_completion_times",
     "schedule_to_dict",
@@ -170,14 +180,16 @@ class Timing(NamedTuple):
     """Longest-path timing of a solution graph, indexed by vertex."""
 
     succs: tuple  # adjacency lists, as given
-    order: list  # topological_sort_plus's order
+    # a topological order: topological_sort_plus's, a construction's
+    # placement order (schedule_from_placement) or an edit's
+    order: list
     rank: list  # index of each vertex in that order
     preds: list  # predecessor lists, in an order that no reader relies on
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
-    # a predecessor whose completion is the start (time_graph: the first in
-    # order; an edit: the first in preds); the critical path is walked back
-    # along these
+    # a predecessor whose completion is the start (a forward pass: the
+    # first in its order; an edit: the first in preds); the critical path is
+    # walked back along these
     setter: list
     # whether two predecessors finish at the start, so that another order
     # could set it from another one: a tie on the critical path makes
@@ -188,12 +200,19 @@ class Timing(NamedTuple):
 def time_graph(adjacency, weights) -> Timing:
     """Earliest start and completion of every vertex, its rank in the
     topological order and whether two predecessors tie at its start, by one
-    forward pass.
+    forward pass in ``topological_sort_plus``'s order.
 
     ``weights[i]`` is vertex ``i``'s processing time; the dummies must
     weigh 0.  Raises CycleError on a directed cycle.
     """
-    order = topological_sort_plus(adjacency)
+    return _timed_in(adjacency, weights, topological_sort_plus(adjacency))
+
+
+def _timed_in(adjacency, weights, order) -> Timing:
+    """``time_graph``'s forward pass over ``order``, a topological order
+    of every vertex, the source first.  The times and tie flags do not
+    depend on the order; the setters of tied vertices and the order of
+    each predecessor list do."""
     size = len(adjacency)
     rank = [0] * size
     preds = [[] for _ in range(size)]
@@ -318,6 +337,16 @@ def build_schedule(inst: Instance, sequences) -> Schedule:
         raise ScheduleError(faults[0])
     weights = _weigh(inst, sequences)
     timing = time_graph(build_arcs(inst, sequences), weights)
+    return Schedule(sequences, weights, timing.start[-1], timing)
+
+
+def schedule_from_placement(inst: Instance, sequences, weights,
+                            order) -> Schedule:
+    """The Schedule of a construction: its well-formed ``sequences`` (a
+    tuple of tuples), the ``weights`` it placed each vertex with and
+    ``order``: the source, the operations as placed, the sink.  The graph
+    is timed in that order (see the module's docstring)."""
+    timing = _timed_in(build_arcs(inst, sequences), weights, order)
     return Schedule(sequences, weights, timing.start[-1], timing)
 
 

@@ -62,7 +62,10 @@ class MetaConfig:
     ils_perturb_max: int = 4
     grasp_alpha: float = 0.38
     ts_factor: float = 0.9
-    target_makespan: int | None = None  # stop once the incumbent reaches it
+    # stop once the incumbent reaches it.  ILS and GRASP test it only
+    # between descents, so a descent that reaches it runs on to its local
+    # optimum
+    target_makespan: int | None = None
     # seconds; opt-in secondary stop.  ILS and GRASP test it only between
     # descents, which report their improvements when they end
     no_improve_limit: float | None = None

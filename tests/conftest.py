@@ -46,6 +46,19 @@ def fig2b(fig1):
     return build_schedule(fig1, [[], [1, 2, 4, 5, 3]])
 
 
+class TickingClock:
+    """Stand-in for the ``time`` module of a solver module: each
+    ``monotonic()`` read returns the next whole second from 0, so that a
+    budget runs out at a chosen read whatever the host's speed."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return float(self.reads - 1)
+
+
 def random_instance(rng: random.Random, max_ops: int = 8, max_machines: int = 3,
                     alphas=(0.1, 0.2, 0.3), arc_prob: float = 0.3,
                     max_time: int = 10) -> Instance:

@@ -127,7 +127,7 @@ def test_ready_pairs_match_a_full_scan():
     position and their sum, recomputed from the placements; the running
     makespan is the latest completion and, at the end, the built
     schedule's."""
-    from flexshop.constructive import _State
+    from flexshop.constructive import _State, _tables
 
     rng = random.Random(29)
     steps = 0
@@ -135,7 +135,7 @@ def test_ready_pairs_match_a_full_scan():
         inst = random_instance(rng, max_ops=14, max_machines=4,
                                arc_prob=(0.0, 0.2, 0.5)[case % 3],
                                max_time=2 if case % 2 else 10)
-        state = _State(inst)
+        state = _State(inst, _tables(inst))
         done = {}  # placed operation -> its completion
         sequences = [[] for _ in inst.machines]
         while len(done) < inst.num_operations:
@@ -195,7 +195,7 @@ def test_greedy_pick_matches_the_list_filter():
     ``rcl_alpha=0``, on random, tie-heavy (times in {1, 2}) and 60-150
     operation DAG and chain instances.  With ``rcl_alpha > 0`` the rules
     draw what the filter draws, from the same RNG state."""
-    from flexshop.constructive import _State, _ect, _est
+    from flexshop.constructive import _State, _ect, _est, _tables
 
     from test_behaviour_digest import _large_instances
 
@@ -209,7 +209,7 @@ def test_greedy_pick_matches_the_list_filter():
     for inst in cases:
         for rule, reference in rules:
             for rcl_alpha in (0.0, 0.5):
-                state = _State(inst)
+                state = _State(inst, _tables(inst))
                 while state.pairs:
                     draws = rng.getstate()
                     want = reference(state.pairs, rcl_alpha, rng)
@@ -226,3 +226,46 @@ def test_greedy_pick_matches_the_list_filter():
                         picks += 1
                     state.place(got)
     assert picks > 2000 and ties > 100  # equal keys: the first one wins
+
+
+def test_every_construction_is_timed_as_build_schedule_times_it():
+    """Greedy and randomized EST, ECT and best-of starts, on random,
+    tie-heavy (times in {1, 2}) and chain instances, carry the
+    sequences, times, makespan, arcs, start and completion times, tie
+    flags and critical path that ``build_schedule`` gives their sequences;
+    only the order differs.  Each timing's order is the source, every
+    operation once and the sink, in a topological order of the graph."""
+    from test_moves import _chain_instance
+
+    rng = random.Random(37)
+    cases = [random_instance(rng, max_ops=14, max_machines=4,
+                             max_time=2 if case % 2 else 10)
+             for case in range(60)]
+    cases += [_chain_instance(rng, 2 if case % 2 else 10)
+              for case in range(40)]
+    tied = reordered = 0
+    for seed, inst in enumerate(cases):
+        sink = inst.num_operations + 1
+        for construct in (construct_est, construct_ect, best_of_est_ect):
+            for rcl_alpha in (0.0, 0.3, 1.0):
+                sched = construct(inst, rcl_alpha, random.Random(seed))
+                want = build_schedule(inst, sched.sequences)
+                got, ref = sched.timing, want.timing
+                assert sched.sequences == want.sequences
+                assert sched.actual_times == want.actual_times
+                assert sched.makespan == want.makespan
+                assert got.succs == ref.succs
+                assert list(map(set, got.preds)) == list(map(set, ref.preds))
+                assert got.start == ref.start
+                assert got.completion == ref.completion
+                assert got.tied == ref.tied
+                assert sched.critical_path == want.critical_path
+                assert sorted(got.order) == list(range(sink + 1))
+                assert got.order[0] == 0 and got.order[-1] == sink
+                assert all(got.order[got.rank[u]] == u for u in got.order)
+                assert all(got.rank[u] < got.rank[j]
+                           for u in got.order for j in got.succs[u])
+                tied += any(got.tied)
+                reordered += got.order != ref.order
+    # tie flags decide where a path read re-times; the orders differ
+    assert tied > 50 and reordered > 300

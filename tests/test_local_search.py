@@ -12,7 +12,7 @@ from flexshop import (
 )
 from flexshop import moves
 
-from conftest import FIG1_OPTIMUM, random_instance
+from conftest import FIG1_OPTIMUM, TickingClock, random_instance
 
 
 def _is_local_optimum(inst, sched, mode="full"):
@@ -153,6 +153,31 @@ def test_time_budget_zero_keeps_start_feasible(fig1, fig2a):
     result = local_search(fig1, fig2a, LocalSearchConfig("full", "best", 0.0))
     assert result.schedule.makespan <= fig2a.makespan
     assert validate_schedule(fig1, result.schedule) == []
+
+
+def test_clock_run_out_after_a_move_ends_the_descent(fig1, fig2a,
+                                                    monkeypatch):
+    """A descent reads its clock once for its deadline, before each
+    neighbor and after each applied move.  With a clock that ticks one
+    second per read and a budget that runs out right after the first
+    scan, the scan is not cut, its best move is applied and the descent
+    stops there, although that move is no local optimum."""
+    import importlib
+
+    # the package re-exports the function under the module's name
+    module = importlib.import_module("flexshop.local_search")
+    scan = len(list(enumerate_neighbors(fig1, fig2a, "full")))
+    moved = local_search(fig1, fig2a, LocalSearchConfig("full", "best"))
+    assert moved.iterations >= 2
+    clock = TickingClock()
+    monkeypatch.setattr(module, "time", clock)
+    result = local_search(fig1, fig2a,
+                          LocalSearchConfig("full", "best", scan + 0.5))
+    assert clock.reads == scan + 2
+    assert result.iterations == 1
+    assert result.neighbors_evaluated == scan
+    assert result.iterates[1] == moved.iterates[1]
+    assert result.schedule.makespan < fig2a.makespan
 
 
 def test_config_validation():

@@ -28,7 +28,7 @@ from flexshop.metaheuristics import (
     SA_TF,
 )
 
-from conftest import FIG1_OPTIMUM, random_instance
+from conftest import FIG1_OPTIMUM, TickingClock, random_instance
 
 
 class ScriptedRNG:
@@ -202,6 +202,28 @@ def test_target_makespan_stops_immediately(fig1):
     assert record.iterations == 0
 
 
+def test_ils_tests_its_target_only_between_descents():
+    """An ILS run whose target is one unit below its start reaches it with
+    the first move of its first descent, yet stops on "target" only when
+    that descent ends: it returns the descent's local optimum, several
+    moves past the target."""
+    from flexshop import LocalSearchConfig, local_search
+
+    inst = _large_instance(43)
+    start = best_of_est_ect(inst)
+    descent = local_search(inst, start, LocalSearchConfig("reduced", "best"))
+    target = start.makespan - 1
+    assert build_schedule(inst, descent.iterates[1]).makespan <= target
+    assert descent.iterations > 2
+    record = run(inst, MetaConfig.calibrated(
+        "ils", max_iterations=5, seed=1, target_makespan=target))
+    assert record.stop_reason == "target"
+    assert record.iterations == 1
+    assert record.neighbors_evaluated == descent.neighbors_evaluated
+    assert record.best_makespan == descent.schedule.makespan < target
+    assert record.schedule.sequences == descent.schedule.sequences
+
+
 def test_zero_budget_still_returns_a_feasible_solution(fig1):
     start = best_of_est_ect(fig1)
     for runner in (run_ils, run_ts, run_sa):
@@ -302,6 +324,34 @@ def test_clock_is_read_every_check_every_candidates(algo, cap, monkeypatch):
     assert record.neighbors_evaluated >= 2 * CHECK_EVERY
     assert len(calls) == (record.iterations
                           + record.neighbors_evaluated // CHECK_EVERY)
+
+
+def test_ts_scan_cut_by_its_clock_applies_its_best_move(monkeypatch):
+    """A tabu scan that its clock cuts short still applies the best move
+    it found, and the run stops on "budget" at once.  The clock ticks one
+    second per read: the run's start, the start's offer and the stop test
+    come first, and the budget runs out at the scan's first poll, after
+    CHECK_EVERY candidates; then only the move's offer and the record read
+    it, and no second stop test."""
+    import flexshop.metaheuristics
+    from flexshop.moves import best_neighbor
+
+    inst = _large_instance(43)
+    start = best_of_est_ect(inst)
+    polls = []
+    best, cut = best_neighbor(inst, start, "reduced", lambda m: math.inf,
+                              lambda: polls.append(1)
+                              or len(polls) == CHECK_EVERY)
+    assert cut and best.makespan < start.makespan
+    clock = TickingClock()
+    monkeypatch.setattr(flexshop.metaheuristics, "time", clock)
+    record = run(inst, MetaConfig.calibrated("ts", time_budget=2.5, seed=1))
+    assert record.stop_reason == "budget"
+    assert clock.reads == 6
+    assert record.iterations == 1
+    assert record.neighbors_evaluated == CHECK_EVERY
+    assert record.best_makespan == best.makespan
+    assert record.schedule.sequences == best.schedule.sequences
 
 
 @pytest.mark.parametrize("algo", ["ils", "grasp"])
@@ -441,12 +491,12 @@ def test_records_hold_no_timing():
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_no_algorithm_times_its_start_twice(algo, monkeypatch):
-    """Every Schedule carries the timing of its graph, from build_schedule
-    or from the move that built it, into the next scan, removal,
-    perturbation or descent: over a whole capped run each graph that is
-    built from its arcs is one that build_schedule times (a tie rebuild
-    re-times arcs it already has).  build_schedule builds only the kept
-    constructive start: once per run, once per GRASP iteration."""
+    """Every Schedule carries the timing of its graph, from its
+    construction or from the move that built it, into the next scan,
+    removal, perturbation or descent: over a whole capped run each graph
+    that is built from its arcs is a kept constructive start, timed in
+    placement order (a tie rebuild re-times arcs it already has), once per
+    run and once per GRASP iteration.  build_schedule never runs."""
     import sys
 
     import flexshop.graph
@@ -467,12 +517,14 @@ def test_no_algorithm_times_its_start_twice(algo, monkeypatch):
         return calls
 
     arcs = counted(flexshop.graph.build_arcs)
+    placed = counted(flexshop.graph.schedule_from_placement)
     built = counted(flexshop.graph.build_schedule)
     perturbed = counted(perturb)
     inst = random_instance(random.Random(93), max_ops=14, max_machines=4)
     record = run(inst, MetaConfig.calibrated(algo, max_iterations=4, seed=3))
     assert record.iterations == 4
-    assert len(built) == (4 if algo == "grasp" else 1)
-    assert len(arcs) == len(built)
+    assert len(placed) == (4 if algo == "grasp" else 1)
+    assert len(arcs) == len(placed)
+    assert not built
     if algo == "ils":  # every descent is followed by a perturbation chain
         assert len(perturbed) >= 4 * 2
