@@ -5,6 +5,7 @@ Subcommands: construct, localsearch, solve, oracle, bench, stats, validate.
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -209,9 +210,9 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         inst = _load(args)
         cfg = _meta_config(args)
-        # a target alone may never be reached
-        if (cfg.time_budget, cfg.max_iterations,
-                cfg.no_improve_limit) == (None, None, None):
+        # a target alone may never be reached, nor an infinite budget
+        if not any(stop is not None and math.isfinite(stop) for stop in (
+                cfg.time_budget, cfg.max_iterations, cfg.no_improve_limit)):
             raise ValueError("solve needs a stop: --time-limit, "
                              "--iterations or --no-improve")
         record = run(inst, cfg)

@@ -36,7 +36,6 @@ __all__ = [
     "time_graph",
     "timing_of",
     "critical_path",
-    "path_as_built",
     "solution_key",
     "build_schedule",
     "schedule_from_placement",
@@ -86,13 +85,12 @@ class Schedule:
     @cached_property
     def critical_path(self) -> tuple:
         """The longest ``s -> t`` path that ``build_schedule``'s timing
-        gives, walked from ``timing`` when first read (``path_as_built``).
+        gives, walked from ``timing`` when first read (``critical_path``).
         A ``RunRecord``'s schedule keeps the path its run read."""
         if self.timing is None:
             raise ValueError("a schedule without a timing has no critical "
                              "path to walk")
-        return path_as_built(self.timing, self.actual_times,
-                             self.sequences)[1]
+        return critical_path(self.timing, self.sequences)[0]
 
     def position_of(self, op: int) -> int:
         """1-based position of ``op`` in its machine sequence."""
@@ -193,7 +191,7 @@ class Timing(NamedTuple):
     setter: list
     # whether two predecessors finish at the start, so that another order
     # could set it from another one: a tie on the critical path makes
-    # path_as_built time the graph again from scratch
+    # critical_path time the graph again from scratch
     tied: list
 
 
@@ -244,19 +242,28 @@ def timing_of(inst: Instance, sched: Schedule) -> Timing:
     return time_graph(build_arcs(inst, sched.sequences), sched.actual_times)
 
 
-def critical_path(timing: Timing, sequences):
-    """The longest ``s -> t`` path, walked back from ``t`` along the
-    predecessors that set each start.
+def critical_path(timing: Timing, sequences) -> tuple:
+    """The longest ``s -> t`` path as ``build_schedule``'s timing of the
+    same graph gives it, walked back from ``t`` along the predecessors that
+    set each start.
+
+    A tied vertex on the path would follow ``timing``'s order's tie-break,
+    so at the first one the graph is timed again from scratch
+    (``time_graph``, each vertex weighing its completion minus its start)
+    and the walk goes on along that timing's setters.  Up to there each
+    setter was the only predecessor that finishes at the start, the same in
+    any order.
 
     Returns ``(path, length, tau)`` where ``path`` runs from ``s`` to ``t``
     and ``tau[k-1]`` is the position in ``sequences[k-1]`` of the last
     operation of the path on machine ``k`` (0 if none).  Operations absent
     from ``sequences`` (e.g. a removed one) never contribute to tau.
     """
-    sink = len(timing.start) - 1
-    path = [sink]
-    i = timing.setter[sink]
+    path, i, checked = [], len(timing.start) - 1, True
     while i != SOURCE:
+        if checked and timing.tied[i]:
+            weights = [c - s for s, c in zip(timing.start, timing.completion)]
+            timing, checked = time_graph(timing.succs, weights), False
         path.append(i)
         i = timing.setter[i]
     path.append(SOURCE)
@@ -270,23 +277,7 @@ def critical_path(timing: Timing, sequences):
         while pos and seq[pos - 1] not in on_path:
             pos -= 1
         tau.append(pos)
-    return tuple(path), timing.start[sink], tuple(tau)
-
-
-def path_as_built(timing: Timing, weights, sequences) -> tuple:
-    """``(timing, path, length, tau)``: ``critical_path`` as
-    ``build_schedule``'s timing of the same graph gives it.  The path runs
-    back along ``timing``'s setters, but a tied vertex on it would follow
-    that order's tie-break: then the graph is timed again from scratch
-    (``time_graph``, with ``weights``), and that timing is walked and
-    returned."""
-    i = len(timing.start) - 1
-    while i != SOURCE:
-        if timing.tied[i]:
-            timing = time_graph(timing.succs, weights)
-            break
-        i = timing.setter[i]
-    return (timing, *critical_path(timing, sequences))
+    return tuple(path), timing.start[-1], tuple(tau)
 
 
 def _sequence_faults(inst: Instance, sequences) -> list:

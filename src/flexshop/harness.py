@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -84,7 +84,7 @@ def load_instance_file(path, fmt: str = "native",
     return inst
 
 
-def _error_record(name: str, cfg, seed: int, exc: Exception) -> RunRecord:
+def _error_record(name: str, cfg, seed: int, exc) -> RunRecord:
     return RunRecord(name, f"{cfg.algo}-{cfg.mode}", seed, -1, 0.0, 0.0,
                      0, 0, 0, f"error: {exc}")
 
@@ -109,7 +109,8 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
     failed ones included, is passed to ``sink`` in the same order.
     ``workers > 1`` dispatches runs over a process pool; oversubscription
     beyond the CPUs this process may run on is refused so per-run
-    wall-clock budgets stay honest.
+    wall-clock budgets stay honest.  The runs left unfinished when a worker
+    dies get ``error: worker died`` records.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -136,10 +137,15 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
                 jobs.append((inst, replace(cfg, seed=seed_base + r)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_run, jobs))
+            futures = [pool.submit(_one_run, job) for job in jobs]
+        for future, (inst, cfg) in zip(futures, jobs):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool:  # the pool fails every unfinished run
+                records.append(_error_record(inst.name, cfg, cfg.seed,
+                                             "worker died"))
     else:
-        results = [_one_run(job) for job in jobs]
-    records.extend(results)
+        records.extend(map(_one_run, jobs))
     if sink is not None:
         for record in records:
             sink(record)

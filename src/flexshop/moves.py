@@ -32,11 +32,10 @@ the stretch between the two positions), and G⁻ is never timed for it.
 Every timing flags the vertices that two predecessors finish at the start
 of.  An edit walks no critical path: a removal walks G⁻'s at once, for ξ,
 τ⁻ and P, and a built ``Schedule`` walks its own when it is first read,
-by a cropped scan or for a ``RunRecord`` (``graph.path_as_built``).  When
-a vertex on the walked path is tied, τ would follow the order's
-tie-break, so the graph is timed again from scratch and the path is
-``build_schedule``'s.  The one timing of G⁻ gives the reduction's bounds
-and the times from which each insertion is priced.
+by a cropped scan or for a ``RunRecord``, with ``graph.critical_path``,
+which gives ``build_schedule``'s path for any timing.  A removal keeps the
+timing it derives, in G's order: the reduction's bounds, the windows and
+the pricing read only times, arcs and an order, which are G⁻'s.
 
 The insertion window on a machine lies between the last ancestor and the
 first descendant of the removed operation there.  No path that ends or
@@ -104,7 +103,7 @@ from .graph import (
     Schedule,
     ScheduleError,
     Timing,
-    path_as_built,
+    critical_path,
     timing_of,
 )
 
@@ -252,11 +251,10 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
               table: "_ScanTable | None" = None) -> ReducedState:
     """Remove operation ``v`` from the schedule's solution graph G.
 
-    The reduced graph is derived from G's timing and its critical path
-    walked at once (``path_as_built``); its order is G's unless a tie on
-    that path made it be timed from scratch.  ``table``, a scan's
-    ``_ScanTable`` of the schedule, holds that timing, the shifted times
-    and what the windows read; without one, one is tabulated here.
+    The reduced graph is derived from G's timing, so its order is G's, and
+    its critical path is walked at once (``critical_path``).  ``table``, a
+    scan's ``_ScanTable`` of the schedule, holds that timing, the shifted
+    times and what the windows read; without one, one is tabulated here.
     """
     if not 1 <= v <= inst.num_operations:
         raise ValueError(f"cannot remove vertex {v}: not an operation")
@@ -280,7 +278,7 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     nxt = shifted[0] if shifted else None
     timing = _edited(inst, table.graph, ((prev, v), (v, nxt)),
                      ((prev, nxt),), w_minus, {v, *shifted})
-    timing, path, xi, tau = path_as_built(timing, w_minus, q_minus)
+    path, xi, tau = critical_path(timing, q_minus)
     return ReducedState(v, q_minus, w_minus, path, xi, tau, timing,
                         table.cycle_bounds(timing, v, old_machine, q_minus))
 
@@ -467,7 +465,7 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     weight or predecessors changed, and whatever their changed completions
     reach are re-timed and their tie flags counted again; the rest keep
     ``base``'s times, setters and flags.  No path is walked: the flags let
-    ``path_as_built`` walk the critical path when it is read.
+    ``critical_path`` walk it as ``build_schedule``'s when it is read.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
     order, rank = base.order, base.rank
@@ -736,20 +734,22 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     ``full`` keeps every cycle-free reinsertion, ``reduced`` applies the
     longest-path pruning rule, ``cropped`` further restricts the removed
     operation to the current critical path, walked here if no one read it
-    before (``Schedule.critical_path``).  Each neighbor carries its
+    before (``Schedule.critical_path``), or from the graph the scan times
+    when the schedule carries no timing.  Each neighbor carries its
     lower bound; its makespan is computed incrementally from the timing of
     the reduced graph when it is read.  The removals are derived from the
     timing of the schedule's own graph (``timing_of``).
     """
     if mode not in NEIGHBORHOOD_MODES:
         raise ValueError(f"unknown neighborhood mode {mode!r}")
+    table = _ScanTable(inst, sched)
     if mode == "cropped":
-        critical = set(sched.critical_path)
+        critical = set(sched.critical_path if sched.timing is not None
+                       else critical_path(table.graph, sched.sequences)[0])
         candidates = [v for v in inst.operations if v in critical]
     else:
         candidates = list(inst.operations)
     reduction = mode in ("reduced", "cropped")
-    table = _ScanTable(inst, sched)
     for v in candidates:
         rs = remove_op(inst, sched, v, table)
         on_path = set(rs.path)

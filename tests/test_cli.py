@@ -385,6 +385,10 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "--no-improve"),
         (["solve", "--instance", "{fig1}", "--algo", "sa", "--target", "453"],
          "error: solve needs a stop"),
+        (["solve", "--instance", "{fig1}", "--algo", "ts",
+          "--time-limit", "inf"], "error: solve needs a stop"),
+        (["solve", "--instance", "{fig1}", "--algo", "ts",
+          "--no-improve", "inf"], "error: solve needs a stop"),
     ],
     ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
          "rcl-alpha-best-nan", "perturb-range", "unknown-algo",
@@ -392,7 +396,8 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "iterations", "time-limit", "no-improve", "localsearch-time-limit",
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
          "workers-0", "workers-negative", "oracle-limit-0",
-         "oracle-limit-negative", "solve-no-stop", "solve-target-only"],
+         "oracle-limit-negative", "solve-no-stop", "solve-target-only",
+         "solve-infinite-time-limit", "solve-infinite-no-improve"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):

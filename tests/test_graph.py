@@ -17,8 +17,8 @@ from flexshop import (
     reachable_from,
     validate_schedule,
 )
-from flexshop.graph import (SOURCE, build_arcs, critical_path, path_as_built,
-                            time_graph, timing_of)
+from flexshop.graph import (SOURCE, build_arcs, critical_path, time_graph,
+                            timing_of)
 
 from conftest import random_instance, random_schedule, simulate_makespan
 
@@ -169,19 +169,24 @@ def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     """build_schedule walks no path; a Schedule walks its critical path
     from its timing when the path is first read, keeps it, and refuses to
     without a timing.  On a tie along the walked path the graph is timed
-    again from scratch, so a timing whose setters broke the tie the other
-    way still gives the depth-first order's path and τ."""
+    again from scratch, once and with the timing's own weights, so a
+    timing whose setters broke the tie the other way still gives the
+    depth-first order's path and τ; without one nothing is timed."""
     import flexshop.graph
 
-    walks = []
-    walk = flexshop.graph.critical_path
+    walks, timed = [], []
+    walk, time_from_scratch = flexshop.graph.critical_path, time_graph
     monkeypatch.setattr(flexshop.graph, "critical_path",
                         lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(
+        flexshop.graph, "time_graph",
+        lambda *args: timed.append(args) or time_from_scratch(*args))
     sched = build_schedule(fig1, [[2], [1, 4, 5, 3]])
     assert walks == [] and "critical_path" not in sched.__dict__
+    timed.clear()
     assert sched.critical_path == (0, 1, 4, 5, 3, 6)
     assert sched.critical_path == (0, 1, 4, 5, 3, 6)
-    assert len(walks) == 1
+    assert len(walks) == 1 and timed == []
     with pytest.raises(ValueError, match="no critical path"):
         replace(sched, timing=None).critical_path
 
@@ -192,15 +197,13 @@ def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     setter = tied.timing.setter.copy()
     setter[sink] = 1  # the other tied predecessor
     other = tied.timing._replace(setter=setter)
-    assert walk(other, tied.sequences)[0] == (0, 4, 1, 5)
-    timing, path, length, tau = path_as_built(other, tied.actual_times,
-                                              tied.sequences)
-    assert timing is not other and timing.setter[sink] == 2
-    assert (path, length, tau) == ((0, 3, 2, 5), 274, (0, 2))
+    # its own setters lead back from t along 1 and 4: the path 0-4-1-5
+    assert (other.setter[1], other.setter[4]) == (4, SOURCE)
+    timed.clear()
+    assert critical_path(other, tied.sequences) == ((0, 3, 2, 5), 274, (0, 2))
+    assert timed == [(other.succs, tied.actual_times)]
     assert replace(tied, timing=other).critical_path == (0, 3, 2, 5)
-    # without a tie on the path the given timing is walked as it is
-    assert path_as_built(sched.timing, sched.actual_times,
-                         sched.sequences)[0] is sched.timing
+    assert len(timed) == 2
 
 
 def test_simulation_oracle_on_random_schedules():

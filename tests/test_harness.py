@@ -1,6 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
@@ -239,6 +242,57 @@ def test_run_benchmark_survives_failing_run(tmp_path, monkeypatch):
     assert by_seed[1].best_makespan == -1
     assert by_seed[1].instance_id == "fig1"
     assert all(by_seed[s].best_makespan > 0 for s in (0, 2))
+
+
+_ONE_RUN = flexshop.harness._one_run
+
+
+def _dying_run(job):
+    """``_one_run``, but the worker that gets b's run with seed 2, the last
+    job, waits until the other runs have finished and then dies.  It lives
+    at module level so that a forked worker can unpickle it."""
+    inst, cfg = job
+    if (inst.name, cfg.seed) == ("b", 2):
+        time.sleep(0.5)
+        os._exit(3)
+    return _ONE_RUN(job)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
+                    or _cpus() < 2,
+                    reason="needs forked pool workers and 2 CPUs")
+def test_dead_worker_costs_only_the_runs_it_held(tmp_path, monkeypatch):
+    """A pool worker that dies (``os._exit``, as the OOM killer or a crash
+    would end it) turns the run it held into an ``error: worker died``
+    record; the batch returns every record in job order, and those of the
+    runs that had finished equal the serial batch's."""
+    paths = []
+    for name in ("a", "b"):
+        paths.append(tmp_path / f"{name}.txt")
+        paths[-1].write_text("3 1 0.2\n1 1 4\n1 1 3\n1 1 5\n1\n1 2\n")
+    configs = [MetaConfig(algo="ts", max_iterations=2)]
+    serial = run_benchmark(paths, configs, runs=3)
+    monkeypatch.setattr(flexshop.harness, "_one_run", _dying_run)
+    sunk = []
+    pooled = run_benchmark(paths, configs, runs=3, workers=2,
+                           sink=sunk.append)
+
+    def fields(rec):
+        return (rec.instance_id, rec.algorithm, rec.seed, rec.best_makespan,
+                rec.iterations, rec.neighbors_evaluated,
+                rec.stalled_iterations, rec.stop_reason)
+
+    assert sunk == pooled and len(pooled) == 6
+    assert list(map(fields, pooled[:-1])) == list(map(fields, serial[:-1]))
+    assert fields(pooled[-1]) == ("b", "ts-reduced", 2, -1, 0, 0, 0,
+                                  "error: worker died")
+    assert serial[-1].stop_reason == "iteration-cap"
 
 
 def test_run_benchmark_refuses_oversubscription(tmp_path):

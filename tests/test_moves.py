@@ -20,8 +20,7 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.graph import (build_arcs, critical_path, path_as_built,
-                            time_graph)
+from flexshop.graph import build_arcs, critical_path, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance, reach_bounds, scratch_removal
@@ -311,31 +310,37 @@ def _large_instance(rng: random.Random, layout: str) -> Instance:
                     f"{layout}-{n}")
 
 
-def test_searched_windows_match_reach_sets():
+def test_searched_windows_match_reach_sets(monkeypatch):
     """A random relocation's window comes from two rank-ordered searches
     of G⁻ that stop at the asked machine: on every removal of 200-300
     operation DAG and chain instances and of tie-heavy small ones, after
     a few of SA's drawn moves, every machine's window, the removed
     operation's own included, is the one that v's reach sets in G⁻ give:
-    searched over G's arc lists rewired into G⁻'s, and over G's own lists
-    with only v's rewired, as a random relocation searches them."""
+    from the removal's timing, in G's order and ranks, searched over G's
+    arc lists rewired into G⁻'s, and over G's own lists with only v's
+    rewired, as a random relocation searches them.  Removals whose path
+    walk timed G⁻ again on a tie keep G's order too."""
     from flexshop.moves import random_relocation
 
     from flexshop.moves import _rewired, _searched_bounds
 
+    retimed = _counting_time_graph(monkeypatch)
     rng = random.Random(1711)
     cases = [_large_instance(rng, layout) for layout in ("dag", "chain") * 2]
     cases += [random_instance(rng, max_ops=12, max_machines=4, max_time=2)
               for _ in range(60)]
-    rebuilt = 0
+    tie_walks = 0
     for inst in cases:
         sched = best_of_est_ect(inst)
         for _ in range(rng.randint(1, 3)):
             sched = random_relocation(inst, sched, rng)
         graph = sched.timing
         for v in inst.operations:
+            retimed.clear()
             rs = remove_op(inst, sched, v)
-            rebuilt += rs.timing.rank is not graph.rank
+            assert rs.timing.order is graph.order
+            assert rs.timing.rank is graph.rank
+            tie_walks += bool(retimed)
             ancestors = reachable_from(rs.timing.preds, v)
             descendants = reachable_from(rs.timing.succs, v)
             # G's arc lists rewired into G⁻'s, searched in G's order
@@ -355,7 +360,7 @@ def test_searched_windows_match_reach_sets():
                 # a random relocation's: G's own lists, with only v's rewired
                 assert _searched_bounds(graph.succs, graph.preds, graph.order,
                                         graph.rank, ends, seq) == want, (v, k)
-    assert rebuilt  # tie rebuilds, with their own ranks, are covered
+    assert tie_walks  # removals whose path walk re-timed G⁻ are covered
 
 
 def test_head_tail_bound_never_exceeds_makespan():
@@ -393,13 +398,15 @@ def test_head_tail_bound_never_exceeds_makespan():
     assert checked > 0 and ruled_out > 0
 
 
-def test_derived_reduced_state_matches_rebuild():
+def test_derived_reduced_state_matches_rebuild(monkeypatch):
     """For every removal, the reduced graph derived from the schedule's
-    own graph has the arcs, times, reach sets, windows, critical path, ξ
-    and τ of the one built from scratch; both the derivation and its
-    rebuild on a critical-path tie run on this fuzz set."""
+    own graph, in G's order, has the arcs, times, tie flags, setters of
+    untied vertices, reach sets, windows, critical path, ξ and τ of the
+    one built from scratch; path walks that time G⁻ again on a tie and
+    ones that need not both run on this fuzz set."""
+    retimed = _counting_time_graph(monkeypatch)
     rng = random.Random(7)
-    derived = rebuilt = 0
+    plain_walks = tie_walks = 0
     for case in range(160):
         max_time = 2 if case % 4 else 10  # mostly tie-heavy
         if case % 2:
@@ -413,6 +420,7 @@ def test_derived_reduced_state_matches_rebuild():
         graph = sched.timing
         for v in inst.operations:
             want = scratch_removal(inst, sched, v)
+            retimed.clear()
             got = remove_op(inst, sched, v)
             assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
             assert (got.path, got.xi, got.tau) == (want.path, want.xi,
@@ -423,18 +431,23 @@ def test_derived_reduced_state_matches_rebuild():
             assert got.timing.completion == want.timing.completion
             assert ([sorted(p) for p in got.timing.preds]
                     == [sorted(p) for p in want.timing.preds])
-            if got.timing.rank is not graph.rank:
-                # rebuilt: exactly the timing from scratch
-                assert got.timing == want.timing
-                rebuilt += 1
-            else:  # derived: in G's order, which must suit G⁻
-                assert got.timing.order == graph.order
-                rank = got.timing.rank
-                assert all(rank[u] < rank[j]
-                           for u, succs in enumerate(got.timing.succs)
-                           for j in succs)
-                derived += 1
-    assert derived > 0 and rebuilt > 0
+            # only the order and the setters of tied vertices may differ
+            assert got.timing.tied == want.timing.tied
+            assert all(got.timing.setter[u] == want.timing.setter[u]
+                       for u, tie in enumerate(want.timing.tied) if not tie)
+            # derived: in G's order, which must suit G⁻
+            assert got.timing.order is graph.order
+            rank = got.timing.rank
+            assert rank is graph.rank
+            assert all(rank[u] < rank[j]
+                       for u, succs in enumerate(got.timing.succs)
+                       for j in succs)
+            if retimed:  # the path walk met a tie and timed G⁻ again
+                assert retimed == [(got.timing.succs, got.w_minus)]
+                tie_walks += 1
+            else:
+                plain_walks += 1
+    assert plain_walks > 0 and tie_walks > 0
 
 
 def _assert_same_reach(inst, v, got, want):
@@ -462,7 +475,7 @@ def _assert_built_like_scratch(inst, sched, v, k, gamma, got):
     assert got.actual_times == want.actual_times
     assert got.critical_path == want.critical_path
     assert got.makespan == want.makespan
-    assert (path_as_built(got.timing, got.actual_times, got.sequences)[1:]
+    assert (critical_path(got.timing, got.sequences)
             == critical_path(want.timing, want.sequences))
     timing = got.timing
     scratch = time_graph(build_arcs(inst, want.sequences), want.actual_times)
@@ -608,21 +621,24 @@ def test_scan_table_matches_reach_sets(monkeypatch):
     """On every removal of full, reduced and cropped scans, from a timed
     schedule and from a built move's carried timing, the scan table's
     windows on every machine are those of the reach sets of G⁻ built from
-    scratch, its shifted times are actual_time's, and the tie flags of the
-    scanned, derived, rebuilt, from-scratch and built timings are
-    recounts; removals through the table and tie rebuilds both occur."""
+    scratch, its shifted times are actual_time's, each derived timing is
+    in G's ranks, and the tie flags of the scanned, derived, from-scratch
+    and built timings are recounts; removals through the table, and path
+    walks that time G⁻ again on a tie, both occur."""
     import flexshop.moves
 
     plain = flexshop.moves.remove_op
+    retimed = _counting_time_graph(monkeypatch)
     removals = []
 
     def recorded(inst, sched, v, table=None):
+        retimed.clear()
         rs = plain(inst, sched, v, table)
-        removals.append((table, rs))
+        removals.append((table, rs, bool(retimed)))
         return rs
 
     monkeypatch.setattr(flexshop.moves, "remove_op", recorded)
-    paths = {"table": 0, "derived": 0, "tie rebuild": 0}
+    paths = {"table": 0, "derived": 0, "tie re-timed walk": 0}
     rng = random.Random(11)
     for case in range(90):
         max_time = 2 if case % 3 else 10  # mostly tie-heavy
@@ -638,7 +654,7 @@ def test_scan_table_matches_reach_sets(monkeypatch):
         for mode in NEIGHBORHOOD_MODES:
             removals.clear()
             moves = list(enumerate_neighbors(inst, sched, mode))
-            for table, rs in removals:
+            for table, rs, tie_walk in removals:
                 assert table is not None and table.graph is sched.timing
                 scanned = table.graph
                 paths["table"] += 1
@@ -655,10 +671,8 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                 assert rs.w_minus == want.w_minus
                 for k in inst.machines:  # want's: from G⁻'s reach sets
                     assert rs.cycle_bounds(k) == want.cycle_bounds(k)
-                if rs.timing.rank is scanned.rank:
-                    paths["derived"] += 1
-                else:
-                    paths["tie rebuild"] += 1
+                assert rs.timing.rank is scanned.rank
+                paths["tie re-timed walk" if tie_walk else "derived"] += 1
                 assert rs.timing.tied == _recounted_ties(rs.timing)
                 assert want.timing.tied == _recounted_ties(want.timing)
             for move in moves:
@@ -835,7 +849,11 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
     build_schedule gives for its sequences, on random, tie-heavy (times in
     {1, 2}) and chain instances and along 30-step relocation walks.  Paths
     first read after the run, and ones whose read times the graph again
-    on a tie, both occur for each kind."""
+    on a tie, both occur for each kind.  So does every removal of full
+    scans along the tie-heavy walks: the path, ξ and τ it walked, and
+    those that ``critical_path`` gives for its derived timing of G⁻, are
+    the ones G⁻ timed from scratch gives, and paths with a tie on them
+    occur."""
     import flexshop.metaheuristics
     import flexshop.moves
     from flexshop import MetaConfig, run
@@ -862,6 +880,7 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
     retimed = _counting_time_graph(monkeypatch)
     kinds = [*built, "record"]
     read, tied = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)
+    removals = [0, 0]  # without and with a tie on the walked path
 
     def check(inst, kind, sched):
         if "critical_path" not in sched.__dict__:
@@ -894,7 +913,18 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
         for record in records:
             assert record.schedule.timing is None
             check(inst, "record", record.schedule)
+        if max_time == 2:
+            for sched in walk:
+                scanned = enumerate_neighbors(inst, sched, "full")
+                for rs in {id(m._rs): m._rs for m in scanned}.values():
+                    want = scratch_removal(inst, sched, rs.removed)
+                    want = critical_path(want.timing, want.q_minus)
+                    retimed.clear()
+                    assert critical_path(rs.timing, rs.q_minus) == want
+                    assert (rs.path, rs.xi, rs.tau) == want
+                    removals[bool(retimed)] += 1
     assert all(read[kind] and tied[kind] for kind in built), (read, tied)
+    assert all(removals), removals  # removals with and without a tie
     assert read["record"] == 0  # each record carries the path its run read
 
 
@@ -953,3 +983,36 @@ def test_edit_refuses_a_second_backward_arc():
                        r"\(4, 3\) both point backwards"):
         _edited(inst, sched.timing, ((1, 2), (3, 4)), swapped,
                 list(sched.actual_times), {1, 2, 3, 4})
+
+
+def test_schedule_without_timing_scans_as_the_timed_one():
+    """A Schedule built by hand carries no timing; full, reduced and
+    cropped scans of it yield the (v, k, γ, makespan) of the same
+    schedule carrying its timing, in the same order: the cropped one
+    walks the path of the graph that the scan times for its table.  A
+    cropped descent from it follows the timed start's trajectory."""
+    from flexshop import LocalSearchConfig, Schedule, local_search
+
+    rng = random.Random(61)
+    cropped = 0
+    for case in range(30):
+        inst = random_instance(rng, max_ops=10, max_machines=3,
+                               max_time=2 if case % 2 else 10)
+        timed = best_of_est_ect(inst)
+        for _ in range(case % 3):
+            timed = perturb(inst, timed, rng)
+        bare = Schedule(timed.sequences, timed.actual_times, timed.makespan)
+        assert bare.timing is None
+        for mode in NEIGHBORHOOD_MODES:
+            got, want = ([(m.operation, m.machine, m.position, m.makespan)
+                          for m in enumerate_neighbors(inst, sched, mode)]
+                         for sched in (bare, timed))
+            assert got == want, mode
+            cropped += mode == "cropped" and bool(got)
+        cfg = LocalSearchConfig("cropped")
+        got = local_search(inst, bare, cfg)
+        want = local_search(inst, timed, cfg)
+        assert got.iterates == want.iterates
+        assert got.schedule == want.schedule
+        assert got.neighbors_evaluated == want.neighbors_evaluated
+    assert cropped
