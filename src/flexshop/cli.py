@@ -12,7 +12,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .constructive import best_of_est_ect, construct_ect, construct_est
-from .graph import ScheduleError, build_schedule, schedule_to_json
+from .graph import (
+    ScheduleError,
+    build_schedule,
+    schedule_to_json,
+    start_completion_times,
+)
 from .harness import (
     INSTANCE_FORMATS,
     emit_results,
@@ -42,28 +47,37 @@ def _load(args):
     return load_instance_file(args.instance, args.format, args.alpha)
 
 
+_TIMES = ("start", "completion")  # the time maps of schedule_to_json
+
+
 def _read_solution(path) -> tuple:
-    """The assignment, machine sequences and makespan (None if absent) that
-    a schedule JSON file declares; ScheduleError when it declares none, or
-    declares a machine or makespan that is not an integer."""
+    """The assignment, machine sequences, makespan (None if absent) and
+    start and completion maps (empty if absent) that a schedule JSON file
+    declares; ScheduleError when it declares none, or declares a machine,
+    time or makespan that is not an integer."""
     try:
         data = json.loads(Path(path).read_text())
         assignment = {int(op): k for op, k in data["assignment"].items()}
         sequences = [list(seq) for seq in data["sequences"]]
         makespan = data.get("makespan")
+        times = tuple({int(op): t for op, t in data.get(kind, {}).items()}
+                      for kind in _TIMES)
     except KeyError as exc:
         raise ScheduleError(f"solution {path} has no {exc} entry") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScheduleError(f"solution {path} is not a schedule: {exc}") from None
     declared = [(f"operation {op}'s machine", k)
                 for op, k in assignment.items()]
+    declared += [(f"operation {op}'s {kind}", t)
+                 for kind, given in zip(_TIMES, times)
+                 for op, t in given.items()]
     if makespan is not None:
         declared.append(("makespan", makespan))
     for what, value in declared:
         if type(value) is not int:  # bool is an int subclass: excluded
             raise ScheduleError(f"solution {path}: {what} "
                                 f"{json.dumps(value)} is not an integer")
-    return assignment, sequences, makespan
+    return assignment, sequences, makespan, times
 
 
 def _method_pair(spec: str, records) -> tuple:
@@ -90,6 +104,16 @@ def _names(option: str, spec: str) -> list:
         if name in names[:i]:
             raise ValueError(f"--{option} names {name!r} more than once")
     return names
+
+
+def _need_stop(command: str, stops: dict) -> None:
+    """ValueError unless one of ``stops``, option -> value, is set and
+    finite: a target alone may never be reached, nor an infinite budget."""
+    if not any(value is not None and math.isfinite(value)
+               for value in stops.values()):
+        *others, last = stops
+        raise ValueError(f"{command} needs a stop: {', '.join(others)} "
+                         f"or {last}")
 
 
 def _meta_config(args) -> MetaConfig:
@@ -210,11 +234,9 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         inst = _load(args)
         cfg = _meta_config(args)
-        # a target alone may never be reached, nor an infinite budget
-        if not any(stop is not None and math.isfinite(stop) for stop in (
-                cfg.time_budget, cfg.max_iterations, cfg.no_improve_limit)):
-            raise ValueError("solve needs a stop: --time-limit, "
-                             "--iterations or --no-improve")
+        _need_stop("solve", {"--time-limit": args.time_limit,
+                             "--iterations": args.iterations,
+                             "--no-improve": args.no_improve})
         record = run(inst, cfg)
         sys.stdout.write(schedule_to_json(inst, record.schedule))
         print(
@@ -241,6 +263,8 @@ def _dispatch(args) -> int:
             for algo in _names("algos", args.algos)
             for mode in _names("neighborhoods", args.neighborhoods)
         ]
+        _need_stop("bench", {"--time-limit": args.time_limit,
+                             "--iterations": args.iterations})
         paths = [p for p in sorted(Path(args.instances).iterdir())
                  if p.is_file()]
         if not paths:
@@ -282,7 +306,8 @@ def _dispatch(args) -> int:
 
     if args.command == "validate":
         inst = _load(args)
-        assignment, sequences, makespan = _read_solution(args.solution)
+        assignment, sequences, makespan, times = _read_solution(
+            args.solution)
         try:
             sched = build_schedule(inst, sequences)
         except ValueError as exc:
@@ -304,6 +329,15 @@ def _dispatch(args) -> int:
                 f"declared makespan {makespan} differs from "
                 f"recomputed {sched.makespan}"
             )
+        earliest = start_completion_times(inst, sched)
+        for op in sorted(set().union(*times)):
+            wrong = [f"{kind} {given[op]} differs from recomputed {time}"
+                     for kind, given, time in zip(
+                         _TIMES, times, earliest.get(op, (None, None)))
+                     if op in given and given[op] != time]
+            if wrong:
+                violations.append(f"operation {op}: declared "
+                                  + ", declared ".join(wrong))
         for v in violations:
             print(v, file=sys.stderr)
         if not violations:

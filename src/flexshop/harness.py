@@ -99,18 +99,17 @@ def _one_run(args):
 
 def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
                   fmt: str = "native", learning_rate: float | None = None,
-                  workers: int = 1, sink=None) -> list:
+                  workers: int = 1) -> list:
     """Execute every (instance, config) pair ``runs`` times.
 
     Seeds are ``seed_base + run_index``.  Each instance file is parsed
     once and the parsed instance is handed to its runs.  Unreadable
     instances and runs that raise produce a failed record (stop_reason
-    ``error: ...``) and the batch continues.  Every record returned, the
-    failed ones included, is passed to ``sink`` in the same order.
-    ``workers > 1`` dispatches runs over a process pool; oversubscription
-    beyond the CPUs this process may run on is refused so per-run
-    wall-clock budgets stay honest.  The runs left unfinished when a worker
-    dies get ``error: worker died`` records.
+    ``error: ...``) and the batch continues.  ``workers > 1`` dispatches
+    runs over a process pool; oversubscription beyond the CPUs this process
+    may run on is refused so per-run wall-clock budgets stay honest.  The
+    runs left unfinished when a worker dies get ``error: worker died``
+    records.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -146,9 +145,6 @@ def run_benchmark(instance_paths, configs, runs: int = 5, seed_base: int = 0,
                                              "worker died"))
     else:
         records.extend(map(_one_run, jobs))
-    if sink is not None:
-        for record in records:
-            sink(record)
     return records
 
 

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# actual_time's bound: 100 * p <= 2**1000 for every standard time p
+_LARGEST_TIME = 2**1000 // 100
+
+
 class InstanceError(ValueError):
     """Malformed or inconsistent instance data."""
 
@@ -115,6 +119,9 @@ def validate_instance(inst: Instance) -> list:
             violations.append(f"standard time given for non-eligible pair ({op}, {k})")
         elif p < 0:
             violations.append(f"negative standard time for pair ({op}, {k})")
+        elif p > _LARGEST_TIME:
+            violations.append(f"standard time for pair ({op}, {k}) "
+                              "exceeds 2**1000 / 100")
     ops = inst.operations
     adjacency = [ops] + [[] for _ in ops]  # vertex 0 precedes every operation
     for i, j in inst.precedence_arcs:

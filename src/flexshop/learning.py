@@ -3,8 +3,10 @@
 An operation processed at position ``r`` of a machine's sequence takes
 ``floor(100 * p / r**alpha + 1/2)`` time units, where ``p`` is the standard
 processing time and ``alpha > 0`` is the learning rate.  Position 1 always
-yields exactly ``100 * p``.  Values are cached, so that the schedules of
-a run share them.
+yields exactly ``100 * p``.  A valid instance keeps ``100 * p`` within
+2**1000 (``validate_instance``), so a divisor ``r**alpha`` too large for a
+float gives 0.  Values are cached, so that the schedules of a run share
+them.
 """
 
 import math
@@ -28,4 +30,8 @@ def actual_time(p: int, r: int, alpha: float) -> int:
         raise ValueError(f"standard time must be >= 0, got {p}")
     if alpha <= 0:
         raise ValueError(f"learning rate must be > 0, got {alpha}")
-    return math.floor(100.0 * p / r**alpha + 0.5)
+    try:
+        scale = r**alpha
+    except OverflowError:  # r**alpha > 2**1023 and 100 * p <= 2**1000
+        return 0
+    return math.floor(100.0 * p / scale + 0.5)

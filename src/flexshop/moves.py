@@ -79,14 +79,15 @@ than a cutoff asks ``Move.beats``: the first bound, then the second, and
 only then the price.
 
 The neighbor's ``Schedule`` is built on demand, for the move a search
-applies, by the one edit of G into G⁺ that builds a random relocation;
-the move to the operation's own slot is the scanned schedule itself.  The
-timing of G⁺ is inside it, for the next scan or removal, and is stripped
-from every ``RunRecord``, which keeps the path walked from it instead.
-Outside a scan ``insert_op`` checks a slot and builds it by editing G⁻
-into G⁺, the reference that the composed edit is tested against;
-``random_relocation`` draws a slot and returns its ``Schedule``.  Local
-search and tabu search choose among the scanned moves with
+applies, by the one edit of G into G⁺ that builds every relocation
+(``_relocated``); the move to the operation's own slot is the scanned
+schedule itself.  A removal records the schedule it cut from and the slot
+it cut, which that edit reads.  The timing of G⁺ is inside the
+``Schedule``, for the next scan or removal, and is stripped from every
+``RunRecord``, which keeps the path walked from it instead.  Outside a
+scan ``insert_op`` checks a slot of a removal and builds it by the same
+edit, and ``random_relocation`` draws a slot and returns its ``Schedule``.
+Local search and tabu search choose among the scanned moves with
 ``best_neighbor``.
 """
 
@@ -128,13 +129,17 @@ class ReducedState:
     """Intermediate structure after removing one operation.
 
     The removed operation keeps its vertex (weight 0) together with its
-    precedence and dummy arcs; only its machine arcs are rewired.
-    ``cycle_bounds(k)`` gives the positions on machine ``k`` of the last
-    operation that must precede it and of the first that must follow it
-    (0 and one past the end when there is none).
+    precedence and dummy arcs; only its machine arcs are rewired.  It was
+    cut from position ``gamma`` of machine ``origin`` in ``source``, the
+    schedule of G.  ``cycle_bounds(k)`` gives the positions on machine
+    ``k`` of the last operation that must precede it and of the first that
+    must follow it (0 and one past the end when there is none).
     """
 
     removed: int
+    source: Schedule = field(repr=False)
+    origin: int
+    gamma: int
     q_minus: tuple
     w_minus: list  # weight by vertex: 0 for the removed one and the dummies
     path: tuple  # critical path of the reduced graph, s to t
@@ -175,8 +180,8 @@ class Move:
     scan's ``_ScanTable``, the largest tail in G among the operation's
     successors in G⁻, and ``drop[i]``, what the target machine's operations
     from index ``i`` on lose by moving one position later.  ``schedule``
-    is built on first access from the table's schedule and timing of G
-    (``_relocated``).
+    is built on first access from the removal's source and the table's
+    timing of G (``_relocated``).
     """
 
     __slots__ = ("operation", "machine", "position", "bound", "_inst",
@@ -239,11 +244,10 @@ class Move:
     @property
     def schedule(self) -> Schedule:
         if self._schedule is None:
-            table, v = self._tails[0], self.operation
-            sched = table.sched
+            rs = self._rs
             self._schedule = _relocated(
-                self._inst, sched, table.graph, v, sched.assignment[v],
-                sched.position_of(v), self.machine, self.position)
+                self._inst, rs.source, self._tails[0].graph, self.operation,
+                rs.origin, rs.gamma, self.machine, self.position)
         return self._schedule
 
 
@@ -260,18 +264,18 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
         raise ValueError(f"cannot remove vertex {v}: not an operation")
     if table is None:
         table = _ScanTable(inst, sched)
-    old_machine = sched.assignment[v]
+    origin = sched.assignment[v]
     gamma = sched.position_of(v)
 
     q_minus = list(sched.sequences)
-    old_seq = q_minus[old_machine - 1]
-    q_minus[old_machine - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
+    old_seq = q_minus[origin - 1]
+    q_minus[origin - 1] = old_seq[:gamma - 1] + old_seq[gamma:]
     q_minus = tuple(q_minus)
 
     w_minus = list(sched.actual_times)
     w_minus[v] = 0
     shifted = old_seq[gamma:]  # one position earlier now
-    for op, time in zip(shifted, table.earlier[old_machine - 1][gamma - 1:]):
+    for op, time in zip(shifted, table.earlier[origin - 1][gamma - 1:]):
         w_minus[op] = time
 
     prev = old_seq[gamma - 2] if gamma > 1 else None
@@ -279,8 +283,9 @@ def remove_op(inst: Instance, sched: Schedule, v: int,
     timing = _edited(inst, table.graph, ((prev, v), (v, nxt)),
                      ((prev, nxt),), w_minus, {v, *shifted})
     path, xi, tau = critical_path(timing, q_minus)
-    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing,
-                        table.cycle_bounds(timing, v, old_machine, q_minus))
+    return ReducedState(v, sched, origin, gamma, q_minus, w_minus, path, xi,
+                        tau, timing,
+                        table.cycle_bounds(timing, v, origin, q_minus))
 
 
 class _ScanTable:
@@ -298,11 +303,10 @@ class _ScanTable:
     the longest path from u's start to the end of G, u's weight included.
     """
 
-    __slots__ = ("sched", "graph", "rank", "anc", "desc", "tail", "mask",
+    __slots__ = ("graph", "rank", "anc", "desc", "tail", "mask",
                  "pos", "earlier", "later", "drop")
 
     def __init__(self, inst: Instance, sched: Schedule):
-        self.sched = sched
         self.graph = graph = timing_of(inst, sched)
         order, rank = graph.order, graph.rank
         self.rank = rank
@@ -453,18 +457,17 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     weighing ``weights[i]`` (see the module's docstring).
 
     An added arc that points backwards in ``base``'s order is mended by
-    ``_reorder``.  One edit adds at most one: ``insert_op``'s, between a
-    and b, where a→b is an arc of G⁻, adds a→v and v→b, and as b ranks
-    after a at most one of them points backwards; a removal's prev→next
-    never does, since v ranks between prev and next.  The composed edit of
-    an applied move (``_relocated``) adds prev→next, before→v and v→after:
-    before→after, which it drops, is an arc of G too (unless it is
-    prev→next, which is v's own slot, never edited), so again at most one
-    of the last two points backwards.  A second backward arc raises
-    ValueError.  The ``stale`` vertices, which must hold every vertex whose
-    weight or predecessors changed, and whatever their changed completions
-    reach are re-timed and their tie flags counted again; the rest keep
-    ``base``'s times, setters and flags.  No path is walked: the flags let
+    ``_reorder``.  One edit adds at most one.  A removal's prev→next never
+    does, since v ranks between prev and next.  Putting v between before
+    and after, where before→after is an arc of ``base``, adds before→v and
+    v→after, and as after ranks after before at most one of them points
+    backwards.  The composed edit of a relocation (``_relocated``) does
+    both: before→after is an arc of G unless it is prev→next, which is v's
+    own slot, never edited.  A second backward arc raises ValueError.  The
+    ``stale`` vertices, which must hold every vertex whose weight or
+    predecessors changed, and whatever their changed completions reach are
+    re-timed and their tie flags counted again; the rest keep ``base``'s
+    times, setters and flags.  No path is walked: the flags let
     ``critical_path`` walk it as ``build_schedule``'s when it is read.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
@@ -517,10 +520,11 @@ def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
               gamma: int) -> Schedule:
     """Reinsert ``v``, the removed operation, at position ``gamma`` of
-    machine ``k``, outside a scan, by editing G⁻ into G⁺ (in G⁻'s order,
-    reordered locally when needed).  Raises ValueError unless ``rs`` holds
-    ``v``, then CycleError unless ``gamma`` lies in the cycle-free window,
-    and then ScheduleError unless ``v`` may run on ``k``."""
+    machine ``k`` in q⁻, outside a scan.  Raises ValueError unless ``rs``
+    holds ``v``, then CycleError unless ``gamma`` lies in the cycle-free
+    window, and then ScheduleError unless ``v`` may run on ``k``.  The slot
+    is built as a scanned move is, by one edit of the removal's source G
+    into G⁺ (``_relocated``); the own slot returns the source."""
     if v != rs.removed:
         raise ValueError(f"reduced state holds operation {rs.removed}, not {v}")
     window = feasible_window(rs, k, reduction_active=False, c_max=0)
@@ -532,18 +536,9 @@ def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
     if k not in inst.eligible[v - 1]:
         # q⁻ came from a checked Schedule: only v's machine is new
         raise ScheduleError(f"operation {v} on ineligible machine {k}")
-    seq = rs.q_minus[k - 1]
-    moved = seq[gamma - 1:]  # one position later now
-    q_plus = list(rs.q_minus)
-    q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
-    weights = list(rs.w_minus)
-    for op, time in zip((v, *moved), _times(inst, (v, *moved), k, gamma)):
-        weights[op] = time
-    before = seq[gamma - 2] if gamma > 1 else None
-    after = moved[0] if moved else None
-    timing = _edited(inst, rs.timing, ((before, after),),
-                     ((before, v), (v, after)), weights, {v, *moved})
-    return Schedule(tuple(q_plus), weights, timing.start[-1], timing)
+    source = rs.source
+    return _relocated(inst, source, timing_of(inst, source), v, rs.origin,
+                      rs.gamma, k, gamma)
 
 
 def random_relocation(inst: Instance, sched: Schedule,
@@ -557,8 +552,8 @@ def random_relocation(inst: Instance, sched: Schedule,
     sequences; ScheduleError names it when it sits on none.  The window
     comes from a search of G's own arc lists, in G's order, with only the
     operation's own lists rewired into G⁻'s, and ``_relocated`` builds the
-    slot.  It needs no further check: ``insert_op(inst, remove_op(...))``
-    builds the same schedule.
+    slot.  It needs no further check: its draws are those of a removal's
+    window, and ``_relocated`` builds every slot of that window.
     """
     v = rng.randint(1, inst.num_operations)
     machines = sorted(inst.eligible_machines(v))
@@ -753,7 +748,6 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     for v in candidates:
         rs = remove_op(inst, sched, v, table)
         on_path = set(rs.path)
-        origin = sched.assignment[v]
         after_v = max(map(table.tail.__getitem__, rs.timing.succs[v]))
         for k in sorted(inst.eligible_machines(v)):
             window = feasible_window(rs, k, reduction, sched.makespan)
@@ -761,9 +755,9 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
                 continue
             seq = rs.q_minus[k - 1]
             later, drop = table.later[k - 1], table.drop[k - 1]
-            if k == origin:
+            if k == rs.origin:
                 # the operations after v are back at their positions in G
-                cut = sched.sequences[k - 1].index(v)
+                cut = rs.gamma - 1
                 later = later[:cut] + [sched.actual_times[op]
                                        for op in seq[cut:]]
                 drop = _drops(rs.w_minus, seq, later, window.lower)

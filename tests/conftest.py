@@ -9,8 +9,8 @@ from flexshop import (
     parse_instance,
     reachable_from,
 )
-from flexshop.graph import build_arcs, critical_path, time_graph
-from flexshop.moves import ReducedState
+from flexshop.graph import Schedule, build_arcs, critical_path, time_graph
+from flexshop.moves import ReducedState, _edited
 
 FIG1_TEXT = """\
 5 2 1.0
@@ -131,8 +131,9 @@ def scratch_removal(inst: Instance, sched, v: int) -> ReducedState:
     from its sequences and timed from scratch, its critical path, and the
     windows that the reach sets of ``v`` in G⁻ give.  ``remove_op`` derives
     G⁻ from G; tests compare what it derives with this."""
+    origin, gamma = sched.assignment[v], sched.position_of(v)
     sequences = [list(seq) for seq in sched.sequences]
-    sequences[sched.assignment[v] - 1].remove(v)
+    sequences[origin - 1].remove(v)
     q_minus = tuple(map(tuple, sequences))
     w_minus = [0] * (inst.num_operations + 2)
     for k, seq in enumerate(q_minus, start=1):
@@ -147,7 +148,32 @@ def scratch_removal(inst: Instance, sched, v: int) -> ReducedState:
     def bounds(k: int) -> tuple:
         return reach_bounds(q_minus[k - 1], ancestors, descendants)
 
-    return ReducedState(v, q_minus, w_minus, path, xi, tau, timing, bounds)
+    return ReducedState(v, sched, origin, gamma, q_minus, w_minus, path, xi,
+                        tau, timing, bounds)
+
+
+def reference_insertion(inst: Instance, rs: ReducedState, v: int, k: int,
+                        gamma: int) -> Schedule:
+    """The reference insertion of ``v``, the operation ``rs`` removed, at
+    position ``gamma`` of machine ``k`` in q⁻, a cycle-free slot on a
+    machine it may run on: G⁻ edited into G⁺, in G⁻'s order (reordered
+    locally when needed), where the arc before→after gives way to before→v
+    and v→after and only v and the operations it pushes are re-weighed.
+    The package builds every slot by one edit of G into G⁺ instead
+    (``moves._relocated``); tests compare the two routes."""
+    seq = rs.q_minus[k - 1]
+    moved = seq[gamma - 1:]  # one position later now
+    q_plus = list(rs.q_minus)
+    q_plus[k - 1] = seq[:gamma - 1] + (v,) + moved
+    weights = list(rs.w_minus)
+    for pos, op in enumerate((v, *moved), start=gamma):
+        weights[op] = actual_time(inst.std_time[(op, k)], pos,
+                                  inst.learning_rate)
+    before = seq[gamma - 2] if gamma > 1 else None
+    after = moved[0] if moved else None
+    timing = _edited(inst, rs.timing, ((before, after),),
+                     ((before, v), (v, after)), weights, {v, *moved})
+    return Schedule(tuple(q_plus), weights, timing.start[-1], timing)
 
 
 def reach_bounds(seq, ancestors, descendants) -> tuple:

@@ -298,8 +298,13 @@ def test_validate_rejects_assignment_that_contradicts_sequences(
          "operation 2's machine true is not an integer"),
         ({"assignment": FIG2A_ASSIGNMENT, "makespan": "658"},
          "makespan \"658\" is not an integer"),
+        ({"assignment": FIG2A_ASSIGNMENT, "start": {"1": "0"}},
+         "operation 1's start \"0\" is not an integer"),
+        ({"assignment": FIG2A_ASSIGNMENT, "completion": {"3": 658.0}},
+         "operation 3's completion 658.0 is not an integer"),
     ],
-    ids=["machine-string", "machine-float", "machine-bool", "makespan-string"],
+    ids=["machine-string", "machine-float", "machine-bool", "makespan-string",
+         "start-string", "completion-float"],
 )
 def test_validate_rejects_a_declared_value_that_is_not_an_integer(
         instance_file, tmp_path, capsys, declared, message):
@@ -311,6 +316,56 @@ def test_validate_rejects_a_declared_value_that_is_not_an_integer(
     err = _fails(["validate", "--instance", str(instance_file),
                   "--solution", str(solution)], capsys, message)
     assert err.startswith("error: ")
+
+
+def test_validate_reports_each_operation_whose_declared_time_differs(
+        instance_file, tmp_path, capsys):
+    """A declared start or completion that is not the recomputed earliest
+    one is reported, one line per operation, as a wrong makespan is."""
+    assert main(["solve", "--instance", str(instance_file), "--algo", "ts",
+                 "--iterations", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    start, completion = dict(payload["start"]), dict(payload["completion"])
+    payload["completion"]["1"] = 1
+    payload["start"]["2"] = 99999
+    payload["start"]["4"] += 1
+    payload["completion"]["4"] += 1
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(payload))
+    assert main(["validate", "--instance", str(instance_file),
+                 "--solution", str(solution)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"operation 1: declared completion 1 differs from recomputed "
+        f"{completion['1']}",
+        f"operation 2: declared start 99999 differs from recomputed "
+        f"{start['2']}",
+        f"operation 4: declared start {start['4'] + 1} differs from "
+        f"recomputed {start['4']}, declared completion "
+        f"{completion['4'] + 1} differs from recomputed {completion['4']}",
+    ]
+
+
+def test_validate_accepts_a_solution_without_times(instance_file, tmp_path,
+                                                   capsys):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"assignment": FIG2A_ASSIGNMENT,
+                                    "sequences": FIG2A_SEQUENCES}))
+    assert main(["validate", "--instance", str(instance_file),
+                 "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out == "valid; makespan 658\n"
+
+
+def test_solve_with_a_huge_learning_rate_validates(instance_file, tmp_path,
+                                                   capsys):
+    """With alpha = 700, r**alpha overflows a float from position 3 on on
+    fig1's machine 2; those operations take 0 time units."""
+    assert main(["solve", "--instance", str(instance_file), "--algo", "sa",
+                 "--iterations", "20", "--alpha", "700"]) == 0
+    solution = tmp_path / "solution.json"
+    solution.write_text(capsys.readouterr().out)
+    assert main(["validate", "--instance", str(instance_file), "--alpha",
+                 "700", "--solution", str(solution)]) == 0
+    assert capsys.readouterr().out.startswith("valid; makespan ")
 
 
 def test_validate_reports_an_operation_the_assignment_lacks(
@@ -389,6 +444,9 @@ def test_validate_reports_an_operation_the_assignment_lacks(
           "--time-limit", "inf"], "error: solve needs a stop"),
         (["solve", "--instance", "{fig1}", "--algo", "ts",
           "--no-improve", "inf"], "error: solve needs a stop"),
+        (["bench", "--instances", "{dir}", "--algos", "ts", "--runs", "1",
+          "--time-limit", "inf", "--out", "{dir}/out.csv"],
+         "error: bench needs a stop: --time-limit or --iterations"),
     ],
     ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
          "rcl-alpha-best-nan", "perturb-range", "unknown-algo",
@@ -397,7 +455,8 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "grasp-alpha", "grasp-alpha-nan", "runs-0", "runs-negative",
          "workers-0", "workers-negative", "oracle-limit-0",
          "oracle-limit-negative", "solve-no-stop", "solve-target-only",
-         "solve-infinite-time-limit", "solve-infinite-no-improve"],
+         "solve-infinite-time-limit", "solve-infinite-no-improve",
+         "bench-infinite-time-limit"],
 )
 def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
                                                  message):

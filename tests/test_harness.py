@@ -279,16 +279,14 @@ def test_dead_worker_costs_only_the_runs_it_held(tmp_path, monkeypatch):
     configs = [MetaConfig(algo="ts", max_iterations=2)]
     serial = run_benchmark(paths, configs, runs=3)
     monkeypatch.setattr(flexshop.harness, "_one_run", _dying_run)
-    sunk = []
-    pooled = run_benchmark(paths, configs, runs=3, workers=2,
-                           sink=sunk.append)
+    pooled = run_benchmark(paths, configs, runs=3, workers=2)
 
     def fields(rec):
         return (rec.instance_id, rec.algorithm, rec.seed, rec.best_makespan,
                 rec.iterations, rec.neighbors_evaluated,
                 rec.stalled_iterations, rec.stop_reason)
 
-    assert sunk == pooled and len(pooled) == 6
+    assert len(pooled) == 6
     assert list(map(fields, pooled[:-1])) == list(map(fields, serial[:-1]))
     assert fields(pooled[-1]) == ("b", "ts-reduced", 2, -1, 0, 0, 0,
                                   "error: worker died")
@@ -349,28 +347,24 @@ def test_run_benchmark_rejects_unknown_format_before_reading(tmp_path,
     assert read == []
 
 
-def test_run_benchmark_sink_sees_every_record(tmp_path):
+def test_run_benchmark_returns_every_record(tmp_path):
     path = tmp_path / "fig1.txt"
     path.write_text(FIG1_TEXT)
-    seen = []
-    records = run_benchmark([path], [MetaConfig(max_iterations=1)], runs=3,
-                            sink=seen.append)
-    assert len(seen) == len(records) == 3
+    records = run_benchmark([path], [MetaConfig(max_iterations=1)], runs=3)
+    assert len(records) == 3
 
 
-def test_run_benchmark_sink_sees_load_failures(tmp_path):
-    # an unreadable file's failed record reaches the sink like a run's
+def test_run_benchmark_records_load_failures(tmp_path):
+    # an unreadable file gets a failed record, in file order, like a run's
     good = tmp_path / "fig1.txt"
     good.write_text(FIG1_TEXT)
     bad = tmp_path / "broken.txt"
     bad.write_text("not an instance")
-    seen = []
     records = run_benchmark([bad, good], [MetaConfig(max_iterations=1)],
-                            runs=1, sink=seen.append)
+                            runs=1)
     assert len(records) == 2
-    assert seen == records
-    assert seen[0].instance_id == "broken"
-    assert seen[0].stop_reason.startswith("error:")
+    assert records[0].instance_id == "broken"
+    assert records[0].stop_reason.startswith("error:")
 
 
 def test_run_benchmark_parses_each_instance_once(tmp_path, monkeypatch):

@@ -124,6 +124,26 @@ def test_classical_import_rejects_duplicate_machine():
         import_classical_fjs("1 2\n2  1 1 4  2 1 5 1 7\n")
 
 
+LARGEST_TIME = 2**1000 // 100  # the largest p with 100 * p <= 2**1000
+
+
+@pytest.mark.parametrize("read", [
+    lambda p: parse_instance(f"1 1 0.2\n1 1 {p}\n0\n"),
+    lambda p: import_classical_fjs(f"1 1\n1 1 1 {p}\n", 0.2),
+], ids=["native", "classical"])
+def test_standard_time_beyond_the_float_range_is_rejected(read):
+    """A standard time whose 100 * p exceeds 2**1000 is refused by one
+    InstanceError naming the pair, in both formats; the largest allowed
+    one parses and prices."""
+    for p in (LARGEST_TIME + 1, 10**400):
+        with pytest.raises(InstanceError) as excinfo:
+            read(p)
+        assert str(excinfo.value) == ("standard time for pair (1, 1) "
+                                      "exceeds 2**1000 / 100")
+    inst = read(LARGEST_TIME)
+    assert inst.std_time[(1, 1)] == LARGEST_TIME
+
+
 def test_validate_clean_instance(fig1):
     assert validate_instance(fig1) == []
 

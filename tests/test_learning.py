@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +39,42 @@ def test_high_precision_grid():
             for r in range(1, 51):
                 exact = int(mp.floor(100 * p / mp.mpf(r) ** alpha + mp.mpf(1) / 2))
                 assert actual_time(p, r, alpha) == exact, (p, r, alpha)
+
+
+def _overflow_edge(r: int) -> tuple:
+    """The largest alpha for which the float ``r**alpha`` is finite, and
+    the next float, for which it overflows."""
+    finite, overflowing = 1.0, 2048.0
+    while math.nextafter(finite, overflowing) < overflowing:
+        mid = (finite + overflowing) / 2
+        try:
+            r**mid
+        except OverflowError:
+            overflowing = mid
+        else:
+            finite = mid
+    return finite, overflowing
+
+
+def test_time_is_zero_once_the_divisor_overflows():
+    """A position ``r`` whose ``r**alpha`` overflows a float takes 0 time
+    units, which exact mpmath arithmetic confirms on both sides of the edge
+    for standard times up to the largest that an instance may hold
+    (100 * p <= 2**1000)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    assert actual_time(4, 3, 700.0) == 0
+    largest = 2**1000 // 100
+    cases = [(largest, 2, 990.0)]  # 2**10 units or so, below the edge
+    for r in (2, 3, 10, 999):
+        finite, overflowing = _overflow_edge(r)
+        cases += [(p, r, alpha) for p in (1, 4, largest)
+                  for alpha in (finite, overflowing, 2 * overflowing)]
+    for p, r, alpha in cases:
+        exact = int(mp.floor(100 * p / mp.mpf(r) ** mp.mpf(alpha)
+                             + mp.mpf(1) / 2))
+        assert actual_time(p, r, alpha) == exact, (p, r, alpha)
+    assert actual_time(largest, 2, 990.0) > 0
 
 
 @given(st.integers(min_value=0, max_value=10**6))

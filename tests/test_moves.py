@@ -23,7 +23,12 @@ from flexshop.constructive import best_of_est_ect
 from flexshop.graph import build_arcs, critical_path, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES
 
-from conftest import random_instance, reach_bounds, scratch_removal
+from conftest import (
+    random_instance,
+    reach_bounds,
+    reference_insertion,
+    scratch_removal,
+)
 
 
 def test_remove_goldens(fig1, fig2a):
@@ -253,8 +258,8 @@ def test_incremental_makespan_matches_rebuild(seed, mode, arc_prob, walk,
         sched = perturb(inst, sched, rng)
     for move in list(enumerate_neighbors(inst, sched, mode)):
         v, k, gamma = move.operation, move.machine, move.position
-        reference = insert_op(inst, scratch_removal(inst, sched, v), v, k,
-                              gamma)
+        reference = reference_insertion(inst, scratch_removal(inst, sched, v),
+                                        v, k, gamma)
         assert move.makespan == reference.makespan
         assert move.bound <= move.makespan
         assert move.head_tail_bound <= move.makespan
@@ -580,8 +585,9 @@ def _recounted_ties(timing) -> list:
 def test_every_scanned_move_builds_what_insert_op_builds():
     """In full, reduced and cropped scans of tie-heavy DAG and chain
     instances (standard times in {1, 2}), every neighbor's Schedule, edited
-    from the scanned graph G in one step, equals field by field the one
-    that insert_op builds from the reference removal's G⁻, and
+    from the scanned graph G in one step, is the one insert_op builds in
+    that slot of the reference removal, and equals field by field the one
+    that the reference insertion edits from that removal's G⁻, and
     build_schedule's; the move to the operation's own slot is the scanned
     schedule itself.  Moves to another machine, to another slot of the own
     machine and to the own slot all occur."""
@@ -607,13 +613,68 @@ def test_every_scanned_move_builds_what_insert_op_builds():
                     kinds["own slot"] += 1
                     continue
                 kinds["same machine" if k == origin else "other machine"] += 1
-                want = insert_op(inst, scratch_removal(inst, sched, v), v, k,
-                                 gamma)
+                rs = scratch_removal(inst, sched, v)
+                assert insert_op(inst, rs, v, k, gamma) == got
+                want = reference_insertion(inst, rs, v, k, gamma)
                 assert got == want and got.key() == want.key()
                 assert got.critical_path == want.critical_path
                 for name in ("succs", "start", "completion", "tied"):
                     assert getattr(got.timing, name) == getattr(want.timing,
                                                                 name)
+    assert all(kinds.values()), kinds
+
+
+def test_insert_op_builds_what_the_reference_insertion_builds():
+    """On every cycle-free slot of every eligible machine of every removal,
+    along walks on tie-heavy DAG and chain instances (standard times in
+    {1, 2}), from timed schedules and from ones built by hand without a
+    timing, insert_op's Schedule, one edit of the removal's source G into
+    G⁺, equals the reference insertion's, edited from G⁻: sequences,
+    times, makespan, the timing's arcs, times and tie flags, and the
+    critical path.  The own slot returns the removal's source itself.
+    Slots on another machine and on the own one both occur."""
+    from flexshop import Schedule
+
+    kinds = dict.fromkeys(("other machine", "same machine", "own slot",
+                           "untimed source"), 0)
+    rng = random.Random(67)
+    for case in range(40):
+        if case % 2:
+            inst = _chain_instance(rng, 2)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=2)
+        sched = best_of_est_ect(inst)
+        for _ in range(case % 3):
+            sched = perturb(inst, sched, rng)
+        if case % 4 == 3:
+            sched = Schedule(sched.sequences, sched.actual_times,
+                             sched.makespan)
+            kinds["untimed source"] += 1
+        for v in inst.operations:
+            rs = remove_op(inst, sched, v)
+            assert rs.source is sched
+            assert (rs.origin, rs.gamma) == (sched.assignment[v],
+                                             sched.position_of(v))
+            for k in inst.eligible_machines(v):
+                window = feasible_window(rs, k, reduction_active=False,
+                                         c_max=0)
+                for gamma in window.cycle_free:
+                    got = insert_op(inst, rs, v, k, gamma)
+                    want = reference_insertion(inst, rs, v, k, gamma)
+                    if (k, gamma) == (rs.origin, rs.gamma):
+                        assert got is sched
+                        kinds["own slot"] += 1
+                        continue
+                    kinds["same machine" if k == rs.origin
+                          else "other machine"] += 1
+                    assert got.sequences == want.sequences
+                    assert got.actual_times == want.actual_times
+                    assert got.makespan == want.makespan
+                    for name in ("succs", "start", "completion", "tied"):
+                        assert (getattr(got.timing, name)
+                                == getattr(want.timing, name))
+                    assert got.critical_path == want.critical_path
     assert all(kinds.values()), kinds
 
 
@@ -739,10 +800,10 @@ def _reference_draw(inst, sched, rng) -> tuple:
 def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
     """Every perturbation, a random relocation, makes the draws that a
     removal and its cycle-free window make, in the same order, and builds
-    what insert_op builds in the drawn slot and build_schedule builds from
-    its sequences, timing and critical path included, along walks on
-    small, tie-heavy, chain and 200-300 operation instances that carry
-    each built timing to the next draw.  A relocation times nothing from
+    what the reference insertion edits from that removal's G⁻ in the drawn
+    slot and build_schedule builds from its sequences, timing and critical
+    path included, along walks on small, tie-heavy, chain and 200-300
+    operation instances that carry each built timing to the next draw.  A relocation times nothing from
     scratch.  Draws to another machine, to another slot of the own machine
     and back into the own slot, builds that keep the order and that
     reorder it, and paths whose first read times the graph again on a
@@ -784,7 +845,7 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
                 kinds["reordered"] += 1
             got.critical_path
             kinds["tie re-timed on read"] += bool(rebuilds)
-            want = insert_op(inst, rs, v, k, gamma)
+            want = reference_insertion(inst, rs, v, k, gamma)
             assert got == want and got.key() == want.key()
             assert got.critical_path == want.critical_path
             _assert_built_like_scratch(inst, sched, v, k, gamma, got)
@@ -795,9 +856,9 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
 
 def test_sa_candidate_prices_what_it_builds():
     """SA prices a candidate, a random relocation, by the makespan of the
-    Schedule it returns; that Schedule is the one insert_op builds in the
-    drawn slot, its makespan is build_schedule's for its sequences, and it
-    is valid."""
+    Schedule it returns; that Schedule is the one the reference insertion
+    edits from the removal's G⁻ in the drawn slot, its makespan is
+    build_schedule's for its sequences, and it is valid."""
     from flexshop.moves import random_relocation
 
     rng = random.Random(41)
@@ -809,7 +870,7 @@ def test_sa_candidate_prices_what_it_builds():
             v, k, gamma, rs = _reference_draw(inst, sched, rng)
             rng.setstate(state)
             candidate = random_relocation(inst, sched, rng)
-            built = insert_op(inst, rs, v, k, gamma)
+            built = reference_insertion(inst, rs, v, k, gamma)
             assert candidate.makespan == built.makespan
             assert (candidate.makespan
                     == build_schedule(inst, candidate.sequences).makespan)
