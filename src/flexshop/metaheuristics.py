@@ -317,5 +317,12 @@ _RUNNERS = {"ils": _ils, "grasp": _grasp, "ts": _ts, "sa": _sa}
 
 
 def run(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Run the metaheuristic that ``cfg.algo`` names on ``inst``."""
+    """Run the metaheuristic that ``cfg.algo`` names on ``inst``.  Raises
+    ValueError unless one of ``time_budget``, ``max_iterations`` and
+    ``no_improve_limit`` is set and finite: a run ends only on one of them,
+    as a target may never be reached."""
+    stops = (cfg.time_budget, cfg.max_iterations, cfg.no_improve_limit)
+    if not any(s is not None and math.isfinite(s) for s in stops):
+        raise ValueError("a run needs a finite time_budget, max_iterations "
+                         "or no_improve_limit")
     return _RUNNERS[cfg.algo](inst, cfg)

@@ -16,19 +16,25 @@ descendants as bitsets of G's ranks, each machine's operations, and each
 operation's time one position earlier and one later.
 
 Every change of a timed graph is one edit (``_edited``): the machine arcs
-it breaks are dropped, those it makes are added, the order is kept unless
-an added arc points backwards in it, which a local reorder mends (Pearce
-and Kelly's dynamic topological sort), and only the operations whose
-position changed, the heads of the changed arcs and what their new
-completions reach are re-timed.  A removal edits G into its reduced graph
-G⁻: prev→v and v→next give way to prev→next, which never points
-backwards, so G⁻ keeps G's order and ranks.  Every move that is applied,
-a scanned one as well as a random relocation, edits G into G⁺ at once
-(``_relocated``), by the removal's edit composed with the insertion's:
+it breaks are dropped, those it makes are added, and the order is kept
+unless an added arc points backwards in it, which a local reorder mends
+(Pearce and Kelly's dynamic topological sort).  A removal edits G into its
+reduced graph G⁻: prev→v and v→next give way to prev→next, which never
+points backwards, so G⁻ keeps G's order and ranks.  Every move that is
+applied, a scanned one as well as a random relocation, edits G into G⁺ at
+once (``_relocated``), by the removal's edit composed with the insertion's:
 prev→v, v→next and before→after give way to prev→next, before→v and
 v→after.  Only the operations whose position changed are re-weighed (v's
 old suffix and the suffix that v pushes, or on a move within one machine
 the stretch between the two positions), and G⁻ is never timed for it.
+
+Every re-timing, an edit's and a neighbor's pricing, follows one pull
+rule: the stale vertices, whose weight or predecessors changed, are
+visited in a topological order, each starts at the latest completion of
+its predecessors, and one whose completion changes makes successors
+stale.  An edit keeps setters and tie flags, so it marks them all; a
+pricing (``_insertion_makespan``) needs only times and marks a successor
+only when the new completion passes its start or the old one set it.
 Every timing flags the vertices that two predecessors finish at the start
 of.  An edit walks no critical path: a removal walks G⁻'s at once, for ξ,
 τ⁻ and P, and a built ``Schedule`` walks its own when it is first read,
@@ -465,10 +471,10 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     both: before→after is an arc of G unless it is prev→next, which is v's
     own slot, never edited.  A second backward arc raises ValueError.  The
     ``stale`` vertices, which must hold every vertex whose weight or
-    predecessors changed, and whatever their changed completions reach are
-    re-timed and their tie flags counted again; the rest keep ``base``'s
-    times, setters and flags.  No path is walked: the flags let
-    ``critical_path`` walk it as ``build_schedule``'s when it is read.
+    predecessors changed, are re-timed by the pull rule, their tie flags
+    counted again; the rest keep ``base``'s times, setters and flags.  No
+    path is walked: the flags let ``critical_path`` walk it as
+    ``build_schedule``'s when it is read.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
     order, rank = base.order, base.rank
@@ -657,22 +663,16 @@ def _reach_between(adjacency, v: int, rank: list, lo: int, hi: int) -> set:
 
 def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
                         gamma: int, time_v: int) -> int:
-    """Makespan once the removed operation, taking ``time_v``, sits at
+    """Makespan once the removed operation v, taking ``time_v``, sits at
     position ``gamma`` of the machine sequence ``seq``; ``later[i]`` is the
     time of ``seq[i]`` one position further back.
 
-    Only the inserted operation, the operations it pushes one position
-    later and their descendants are re-timed; everything else keeps its
-    reduced-graph times.  ``gamma`` must lie in the cycle-free window: then
-    no predecessor of the inserted operation is re-timed, and the reduced
-    graph's order still holds for every vertex below it.  A re-timed vertex
-    pushes a later completion to its successors; one that finishes earlier
-    makes a successor whose start it set take the maximum over all its
-    predecessors in G⁻ again.  The follower, ``seq[gamma - 1]``, whose
-    predecessor v is not one in G⁻, is never re-pulled: only the moved
-    operations, each a descendant of the follower, and their descendants
-    finish earlier, so such a predecessor of the follower would close a
-    cycle.
+    The pull rule (see the module's docstring) over G⁻'s lists, read in
+    place but for a copy of the completions.  In the cycle-free window,
+    where ``gamma`` must lie, no predecessor of v is re-timed: v's start is
+    final at once, and G⁻'s order holds for every other vertex.  The follower
+    ``seq[gamma - 1]`` also takes v's completion; its predecessor in G⁻
+    ``seq[gamma - 2]``, no longer one in G⁺, finishes no later than v.
     """
     v = rs.removed
     succs, order, rank, preds, start, completion, *_ = rs.timing
@@ -682,42 +682,30 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     done_v = begin + time_v
     moved = seq[gamma - 1:]
     moved_time = dict(zip(moved, later[gamma - 1:]))
-    # pending vertex -> latest completion pushed to it by a predecessor
-    pushed = dict.fromkeys(moved, 0)
-    if moved:
-        pushed[moved[0]] = done_v
-    for j in succs[v]:
-        if done_v > start[j]:
-            pushed[j] = done_v
-    if not pushed:
+    stale = set(moved)
+    stale.update(j for j in succs[v] if done_v > start[j])
+    if not stale:
         return completion[-1]
     new = completion.copy()
     new[v] = done_v
-    repull = set()
+    follower = moved[0] if moved else None
     weight = rs.w_minus
-    pop = pushed.pop
-    for u in islice(order, min(map(rank.__getitem__, pushed)), None):
-        latest = pop(u, None)
-        if latest is None:
+    for u in islice(order, min(map(rank.__getitem__, stale)), None):
+        if u not in stale:
             continue
-        if u in repull:
-            latest = max(map(new.__getitem__, preds[u]))
-        elif start[u] > latest:
-            latest = start[u]
-        done = latest + moved_time.get(u, weight[u])
+        stale.discard(u)
+        latest = done_v if u == follower else 0
+        for i in preds[u]:
+            if new[i] > latest:
+                latest = new[i]
+        done = latest + (moved_time[u] if u in moved_time else weight[u])
         old = completion[u]
-        if done > old:
+        if done != old:
             new[u] = done
-            for j in succs[u]:
-                if done > start[j] and pushed.get(j, 0) < done:
-                    pushed[j] = done
-        elif done < old:
-            new[u] = done
-            for j in succs[u]:
-                if start[j] == old:
-                    repull.add(j)
-                    pushed.setdefault(j, 0)
-        if not pushed:
+            for j in succs[u]:  # a rise that delays j, or j's setter falls
+                if done > start[j] or start[j] == old:
+                    stale.add(j)
+        if not stale:
             break
     return new[-1]
 

@@ -367,6 +367,22 @@ def test_run_benchmark_records_load_failures(tmp_path):
     assert records[0].stop_reason.startswith("error:")
 
 
+def test_run_benchmark_records_runs_without_a_finite_stop(tmp_path):
+    """A config that no stop ends fails each of its runs at once, with one
+    error record per run, and the batch returns."""
+    path = tmp_path / "fig1.txt"
+    path.write_text(FIG1_TEXT)
+    configs = [MetaConfig(algo="ts"),
+               MetaConfig(algo="sa", time_budget=math.inf,
+                          target_makespan=1)]
+    records = run_benchmark([path], configs, runs=2)
+    assert [(r.algorithm, r.seed) for r in records] == [
+        ("ts-reduced", 0), ("ts-reduced", 1),
+        ("sa-reduced", 0), ("sa-reduced", 1)]
+    assert all(r.stop_reason == "error: a run needs a finite time_budget, "
+               "max_iterations or no_improve_limit" for r in records)
+
+
 def test_run_benchmark_parses_each_instance_once(tmp_path, monkeypatch):
     paths = []
     for name in ("a", "b"):

@@ -256,6 +256,19 @@ def test_no_improve_limit_stops_every_metaheuristic(fig1):
         assert validate_schedule(fig1, record.schedule) == []
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("stops", [
+    {}, {"target_makespan": FIG1_OPTIMUM}, {"time_budget": math.inf},
+    {"no_improve_limit": math.inf}])
+def test_a_run_without_a_finite_stop_is_refused(fig1, algo, stops):
+    """No stop would end such a run: ``run`` refuses it before it starts,
+    while ``MetaConfig`` accepts the config."""
+    cfg = MetaConfig(algo=algo, **stops)
+    with pytest.raises(ValueError, match="a run needs a finite time_budget, "
+                       "max_iterations or no_improve_limit"):
+        run(fig1, cfg)
+
+
 def test_incumbent_never_worsens(fig1):
     start = best_of_est_ect(fig1)
     for algo in ("ils", "grasp", "ts", "sa"):

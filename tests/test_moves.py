@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +315,62 @@ def _large_instance(rng: random.Random, layout: str) -> Instance:
                          for k in machines})
     return Instance(n, m, tuple(eligible), std_time, frozenset(arcs), 0.2,
                     f"{layout}-{n}")
+
+
+def _tie_heavy(inst: Instance, rng: random.Random, alpha: float) -> Instance:
+    """``inst`` with standard times in {1, 2} and learning rate ``alpha``."""
+    return dataclasses.replace(
+        inst, std_time={key: rng.randint(1, 2) for key in inst.std_time},
+        learning_rate=alpha)
+
+
+def test_pricing_meets_every_case_of_the_pull_rule():
+    """Full scans of tie-heavy chain and DAG instances, times in {1, 2},
+    at α 0.2, 1 and 3: every priced makespan is ``build_schedule``'s for
+    its slot, on every move of small instances and every 20th of 200-300
+    operation ones.  Counted from G⁻'s timing and the rebuilt G⁺'s, the
+    scans meet the three cases that the pull rule tells apart: a re-timed
+    operation's successor left alone for its slack, one pulled again
+    because the operation that set its start finishes earlier, and a
+    follower whose start v sets."""
+    rng = random.Random(23)
+    cases = []
+    for case in range(90):
+        small = (_chain_instance(rng, 2) if case % 2 else
+                 random_instance(rng, max_ops=12, max_machines=4))
+        cases.append((small, 1))
+    for layout in ("dag", "chain"):
+        cases.append((_large_instance(rng, layout), 20))
+    priced = slack = setter_fell = v_sets = 0
+    for index, (inst, stride) in enumerate(cases):
+        inst = _tie_heavy(inst, rng, (0.2, 1, 3)[index % 3])
+        sched = best_of_est_ect(inst)
+        for _ in range(index % 4):  # leave the constructive start
+            sched = perturb(inst, sched, rng)
+        for move in islice(enumerate_neighbors(inst, sched, "full"), 0, None,
+                           stride):
+            v, k, gamma = move.operation, move.machine, move.position
+            sequences = [list(seq) for seq in sched.sequences]
+            sequences[sched.assignment[v] - 1].remove(v)
+            sequences[k - 1].insert(gamma - 1, v)
+            rebuilt = build_schedule(inst, sequences)
+            assert move.makespan == rebuilt.makespan, (index, v, k, gamma)
+            priced += 1
+            reduced, done = move._rs.timing, rebuilt.timing.completion
+            for u in inst.operations:
+                old = reduced.completion[u]
+                if u == v or done[u] == old:
+                    continue
+                for j in reduced.succs[u]:
+                    slack += done[u] <= reduced.start[j] != old
+                    setter_fell += done[u] < old == reduced.start[j]
+            seq = move._rs.q_minus[k - 1]
+            if gamma <= len(seq):
+                follower = seq[gamma - 1]
+                v_sets += done[v] > max(done[i]
+                                        for i in reduced.preds[follower])
+    assert priced > 2000
+    assert slack > 0 and setter_fell > 0 and v_sets > 0
 
 
 def test_searched_windows_match_reach_sets(monkeypatch):
