@@ -12,12 +12,16 @@ before construction cached its (operation, machine) prices, pins every
 greedy and randomized constructive start.  A sixth, frozen before a
 random relocation edited the schedule's graph once instead of removing
 and then reinserting, pins simulated annealing on larger instances and
-walks of perturbations.  A deliberate change of behaviour updates them
-and says why.
+walks of perturbations.  A seventh, frozen before a critical path's ties
+were settled without timing the graph again from scratch, pins every scan
+of tabu search on 200-300 operation instances whose paths often tie.  A
+deliberate change of behaviour updates them and says why.
 """
 
 import hashlib
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +40,7 @@ from flexshop import (
 from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import random_instance, random_schedule
+from test_moves import _large_instance, _tie_heavy
 
 # iteration caps that keep the whole grid within a few seconds
 RUN_CAPS = {"ils": 3, "grasp": 2, "ts": 6, "sa": 12}
@@ -53,6 +58,8 @@ FROZEN = {
         "b402025d9e866f0b75c5a79496ad3e885795afeea2a2e36a1a8ca1c71af023ac",
     "relocations":
         "a17d2b6616aacb443b5f2a27d59c4cb23d7ab28def5aa21bd225b24a68aba558",
+    "large tabu scans":
+        "79dcda8e135a0b7323ac07aac18e4c4c1e504069b82df739fbd479687d3cff25",
 }
 
 # restricted candidate list widths: GRASP's calibrations and the widest
@@ -232,3 +239,50 @@ def test_relocations_are_unchanged(cases):
                 peek.setstate(rng.getstate())
                 yield sched.key(), sched.makespan, peek.random()
     assert _digest(lines()) == FROZEN["relocations"]
+
+
+# tabu search's iteration cap on the tie-heavy large instances
+TS_LARGE_CAP = 30
+
+
+def test_large_tabu_scans_are_unchanged(monkeypatch):
+    """Capped TS-reduced runs (calibrated, cap 30) on the 210-operation DAG
+    and chain of ``test_moves._large_instance``, with standard times in
+    {1, 2}, so that the reduced graphs' critical paths often tie: each
+    scan's chosen move (v, k, γ and makespan), whether it was cut, the
+    neighbors it counted and the tabu memory it read, then the record."""
+    import flexshop.metaheuristics
+
+    choose = flexshop.metaheuristics.best_neighbor
+    lines = []
+
+    def recorded(inst, sched, mode, ceiling, stop, first=False):
+        counted = [0]
+
+        def counting():
+            counted[0] += 1
+            return stop()
+
+        move, cut = choose(inst, sched, mode, ceiling, counting, first)
+        # the memory does not change during a scan: a pair is tabu when
+        # its ceiling is finite
+        tabu = tuple(
+            (v, k) for v in inst.operations for k in inst.eligible_machines(v)
+            if ceiling(SimpleNamespace(operation=v, machine=k)) < math.inf)
+        chosen = (None if move is None else
+                  (move.operation, move.machine, move.position, move.makespan))
+        lines.append((chosen, cut, counted[0], tabu))
+        return move, cut
+
+    monkeypatch.setattr(flexshop.metaheuristics, "best_neighbor", recorded)
+    rng = random.Random(23)
+    insts = [_large_instance(rng, layout) for layout in ("dag", "chain")]
+    for inst in insts:
+        inst = _tie_heavy(inst, rng, inst.learning_rate)
+        rec = run(inst, MetaConfig.calibrated(
+            "ts", "reduced", max_iterations=TS_LARGE_CAP))
+        lines.append((inst.name, inst.num_operations, rec.best_makespan,
+                      rec.iterations, rec.neighbors_evaluated,
+                      rec.stalled_iterations, rec.stop_reason,
+                      rec.schedule.key()))
+    assert _digest(lines) == FROZEN["large tabu scans"]
