@@ -14,7 +14,9 @@ weighs every operation and finds the order by a DFS (``time_graph``).
 order, which is topological since each operation is placed after its
 precedence and machine predecessors, with the times it was placed with:
 nothing is checked, weighed or searched again.  Both give the same times,
-tie flags and critical path.
+tie flags and critical path.  ``critical_path`` walks the path of
+``build_schedule``'s order from any timing and settles its ties without
+timing the graph again.
 """
 
 from dataclasses import dataclass, field
@@ -190,8 +192,8 @@ class Timing(NamedTuple):
     # walked back along these
     setter: list
     # whether two predecessors finish at the start, so that another order
-    # could set it from another one: a tie on the critical path makes
-    # critical_path time the graph again from scratch
+    # could set it from another one: critical_path settles a tie on the
+    # path as topological_sort_plus's order would
     tied: list
 
 
@@ -247,37 +249,57 @@ def critical_path(timing: Timing, sequences) -> tuple:
     same graph gives it, walked back from ``t`` along the predecessors that
     set each start.
 
-    A tied vertex on the path would follow ``timing``'s order's tie-break,
-    so at the first one the graph is timed again from scratch
-    (``time_graph``, each vertex weighing its completion minus its start)
-    and the walk goes on along that timing's setters.  Up to there each
-    setter was the only predecessor that finishes at the start, the same in
-    any order.
+    An untied vertex has one predecessor that finishes at its start, the
+    same in any order.  At a tied vertex ``build_schedule``'s pass keeps
+    the tied predecessor that comes first in ``topological_sort_plus``'s
+    order (``_timed_in``); the times and tie flags do not depend on the
+    order, so the walk settles each tie without timing the graph again:
+    - a tied predecessor that weighs 0, as a removed operation does, and
+      that another tied predecessor finishes at the start of comes after
+      that one in every order and drops out; when one is left, the walk
+      goes on along it;
+    - otherwise the walk takes the tied predecessor ranked lowest in
+      ``topological_sort_plus``'s order of ``timing``'s arcs, sorted once
+      per walk.
 
     Returns ``(path, length, tau)`` where ``path`` runs from ``s`` to ``t``
     and ``tau[k-1]`` is the position in ``sequences[k-1]`` of the last
     operation of the path on machine ``k`` (0 if none).  Operations absent
     from ``sequences`` (e.g. a removed one) never contribute to tau.
     """
-    path, i, checked = [], len(timing.start) - 1, True
+    start, completion, preds = timing.start, timing.completion, timing.preds
+    tied, setter = timing.tied, timing.setter
+    on_path = bytearray(len(start))  # τ reads it
+    path, i, rank = [], len(start) - 1, None
     while i != SOURCE:
-        if checked and timing.tied[i]:
-            weights = [c - s for s, c in zip(timing.start, timing.completion)]
-            timing, checked = time_graph(timing.succs, weights), False
         path.append(i)
-        i = timing.setter[i]
+        on_path[i] = 1
+        if not tied[i]:
+            i = setter[i]
+            continue
+        at = start[i]
+        finish = [u for u in preds[i] if completion[u] == at]
+        left = [u for u in finish
+                if start[u] < at or not any(w in finish for w in preds[u])]
+        if len(left) == 1:
+            i = left[0]
+            continue
+        if rank is None:
+            rank = [0] * len(start)
+            for idx, u in enumerate(topological_sort_plus(timing.succs)):
+                rank[u] = idx
+        i = min(left, key=rank.__getitem__)
     path.append(SOURCE)
     path.reverse()
     # a path meets a machine's operations in sequence order (machine arcs),
     # so the last one on the path is the one at the highest position
-    on_path = set(path)
     tau = []
     for seq in sequences:
         pos = len(seq)
-        while pos and seq[pos - 1] not in on_path:
+        while pos and not on_path[seq[pos - 1]]:
             pos -= 1
         tau.append(pos)
-    return tuple(path), timing.start[-1], tuple(tau)
+    return tuple(path), start[-1], tuple(tau)
 
 
 def _sequence_faults(inst: Instance, sequences) -> list:

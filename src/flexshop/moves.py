@@ -64,7 +64,10 @@ routes it through the inserted operation, and only P's operations on k at
 positions ≥ γ change weight: each moves one position later and so gets
 shorter.  The makespan is therefore at least ξ minus what those operations
 lose; the reduction's rule is the case where none of them lies at γ or
-after.
+after.  A scan takes each machine's window from one rule (``_window``),
+which ``feasible_window`` wraps, and builds the bound for every position
+of it in one backward pass from τ_k, P's last position on k, which the
+window may end before.
 
 A second bound reads heads in G⁻ and tails in G.  The scan table holds
 tail_G[u], the longest path from u's start to the end of G, u's weight
@@ -94,7 +97,8 @@ it cut, which that edit reads.  The timing of G⁺ is inside the
 scan ``insert_op`` checks a slot of a removal and builds it by the same
 edit, and ``random_relocation`` draws a slot and returns its ``Schedule``.
 Local search and tabu search choose among the scanned moves with
-``best_neighbor``.
+``best_neighbor``, which builds the chosen move's ``Schedule`` and raises
+``PricingError`` when its makespan is not the move's price.
 """
 
 import random
@@ -123,6 +127,7 @@ __all__ = [
     "insert_op",
     "enumerate_neighbors",
     "best_neighbor",
+    "PricingError",
     "random_relocation",
     "NEIGHBORHOOD_MODES",
 ]
@@ -511,16 +516,28 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
                   setter, tied)
 
 
+def _window(rs: ReducedState, k: int, reduction_active: bool,
+            c_max: int) -> tuple:
+    """``(lower, end)``: the removed operation's insertion positions on
+    machine ``k`` are ``lower + 1 .. end``, its cycle bounds
+    (``rs.cycle_bounds``) cut at τ_k when the reduction is active and
+    ξ ≥ ``c_max``, the makespan.  The one window rule: the scan calls it,
+    ``feasible_window`` wraps it."""
+    lower, upper = rs.cycle_bounds(k)
+    if reduction_active and rs.xi >= c_max and rs.tau[k - 1] < upper:
+        return lower, rs.tau[k - 1]
+    return lower, upper
+
+
 def feasible_window(rs: ReducedState, k: int, reduction_active: bool,
                     c_max: int) -> InsertionWindow:
-    """Insertion window for the removed operation on machine ``k``."""
+    """Insertion window for the removed operation on machine ``k``
+    (``_window``)."""
     if not 1 <= k <= len(rs.q_minus):
         raise ValueError(f"no machine {k}: machines are 1..{len(rs.q_minus)}")
     lower, upper = rs.cycle_bounds(k)
-    effective = upper
-    if reduction_active and rs.xi >= c_max:
-        effective = min(upper, rs.tau[k - 1])
-    return InsertionWindow(lower, upper, effective)
+    return InsertionWindow(lower, upper,
+                           _window(rs, k, reduction_active, c_max)[1])
 
 
 def insert_op(inst: Instance, rs: ReducedState, v: int, k: int,
@@ -736,10 +753,11 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
     for v in candidates:
         rs = remove_op(inst, sched, v, table)
         on_path = set(rs.path)
+        xi, w_minus = rs.xi, rs.w_minus
         after_v = max(map(table.tail.__getitem__, rs.timing.succs[v]))
         for k in sorted(inst.eligible_machines(v)):
-            window = feasible_window(rs, k, reduction, sched.makespan)
-            if not window.positions:
+            lower, end = _window(rs, k, reduction, sched.makespan)
+            if end <= lower:
                 continue
             seq = rs.q_minus[k - 1]
             later, drop = table.later[k - 1], table.drop[k - 1]
@@ -748,18 +766,24 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
                 cut = rs.gamma - 1
                 later = later[:cut] + [sched.actual_times[op]
                                        for op in seq[cut:]]
-                drop = _drops(rs.w_minus, seq, later, window.lower)
-            # loss[i]: what the path's operations at index >= i lose when
-            # they move one position later; none lies beyond τ_k
-            loss = [0] * (len(seq) + 1)
-            for i in range(rs.tau[k - 1] - 1, window.lower - 1, -1):
+                drop = _drops(w_minus, seq, later, lower)
+            # bound[i]: ξ minus what the path's operations at index >= i
+            # lose when they move one position later; none lies beyond τ_k,
+            # which the window may end before
+            bound = [xi] * (len(seq) + 1)
+            for i in range(rs.tau[k - 1] - 1, lower - 1, -1):
                 op = seq[i]
-                loss[i] = loss[i + 1] + (
-                    rs.w_minus[op] - later[i] if op in on_path else 0)
+                bound[i] = (bound[i + 1] - w_minus[op] + later[i]
+                            if op in on_path else bound[i + 1])
             tails = table, after_v, drop
-            for gamma in window.positions:
-                yield Move(v, k, gamma, rs.xi - loss[gamma - 1], inst, rs,
-                           later, tails)
+            for gamma in range(lower + 1, end + 1):
+                yield Move(v, k, gamma, bound[gamma - 1], inst, rs, later,
+                           tails)
+
+
+class PricingError(RuntimeError):
+    """A chosen move's price differs from the makespan of the schedule it
+    builds: a fault of the pricing or of the build."""
 
 
 def best_neighbor(inst: Instance, sched: Schedule, mode: str,
@@ -769,13 +793,21 @@ def best_neighbor(inst: Instance, sched: Schedule, mode: str,
     the smallest below ``ceiling(move)`` (None if none is), and whether
     ``stop()``, asked before each neighbor, cut the scan short.  A move
     that either lower bound rules out is not priced (``Move.beats``); with
-    ``first`` the scan ends at the first move that counts."""
-    best, least = None, float("inf")
+    ``first`` the scan ends at the first move that counts.  The chosen
+    move's schedule is built here, and PricingError is raised when its
+    makespan is not the price the move was chosen for."""
+    best, least, cut = None, float("inf"), False
     for move in enumerate_neighbors(inst, sched, mode):
         if stop():
-            return best, True
+            cut = True
+            break
         if move.beats(min(ceiling(move), least)):
             best, least = move, move.makespan
             if first:
                 break
-    return best, False
+    if best is not None and best.schedule.makespan != least:
+        raise PricingError(
+            f"move (v={best.operation}, k={best.machine}, "
+            f"gamma={best.position}) was priced {least} but builds a "
+            f"schedule of makespan {best.schedule.makespan}")
+    return best, cut

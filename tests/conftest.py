@@ -9,7 +9,8 @@ from flexshop import (
     parse_instance,
     reachable_from,
 )
-from flexshop.graph import Schedule, build_arcs, critical_path, time_graph
+from flexshop.graph import (SOURCE, Schedule, build_arcs, critical_path,
+                            time_graph)
 from flexshop.moves import ReducedState, _edited
 
 FIG1_TEXT = """\
@@ -183,3 +184,73 @@ def reach_bounds(seq, ancestors, descendants) -> tuple:
     upper = min((pos for pos, op in enumerate(seq, start=1)
                  if op in descendants), default=len(seq) + 1)
     return lower, upper
+
+
+def reference_critical_path(timing, sequences) -> tuple:
+    """The reference walk: the graph of ``timing`` timed again from scratch
+    (``time_graph``, each vertex weighing its completion minus its start),
+    so that each start is set as ``build_schedule``'s depth-first order
+    sets it, and walked back from ``t`` along those setters, with τ from
+    ``sequences``.  ``critical_path`` settles its ties without timing
+    anything; tests compare the two."""
+    weights = [c - s for s, c in zip(timing.start, timing.completion)]
+    scratch = time_graph(timing.succs, weights)
+    path, i = [], len(scratch.start) - 1
+    while i != SOURCE:
+        path.append(i)
+        i = scratch.setter[i]
+    path.append(SOURCE)
+    on_path = set(path)
+    tau = tuple(max((pos for pos, op in enumerate(seq, start=1)
+                     if op in on_path), default=0) for seq in sequences)
+    return tuple(reversed(path)), scratch.start[-1], tau
+
+
+def reference_loss(inst: Instance, rs: ReducedState, k: int,
+                   gamma: int) -> int:
+    """What the operations of ``rs``'s critical path at positions
+    ``gamma`` and later of machine ``k`` in q⁻ lose when each moves one
+    position later: the first lower bound of inserting the removed
+    operation there is ξ minus this."""
+    seq = rs.q_minus[k - 1]
+    on_path = set(rs.path)
+    return sum(rs.w_minus[op] - actual_time(inst.std_time[(op, k)], pos + 1,
+                                            inst.learning_rate)
+               for pos, op in enumerate(seq, start=1)
+               if pos >= gamma and op in on_path)
+
+
+def tie_walks(monkeypatch) -> list:
+    """The kind of every walk of ``graph.critical_path``, patched wherever
+    the package binds it: ``"tie-free"`` when no vertex of the walked path
+    is tied, ``"order"`` when the walk sorted the graph's arcs
+    (``topological_sort_plus``) to settle a tie by rank, which it must do
+    at most once, and ``"zero-weight"`` when the zero-weight rule settled
+    every tie on the path."""
+    import flexshop.graph
+    import flexshop.moves
+
+    kinds, sorted_arcs = [], []
+    sort = flexshop.graph.topological_sort_plus
+    walk = flexshop.graph.critical_path
+
+    def sorting(adjacency):
+        sorted_arcs.append(adjacency)
+        return sort(adjacency)
+
+    def walking(timing, sequences):
+        sorted_arcs.clear()
+        result = walk(timing, sequences)
+        if sorted_arcs:
+            assert sorted_arcs == [timing.succs]
+            kinds.append("order")
+        elif any(timing.tied[u] for u in result[0]):
+            kinds.append("zero-weight")
+        else:
+            kinds.append("tie-free")
+        return result
+
+    monkeypatch.setattr(flexshop.graph, "topological_sort_plus", sorting)
+    for module in (flexshop.graph, flexshop.moves):
+        monkeypatch.setattr(module, "critical_path", walking)
+    return kinds

@@ -168,25 +168,31 @@ def test_critical_path_tie_break_follows_dfs_order():
 def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     """build_schedule walks no path; a Schedule walks its critical path
     from its timing when the path is first read, keeps it, and refuses to
-    without a timing.  On a tie along the walked path the graph is timed
-    again from scratch, once and with the timing's own weights, so a
-    timing whose setters broke the tie the other way still gives the
-    depth-first order's path and τ; without one nothing is timed."""
+    without a timing.  On a tie along the walked path that no zero-weight
+    vertex settles, the timing's own arcs are sorted once and nothing is
+    timed again, so a timing whose setters broke the tie the other way
+    still gives the depth-first order's path and τ; without one nothing
+    is sorted."""
     import flexshop.graph
 
-    walks, timed = [], []
+    walks, timed, ordered = [], [], []
     walk, time_from_scratch = flexshop.graph.critical_path, time_graph
+    sort = flexshop.graph.topological_sort_plus
     monkeypatch.setattr(flexshop.graph, "critical_path",
                         lambda *args: walks.append(args) or walk(*args))
     monkeypatch.setattr(
         flexshop.graph, "time_graph",
         lambda *args: timed.append(args) or time_from_scratch(*args))
+    monkeypatch.setattr(
+        flexshop.graph, "topological_sort_plus",
+        lambda arcs: ordered.append(arcs) or sort(arcs))
     sched = build_schedule(fig1, [[2], [1, 4, 5, 3]])
     assert walks == [] and "critical_path" not in sched.__dict__
     timed.clear()
+    ordered.clear()
     assert sched.critical_path == (0, 1, 4, 5, 3, 6)
     assert sched.critical_path == (0, 1, 4, 5, 3, 6)
-    assert len(walks) == 1 and timed == []
+    assert len(walks) == 1 and timed == [] and ordered == []
     with pytest.raises(ValueError, match="no critical path"):
         replace(sched, timing=None).critical_path
 
@@ -200,10 +206,11 @@ def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     # its own setters lead back from t along 1 and 4: the path 0-4-1-5
     assert (other.setter[1], other.setter[4]) == (4, SOURCE)
     timed.clear()
+    ordered.clear()
     assert critical_path(other, tied.sequences) == ((0, 3, 2, 5), 274, (0, 2))
-    assert timed == [(other.succs, tied.actual_times)]
+    assert timed == [] and ordered == [other.succs]
     assert replace(tied, timing=other).critical_path == (0, 3, 2, 5)
-    assert len(timed) == 2
+    assert timed == [] and len(ordered) == 2
 
 
 def test_simulation_oracle_on_random_schedules():

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -541,3 +544,57 @@ def test_no_algorithm_times_its_start_twice(algo, monkeypatch):
     assert not built
     if algo == "ils":  # every descent is followed by a perturbation chain
         assert len(perturbed) >= 4 * 2
+
+
+@contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("search", ["best", "first", "ts", "cut scan"])
+def test_a_mispriced_move_fails_at_once(search, monkeypatch):
+    """With every neighbor priced one below its makespan, the chosen
+    move's price is not its built schedule's makespan.  Best- and
+    first-improvement descents, a capped tabu run and a scan that its
+    stop cuts short each raise PricingError, naming the move, the price
+    and the built makespan, within a second, instead of descending on
+    moves that do not improve."""
+    import flexshop.moves
+    from flexshop import LocalSearchConfig, local_search
+    from flexshop.moves import PricingError, best_neighbor
+
+    priced = flexshop.moves._insertion_makespan
+    monkeypatch.setattr(flexshop.moves, "_insertion_makespan",
+                        lambda *args: priced(*args) - 1)
+    inst = _large_instance(43)
+    start = best_of_est_ect(inst)
+    asked = []
+
+    def stop():  # cut the scan after its 200th neighbor
+        asked.append(1)
+        return len(asked) > 200
+
+    message = (r"move \(v=\d+, k=\d+, gamma=\d+\) was priced (\d+) but "
+               r"builds a schedule of makespan (\d+)")
+    with _within(1.0), pytest.raises(PricingError, match=message) as error:
+        if search == "ts":
+            run(inst, MetaConfig.calibrated("ts", max_iterations=5))
+        elif search == "cut scan":
+            best_neighbor(inst, start, "reduced",
+                          lambda move: start.makespan, stop)
+        else:
+            local_search(inst, start, LocalSearchConfig("reduced", search))
+    price, built = map(int, re.search(message, str(error.value)).groups())
+    assert price == built - 1
+    if search == "cut scan":
+        assert len(asked) == 201

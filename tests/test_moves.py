@@ -28,8 +28,11 @@ from flexshop.moves import NEIGHBORHOOD_MODES
 from conftest import (
     random_instance,
     reach_bounds,
+    reference_critical_path,
     reference_insertion,
+    reference_loss,
     scratch_removal,
+    tie_walks,
 )
 
 
@@ -382,28 +385,26 @@ def test_searched_windows_match_reach_sets(monkeypatch):
     from the removal's timing, in G's order and ranks, searched over G's
     arc lists rewired into G⁻'s, and over G's own lists with only v's
     rewired, as a random relocation searches them.  Removals whose path
-    walk timed G⁻ again on a tie keep G's order too."""
+    walk settled a tie by the zero-weight rule or by rank keep G's order
+    too."""
     from flexshop.moves import random_relocation
 
     from flexshop.moves import _rewired, _searched_bounds
 
-    retimed = _counting_time_graph(monkeypatch)
+    walks = tie_walks(monkeypatch)
     rng = random.Random(1711)
     cases = [_large_instance(rng, layout) for layout in ("dag", "chain") * 2]
     cases += [random_instance(rng, max_ops=12, max_machines=4, max_time=2)
               for _ in range(60)]
-    tie_walks = 0
     for inst in cases:
         sched = best_of_est_ect(inst)
         for _ in range(rng.randint(1, 3)):
             sched = random_relocation(inst, sched, rng)
         graph = sched.timing
         for v in inst.operations:
-            retimed.clear()
             rs = remove_op(inst, sched, v)
             assert rs.timing.order is graph.order
             assert rs.timing.rank is graph.rank
-            tie_walks += bool(retimed)
             ancestors = reachable_from(rs.timing.preds, v)
             descendants = reachable_from(rs.timing.succs, v)
             # G's arc lists rewired into G⁻'s, searched in G's order
@@ -423,7 +424,8 @@ def test_searched_windows_match_reach_sets(monkeypatch):
                 # a random relocation's: G's own lists, with only v's rewired
                 assert _searched_bounds(graph.succs, graph.preds, graph.order,
                                         graph.rank, ends, seq) == want, (v, k)
-    assert tie_walks  # removals whose path walk re-timed G⁻ are covered
+    # removals whose path walk settled a tie each way are covered
+    assert "zero-weight" in walks and "order" in walks
 
 
 def test_head_tail_bound_never_exceeds_makespan():
@@ -465,11 +467,10 @@ def test_derived_reduced_state_matches_rebuild(monkeypatch):
     """For every removal, the reduced graph derived from the schedule's
     own graph, in G's order, has the arcs, times, tie flags, setters of
     untied vertices, reach sets, windows, critical path, ξ and τ of the
-    one built from scratch; path walks that time G⁻ again on a tie and
-    ones that need not both run on this fuzz set."""
-    retimed = _counting_time_graph(monkeypatch)
+    one built from scratch; path walks without a tie, and ones that settle
+    ties by the zero-weight rule and by rank, all run on this fuzz set."""
+    walks = tie_walks(monkeypatch)
     rng = random.Random(7)
-    plain_walks = tie_walks = 0
     for case in range(160):
         max_time = 2 if case % 4 else 10  # mostly tie-heavy
         if case % 2:
@@ -483,7 +484,6 @@ def test_derived_reduced_state_matches_rebuild(monkeypatch):
         graph = sched.timing
         for v in inst.operations:
             want = scratch_removal(inst, sched, v)
-            retimed.clear()
             got = remove_op(inst, sched, v)
             assert (got.q_minus, got.w_minus) == (want.q_minus, want.w_minus)
             assert (got.path, got.xi, got.tau) == (want.path, want.xi,
@@ -505,12 +505,8 @@ def test_derived_reduced_state_matches_rebuild(monkeypatch):
             assert all(rank[u] < rank[j]
                        for u, succs in enumerate(got.timing.succs)
                        for j in succs)
-            if retimed:  # the path walk met a tie and timed G⁻ again
-                assert retimed == [(got.timing.succs, got.w_minus)]
-                tie_walks += 1
-            else:
-                plain_walks += 1
-    assert plain_walks > 0 and tie_walks > 0
+    # a walk that settles a tie by rank sorts G⁻'s own arcs once (tie_walks)
+    assert all(kind in walks for kind in ("tie-free", "zero-weight", "order"))
 
 
 def _assert_same_reach(inst, v, got, want):
@@ -583,10 +579,10 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
     one build_schedule gives, along walks of scan moves and perturbations
     that carry each built timing to the next removal.  A build times
     nothing from scratch; builds that keep the order and that reorder it,
-    and paths whose first read times the graph again on a tie, all
-    occur."""
+    and paths whose first read settles a tie by rank, all occur."""
     rebuilds = _counting_time_graph(monkeypatch)
-    paths = {"in order": 0, "reordered": 0, "tie re-timed on read": 0}
+    walks = tie_walks(monkeypatch)
+    paths = {"in order": 0, "reordered": 0, "tie settled by rank on read": 0}
 
     def check(inst, sched, move):
         rebuilds.clear()
@@ -596,8 +592,9 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
             paths["in order"] += 1
         else:
             paths["reordered"] += 1
+        walks.clear()
         move.schedule.critical_path
-        paths["tie re-timed on read"] += bool(rebuilds)
+        paths["tie settled by rank on read"] += "order" in walks
         _assert_built_like_scratch(inst, sched, move.operation, move.machine,
                                    move.position, move.schedule)
         assert move.makespan == move.schedule.makespan
@@ -743,21 +740,21 @@ def test_scan_table_matches_reach_sets(monkeypatch):
     scratch, its shifted times are actual_time's, each derived timing is
     in G's ranks, and the tie flags of the scanned, derived, from-scratch
     and built timings are recounts; removals through the table, and path
-    walks that time G⁻ again on a tie, both occur."""
+    walks without a tie and that settle ties by the zero-weight rule and
+    by rank, all occur."""
     import flexshop.moves
 
     plain = flexshop.moves.remove_op
-    retimed = _counting_time_graph(monkeypatch)
+    walks = tie_walks(monkeypatch)
     removals = []
 
     def recorded(inst, sched, v, table=None):
-        retimed.clear()
         rs = plain(inst, sched, v, table)
-        removals.append((table, rs, bool(retimed)))
+        removals.append((table, rs, walks[-1]))
         return rs
 
     monkeypatch.setattr(flexshop.moves, "remove_op", recorded)
-    paths = {"table": 0, "derived": 0, "tie re-timed walk": 0}
+    paths = dict.fromkeys(("table", "tie-free", "zero-weight", "order"), 0)
     rng = random.Random(11)
     for case in range(90):
         max_time = 2 if case % 3 else 10  # mostly tie-heavy
@@ -773,7 +770,7 @@ def test_scan_table_matches_reach_sets(monkeypatch):
         for mode in NEIGHBORHOOD_MODES:
             removals.clear()
             moves = list(enumerate_neighbors(inst, sched, mode))
-            for table, rs, tie_walk in removals:
+            for table, rs, walk in removals:
                 assert table is not None and table.graph is sched.timing
                 scanned = table.graph
                 paths["table"] += 1
@@ -791,7 +788,7 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                 for k in inst.machines:  # want's: from G⁻'s reach sets
                     assert rs.cycle_bounds(k) == want.cycle_bounds(k)
                 assert rs.timing.rank is scanned.rank
-                paths["tie re-timed walk" if tie_walk else "derived"] += 1
+                paths[walk] += 1
                 assert rs.timing.tied == _recounted_ties(rs.timing)
                 assert want.timing.tied == _recounted_ties(want.timing)
             for move in moves:
@@ -864,12 +861,13 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
     operation instances that carry each built timing to the next draw.  A relocation times nothing from
     scratch.  Draws to another machine, to another slot of the own machine
     and back into the own slot, builds that keep the order and that
-    reorder it, and paths whose first read times the graph again on a
-    tie, all occur."""
+    reorder it, and paths whose first read settles a tie by rank, all
+    occur."""
     rebuilds = _counting_time_graph(monkeypatch)
+    walks = tie_walks(monkeypatch)
     kinds = dict.fromkeys(("other machine", "same machine", "own slot",
-                           "in order", "reordered", "tie re-timed on read"),
-                          0)
+                           "in order", "reordered",
+                           "tie settled by rank on read"), 0)
     rng = random.Random(37)
     cases = [(_large_instance(rng, layout), 6) for layout in ("dag", "chain")]
     for case in range(90):
@@ -901,8 +899,9 @@ def test_perturb_builds_the_checked_insertion_of_its_draw(monkeypatch):
                 kinds["in order"] += 1
             else:
                 kinds["reordered"] += 1
+            walks.clear()
             got.critical_path
-            kinds["tie re-timed on read"] += bool(rebuilds)
+            kinds["tie settled by rank on read"] += "order" in walks
             want = reference_insertion(inst, rs, v, k, gamma)
             assert got == want and got.key() == want.key()
             assert got.critical_path == want.critical_path
@@ -967,12 +966,12 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
     every record of capped {ils, grasp, ts, sa} x {reduced, cropped} runs, has the critical path that
     build_schedule gives for its sequences, on random, tie-heavy (times in
     {1, 2}) and chain instances and along 30-step relocation walks.  Paths
-    first read after the run, and ones whose read times the graph again
-    on a tie, both occur for each kind.  So does every removal of full
-    scans along the tie-heavy walks: the path, ξ and τ it walked, and
-    those that ``critical_path`` gives for its derived timing of G⁻, are
-    the ones G⁻ timed from scratch gives, and paths with a tie on them
-    occur."""
+    first read after the run, and ones whose read settles a tie by rank,
+    both occur for each kind.  So does every removal of full scans along
+    the tie-heavy walks: the path, ξ and τ it walked, and those that
+    ``critical_path`` gives for its derived timing of G⁻, are the ones G⁻
+    timed from scratch gives, and walks without a tie and that settle
+    ties by the zero-weight rule and by rank all occur."""
     import flexshop.metaheuristics
     import flexshop.moves
     from flexshop import MetaConfig, run
@@ -996,17 +995,17 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
     monkeypatch.setattr(flexshop.moves.Move, "schedule", property(scanned))
     recording("relocation", flexshop.metaheuristics, "perturb")
     recording("start", flexshop.metaheuristics, "best_of_est_ect")
-    retimed = _counting_time_graph(monkeypatch)
+    walks = tie_walks(monkeypatch)
     kinds = [*built, "record"]
     read, tied = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)
-    removals = [0, 0]  # without and with a tie on the walked path
+    removals = dict.fromkeys(("tie-free", "zero-weight", "order"), 0)
 
     def check(inst, kind, sched):
         if "critical_path" not in sched.__dict__:
             read[kind] += 1
-        retimed.clear()
+        walks.clear()
         path = sched.critical_path
-        tied[kind] += bool(retimed)
+        tied[kind] += "order" in walks
         assert path == build_schedule(inst, sched.sequences).critical_path
 
     rng = random.Random(53)
@@ -1034,17 +1033,110 @@ def test_every_built_schedule_has_build_schedules_path(monkeypatch):
             check(inst, "record", record.schedule)
         if max_time == 2:
             for sched in walk:
+                walks.clear()
                 scanned = enumerate_neighbors(inst, sched, "full")
                 for rs in {id(m._rs): m._rs for m in scanned}.values():
                     want = scratch_removal(inst, sched, rs.removed)
                     want = critical_path(want.timing, want.q_minus)
-                    retimed.clear()
                     assert critical_path(rs.timing, rs.q_minus) == want
                     assert (rs.path, rs.xi, rs.tau) == want
-                    removals[bool(retimed)] += 1
+                for kind in walks:  # one walk per removal
+                    removals[kind] += 1
     assert all(read[kind] and tied[kind] for kind in built), (read, tied)
-    assert all(removals), removals  # removals with and without a tie
+    assert all(removals.values()), removals
     assert read["record"] == 0  # each record carries the path its run read
+
+
+def _tie_heavy_cases(rng: random.Random, small: int) -> list:
+    """``small`` small DAG and chain instances, alternating, and a 200-300
+    operation DAG and chain, all with standard times in {1, 2}."""
+    cases = [_chain_instance(rng, 2) if case % 2 else
+             random_instance(rng, max_ops=12, max_machines=4, max_time=2)
+             for case in range(small)]
+    return cases + [_tie_heavy(_large_instance(rng, layout), rng, 0.2)
+                    for layout in ("dag", "chain")]
+
+
+def test_critical_path_settles_ties_as_a_retiming_from_scratch(monkeypatch):
+    """On every removal and every path read along scans, built moves,
+    perturbations and capped tabu runs on tie-heavy DAG and chain
+    instances, ``critical_path``'s (path, ξ, τ) is the walk over the same
+    graph timed again from scratch (``reference_critical_path``).  Walks
+    without a tie, walks whose ties the zero-weight rule settles and walks
+    that settle a tie by rank each run more than once."""
+    import flexshop.graph
+    from flexshop import MetaConfig, run
+
+    walks = tie_walks(monkeypatch)
+    walk = flexshop.graph.critical_path
+
+    def compared(timing, sequences):
+        got = walk(timing, sequences)
+        assert got == reference_critical_path(timing, sequences)
+        return got
+
+    for module in (flexshop.graph, flexshop.moves):
+        monkeypatch.setattr(module, "critical_path", compared)
+    rng = random.Random(71)
+    for index, inst in enumerate(_tie_heavy_cases(rng, 40)):
+        large = inst.num_operations > 100
+        sched = best_of_est_ect(inst)
+        for _ in range(index % 3):
+            sched = perturb(inst, sched, rng)
+        for mode in ("reduced",) if large else NEIGHBORHOOD_MODES:
+            moves = list(enumerate_neighbors(inst, sched, mode))
+            for move in moves[::40 if large else 3]:
+                move.schedule.critical_path
+        run(inst, MetaConfig.calibrated("ts", max_iterations=1 if large
+                                        else 4, seed=index))
+    assert all(walks.count(kind) > 1
+               for kind in ("tie-free", "zero-weight", "order")), (
+        walks.count("tie-free"), walks.count("zero-weight"),
+        walks.count("order"))
+
+
+def test_scans_yield_the_one_window_rule_and_its_first_bounds(monkeypatch):
+    """On every removal of full, reduced and cropped scans of tie-heavy
+    DAG and chain instances, the scan yields, machine by machine, the
+    positions of ``feasible_window`` and at each position γ the first
+    bound ξ minus what the critical path's operations at γ and after lose
+    (``reference_loss``).  Windows that end before τ_k, whose bounds count
+    path operations beyond the window's end, occur in every mode, and so
+    do windows that the reduction cuts at τ_k in reduced and cropped
+    scans."""
+    import flexshop.moves
+
+    plain = flexshop.moves.remove_op
+    removals = []
+    monkeypatch.setattr(flexshop.moves, "remove_op", lambda *args: (
+        removals.append(plain(*args)) or removals[-1]))
+    early = dict.fromkeys(NEIGHBORHOOD_MODES, 0)
+    cut = dict.fromkeys(NEIGHBORHOOD_MODES, 0)
+    rng = random.Random(73)
+    for index, inst in enumerate(_tie_heavy_cases(rng, 40)):
+        sched = best_of_est_ect(inst)
+        for _ in range(index % 3):
+            sched = perturb(inst, sched, rng)
+        for mode in NEIGHBORHOOD_MODES:
+            removals.clear()
+            got = {}
+            for move in enumerate_neighbors(inst, sched, mode):
+                got.setdefault(id(move._rs), []).append(
+                    (move.machine, move.position, move.bound))
+            reduction = mode != "full"
+            for rs in removals:
+                want = []
+                for k in sorted(inst.eligible_machines(rs.removed)):
+                    window = feasible_window(rs, k, reduction, sched.makespan)
+                    want += [(k, gamma,
+                              rs.xi - reference_loss(inst, rs, k, gamma))
+                             for gamma in window.positions]
+                    if window.positions:
+                        early[mode] += window.upper_effective < rs.tau[k - 1]
+                        cut[mode] += window.upper_effective < window.upper
+                assert got.get(id(rs), []) == want, (mode, rs.removed)
+    assert all(early.values()), early
+    assert cut["full"] == 0 and cut["reduced"] and cut["cropped"], cut
 
 
 def test_relocations_walk_no_critical_path(monkeypatch):
