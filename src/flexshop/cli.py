@@ -5,7 +5,6 @@ Subcommands: construct, localsearch, solve, oracle, bench, stats, validate.
 
 import argparse
 import json
-import math
 import random
 import sys
 from dataclasses import asdict
@@ -104,16 +103,6 @@ def _names(option: str, spec: str) -> list:
         if name in names[:i]:
             raise ValueError(f"--{option} names {name!r} more than once")
     return names
-
-
-def _need_stop(command: str, stops: dict) -> None:
-    """ValueError unless one of ``stops``, option -> value, is set and
-    finite: a target alone may never be reached, nor an infinite budget."""
-    if not any(value is not None and math.isfinite(value)
-               for value in stops.values()):
-        *others, last = stops
-        raise ValueError(f"{command} needs a stop: {', '.join(others)} "
-                         f"or {last}")
 
 
 def _meta_config(args) -> MetaConfig:
@@ -234,9 +223,9 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         inst = _load(args)
         cfg = _meta_config(args)
-        _need_stop("solve", {"--time-limit": args.time_limit,
-                             "--iterations": args.iterations,
-                             "--no-improve": args.no_improve})
+        if not cfg.has_stop:
+            raise ValueError("solve needs a stop: --time-limit, --iterations "
+                             "or --no-improve")
         record = run(inst, cfg)
         sys.stdout.write(schedule_to_json(inst, record.schedule))
         print(
@@ -263,8 +252,8 @@ def _dispatch(args) -> int:
             for algo in _names("algos", args.algos)
             for mode in _names("neighborhoods", args.neighborhoods)
         ]
-        _need_stop("bench", {"--time-limit": args.time_limit,
-                             "--iterations": args.iterations})
+        if not all(cfg.has_stop for cfg in configs):
+            raise ValueError("bench needs a stop: --time-limit or --iterations")
         paths = [p for p in sorted(Path(args.instances).iterdir())
                  if p.is_file()]
         if not paths:

@@ -85,7 +85,7 @@ def load_instance_file(path, fmt: str = "native",
 
 
 def _error_record(name: str, cfg, seed: int, exc) -> RunRecord:
-    return RunRecord(name, f"{cfg.algo}-{cfg.mode}", seed, -1, 0.0, 0.0,
+    return RunRecord(name, cfg.label, seed, -1, 0.0, 0.0,
                      0, 0, 0, f"error: {exc}")
 
 

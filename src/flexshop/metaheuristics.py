@@ -89,6 +89,19 @@ class MetaConfig:
         check_seconds("time_budget", self.time_budget)
         check_seconds("no_improve_limit", self.no_improve_limit)
 
+    @property
+    def has_stop(self) -> bool:
+        """Whether ``time_budget``, ``max_iterations`` or
+        ``no_improve_limit`` is set and finite: a run ends only on one of
+        them, as a target may never be reached."""
+        stops = (self.time_budget, self.max_iterations, self.no_improve_limit)
+        return any(s is not None and math.isfinite(s) for s in stops)
+
+    @property
+    def label(self) -> str:
+        """The ``algorithm`` of this config's records."""
+        return f"{self.algo}-{self.mode}"
+
     def ts_list_size(self, inst: Instance) -> int:
         return math.ceil((inst.num_operations + inst.num_machines) * self.ts_factor)
 
@@ -191,7 +204,7 @@ class _Run:
         kept.critical_path = self.incumbent.critical_path
         return RunRecord(
             self.inst.name,
-            f"{self.cfg.algo}-{self.cfg.mode}",
+            self.cfg.label,
             self.cfg.seed,
             self.incumbent.makespan,
             self.time_to_best,
@@ -318,11 +331,8 @@ _RUNNERS = {"ils": _ils, "grasp": _grasp, "ts": _ts, "sa": _sa}
 
 def run(inst: Instance, cfg: MetaConfig) -> RunRecord:
     """Run the metaheuristic that ``cfg.algo`` names on ``inst``.  Raises
-    ValueError unless one of ``time_budget``, ``max_iterations`` and
-    ``no_improve_limit`` is set and finite: a run ends only on one of them,
-    as a target may never be reached."""
-    stops = (cfg.time_budget, cfg.max_iterations, cfg.no_improve_limit)
-    if not any(s is not None and math.isfinite(s) for s in stops):
+    ValueError unless ``cfg.has_stop``."""
+    if not cfg.has_stop:
         raise ValueError("a run needs a finite time_budget, max_iterations "
                          "or no_improve_limit")
     return _RUNNERS[cfg.algo](inst, cfg)

@@ -31,10 +31,9 @@ the stretch between the two positions), and G⁻ is never timed for it.
 Every re-timing, an edit's and a neighbor's pricing, follows one pull
 rule: the stale vertices, whose weight or predecessors changed, are
 visited in a topological order, each starts at the latest completion of
-its predecessors, and one whose completion changes makes successors
-stale.  An edit keeps setters and tie flags, so it marks them all; a
-pricing (``_insertion_makespan``) needs only times and marks a successor
-only when the new completion passes its start or the old one set it.
+its predecessors, and one whose completion changes makes every successor
+stale.  An edit also keeps setters and tie flags; a pricing
+(``_insertion_makespan``) keeps only times.
 Every timing flags the vertices that two predecessors finish at the start
 of.  An edit walks no critical path: a removal walks G⁻'s at once, for ξ,
 τ⁻ and P, and a built ``Schedule`` walks its own when it is first read,
@@ -685,7 +684,8 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     time of ``seq[i]`` one position further back.
 
     The pull rule (see the module's docstring) over G⁻'s lists, read in
-    place but for a copy of the completions.  In the cycle-free window,
+    place but for a copy of the completions: the moved operations and v's
+    successors, the sink at least, start stale.  In the cycle-free window,
     where ``gamma`` must lie, no predecessor of v is re-timed: v's start is
     final at once, and G⁻'s order holds for every other vertex.  The follower
     ``seq[gamma - 1]`` also takes v's completion; its predecessor in G⁻
@@ -699,10 +699,7 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
     done_v = begin + time_v
     moved = seq[gamma - 1:]
     moved_time = dict(zip(moved, later[gamma - 1:]))
-    stale = set(moved)
-    stale.update(j for j in succs[v] if done_v > start[j])
-    if not stale:
-        return completion[-1]
+    stale = {*moved, *succs[v]}
     new = completion.copy()
     new[v] = done_v
     follower = moved[0] if moved else None
@@ -716,12 +713,9 @@ def _insertion_makespan(rs: ReducedState, seq: tuple, later: list,
             if new[i] > latest:
                 latest = new[i]
         done = latest + (moved_time[u] if u in moved_time else weight[u])
-        old = completion[u]
-        if done != old:
+        if done != completion[u]:
             new[u] = done
-            for j in succs[u]:  # a rise that delays j, or j's setter falls
-                if done > start[j] or start[j] == old:
-                    stale.add(j)
+            stale.update(succs[u])
         if not stale:
             break
     return new[-1]

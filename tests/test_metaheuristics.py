@@ -272,6 +272,18 @@ def test_a_run_without_a_finite_stop_is_refused(fig1, algo, stops):
         run(fig1, cfg)
 
 
+@pytest.mark.parametrize("stops, has_stop", [
+    ({}, False), ({"target_makespan": 1}, False),
+    ({"time_budget": math.inf, "no_improve_limit": math.inf}, False),
+    ({"time_budget": 0}, True), ({"max_iterations": 0}, True),
+    ({"no_improve_limit": 2.5}, True),
+    ({"time_budget": math.inf, "max_iterations": 3}, True)])
+def test_has_stop_asks_for_one_finite_stop(stops, has_stop):
+    """``has_stop`` is the one finite-stop rule: a zero budget or cap
+    counts, an infinite one or a target does not."""
+    assert MetaConfig(**stops).has_stop is has_stop
+
+
 def test_incumbent_never_worsens(fig1):
     start = best_of_est_ect(fig1)
     for algo in ("ils", "grasp", "ts", "sa"):

@@ -332,10 +332,12 @@ def test_pricing_meets_every_case_of_the_pull_rule():
     at α 0.2, 1 and 3: every priced makespan is ``build_schedule``'s for
     its slot, on every move of small instances and every 20th of 200-300
     operation ones.  Counted from G⁻'s timing and the rebuilt G⁺'s, the
-    scans meet the three cases that the pull rule tells apart: a re-timed
-    operation's successor left alone for its slack, one pulled again
-    because the operation that set its start finishes earlier, and a
-    follower whose start v sets."""
+    scans meet three cases of the marking, which stales every successor of
+    a re-timed operation: a successor whose start it neither reaches nor
+    set, re-timed to no change; one whose start falls because the
+    operation that set it finishes earlier; and a follower whose start v
+    sets.  A pricing that leaves either of the last two unmarked
+    misprices."""
     rng = random.Random(23)
     cases = []
     for case in range(90):
