@@ -17,12 +17,12 @@ least completion for ECT, the pair that the list filter would keep first.
 
 Each step reads the start, the adjusted time and the completion that the
 construction keeps for every ready (operation, machine) pair; a placement
-re-prices only the pairs on the machine it used.  ``best_of_est_ect``
-reads each operation's predecessors, successors and sorted eligible
-machines once for both rules, compares the two constructions' makespans
-and builds only the kept one's ``Schedule``, from the sequences, times
-and placement order that its construction recorded
-(``graph.schedule_from_placement``).
+re-prices only the pairs on the machine it used.  Each operation's
+predecessors, successors and sorted eligible machines come from the
+instance's ``Instance.tables``.  ``best_of_est_ect`` compares the two
+constructions' makespans and builds only the kept one's ``Schedule``,
+from the sequences, times and placement order that its construction
+recorded (``graph.schedule_from_placement``).
 """
 
 import bisect
@@ -50,14 +50,14 @@ class _State:
     time at the machine's next position and ``completion`` their sum; a
     placement re-prices only the entries on the machine it used.  Each
     operation's predecessors, successors and sorted eligible machines come
-    from ``tables`` (``_tables``).  ``order`` holds the source and then
+    from ``Instance.tables``.  ``order`` holds the source and then
     each operation as it is placed, ``weights`` the time it was placed
     with, by vertex; ``makespan`` is the latest completion placed.
     """
 
-    def __init__(self, inst: Instance, tables: tuple):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.preds, self.succs, self.machines = tables
+        self.preds, self.succs, self.machines = inst.tables
         self.waiting = [len(preds) for preds in self.preds]
         self.order = [SOURCE]
         self.weights = [0] * (inst.num_operations + 2)
@@ -123,17 +123,6 @@ class _State:
             self.order + [self.inst.num_operations + 1])
 
 
-def _tables(inst: Instance) -> tuple:
-    """``(preds, succs, machines)``: each operation's predecessors,
-    successors and sorted eligible machines, by operation."""
-    preds = [[] for _ in range(inst.num_operations + 1)]
-    succs = [[] for _ in range(inst.num_operations + 1)]
-    for i, j in inst.precedence_arcs:
-        preds[j].append(i)
-        succs[i].append(j)
-    return preds, succs, [()] + [sorted(ks) for ks in inst.eligible]
-
-
 def _check(rcl_alpha, rng):
     if not 0 <= rcl_alpha <= 1:
         raise ValueError(f"rcl_alpha must lie in [0, 1], got {rcl_alpha}")
@@ -167,11 +156,10 @@ def _ect(pairs, rcl_alpha, rng):
                        if end <= threshold])
 
 
-def _construct(inst, tables, rule, rcl_alpha, rng) -> _State:
-    """Place every operation by ``rule``, reading the instance's
-    ``tables``."""
+def _construct(inst, rule, rcl_alpha, rng) -> _State:
+    """Place every operation by ``rule``."""
     _check(rcl_alpha, rng)
-    state = _State(inst, tables)
+    state = _State(inst)
     while state.pairs:
         state.place(rule(state.pairs, rcl_alpha, rng))
     return state
@@ -180,13 +168,13 @@ def _construct(inst, tables, rule, rcl_alpha, rng) -> _State:
 def construct_est(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-starting-time constructive heuristic."""
-    return _construct(inst, _tables(inst), _est, rcl_alpha, rng).schedule()
+    return _construct(inst, _est, rcl_alpha, rng).schedule()
 
 
 def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-completion-time constructive heuristic."""
-    return _construct(inst, _tables(inst), _ect, rcl_alpha, rng).schedule()
+    return _construct(inst, _ect, rcl_alpha, rng).schedule()
 
 
 def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
@@ -194,12 +182,10 @@ def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
     """Better of the ECT and EST constructions, both built with
     ``rcl_alpha`` and ``rng`` (greedy by default), ECT first.
 
-    ECT is compared first with a strict `<`, so EST is kept on ties.  Both
-    read one set of instance tables, and only the kept construction
-    becomes a Schedule.
+    ECT is compared first with a strict `<`, so EST is kept on ties.  Only
+    the kept construction becomes a Schedule.
     """
-    tables = _tables(inst)
-    ect = _construct(inst, tables, _ect, rcl_alpha, rng)
-    est = _construct(inst, tables, _est, rcl_alpha, rng)
+    ect = _construct(inst, _ect, rcl_alpha, rng)
+    est = _construct(inst, _est, rcl_alpha, rng)
     kept = ect if ect.makespan < est.makespan else est
     return kept.schedule()

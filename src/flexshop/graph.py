@@ -113,20 +113,10 @@ def solution_key(sequences) -> tuple:
 def build_arcs(inst: Instance, sequences) -> tuple:
     """Adjacency lists (successors, ascending) for precedence, dummy and
     machine arcs.  Index 0 is ``s``; index ``n + 1`` is ``t``."""
-    n = inst.num_operations
-    sink = n + 1
-    succ = [set() for _ in range(n + 2)]
-    has_pred = [False] * (n + 2)
-    has_succ = [False] * (n + 2)
-    for i, j in inst.precedence_arcs:
-        succ[i].add(j)
-        has_pred[j] = True
-        has_succ[i] = True
-    for op in inst.operations:
-        if not has_pred[op]:
-            succ[SOURCE].add(op)
-        if not has_succ[op]:
-            succ[op].add(sink)
+    preds, succs, _ = inst.tables
+    to_sink = (inst.num_operations + 1,)
+    succ = [{op for op in inst.operations if not preds[op]}]
+    succ += [set(s or to_sink) for s in succs[1:]] + [set()]
     for seq in sequences:
         for a, b in zip(seq, seq[1:]):
             succ[a].add(b)

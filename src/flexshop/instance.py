@@ -20,6 +20,7 @@ globally and chaining each job's operations.
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -35,6 +36,8 @@ __all__ = [
 
 # actual_time's bound: 100 * p <= 2**1000 for every standard time p
 _LARGEST_TIME = 2**1000 // 100
+
+_Tables = namedtuple("_Tables", "preds succs machines")
 
 
 class InstanceError(ValueError):
@@ -65,16 +68,24 @@ class Instance:
         return self.eligible[op - 1]
 
     @cached_property
-    def _predecessor_lists(self) -> dict:
-        """The predecessors of every operation that has any, built from the
-        precedence arcs once per instance, in their iteration order."""
-        preds = {}
+    def tables(self) -> _Tables:
+        """``(preds, succs, machines)``, each indexed by operation with
+        index 0 empty: the predecessors and the successors, in the
+        precedence arcs' iteration order, and the eligible machines in
+        ascending order, as tuples.  Built once per instance."""
+        preds = [[] for _ in range(self.num_operations + 1)]
+        succs = [[] for _ in range(self.num_operations + 1)]
         for i, j in self.precedence_arcs:
-            preds.setdefault(j, []).append(i)
-        return preds
+            preds[j].append(i)
+            succs[i].append(j)
+        machines = ((),) + tuple(tuple(sorted(ks)) for ks in self.eligible)
+        return _Tables(tuple(map(tuple, preds)), tuple(map(tuple, succs)),
+                       machines)
 
     def predecessors(self, op: int) -> list:
-        return list(self._predecessor_lists.get(op, ()))
+        if type(op) is not int or op not in self.operations:
+            raise ValueError(f"unknown operation {op!r}")
+        return list(self.tables.preds[op])
 
     def with_learning_rate(self, alpha: float) -> "Instance":
         """The same instance with learning rate ``alpha``, validated."""

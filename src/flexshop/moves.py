@@ -578,11 +578,11 @@ def random_relocation(inst: Instance, sched: Schedule,
     window, and ``_relocated`` builds every slot of that window.
     """
     v = rng.randint(1, inst.num_operations)
-    machines = sorted(inst.eligible_machines(v))
+    machines = inst.tables.machines[v]
     origin = next((m for m in machines if v in sched.sequences[m - 1]), None)
     if origin is None:
         raise ScheduleError(f"operation {v} is on none of its eligible "
-                            f"machines {machines}")
+                            f"machines {list(machines)}")
     graph = timing_of(inst, sched)
     old_seq = sched.sequences[origin - 1]
     gamma = old_seq.index(v) + 1
@@ -749,7 +749,7 @@ def enumerate_neighbors(inst: Instance, sched: Schedule,
         on_path = set(rs.path)
         xi, w_minus = rs.xi, rs.w_minus
         after_v = max(map(table.tail.__getitem__, rs.timing.succs[v]))
-        for k in sorted(inst.eligible_machines(v)):
+        for k in inst.tables.machines[v]:
             lower, end = _window(rs, k, reduction, sched.makespan)
             if end <= lower:
                 continue

@@ -28,7 +28,7 @@ class OracleResult:
 
 def _sequence_tuples(inst: Instance, assignment):
     """All distinct acyclic sequence tuples for a fixed assignment."""
-    preds = {op: inst.predecessors(op) for op in inst.operations}
+    preds = inst.tables.preds
     seen = set()
     seqs = [[] for _ in range(inst.num_machines)]
     scheduled = set()
@@ -63,9 +63,7 @@ def solve_exhaustive(inst: Instance, limit: int = 1_000_000) -> OracleResult:
         raise ValueError(f"limit must be >= 1, got {limit}")
     best: Schedule | None = None
     count = 0
-    for combo in itertools.product(
-        *(sorted(inst.eligible_machines(op)) for op in inst.operations)
-    ):
+    for combo in itertools.product(*inst.tables.machines[1:]):
         assignment = {op: combo[op - 1] for op in inst.operations}
         for sequences in _sequence_tuples(inst, assignment):
             count += 1

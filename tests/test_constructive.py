@@ -127,7 +127,7 @@ def test_ready_pairs_match_a_full_scan():
     position and their sum, recomputed from the placements; the running
     makespan is the latest completion and, at the end, the built
     schedule's."""
-    from flexshop.constructive import _State, _tables
+    from flexshop.constructive import _State
 
     rng = random.Random(29)
     steps = 0
@@ -135,7 +135,7 @@ def test_ready_pairs_match_a_full_scan():
         inst = random_instance(rng, max_ops=14, max_machines=4,
                                arc_prob=(0.0, 0.2, 0.5)[case % 3],
                                max_time=2 if case % 2 else 10)
-        state = _State(inst, _tables(inst))
+        state = _State(inst)
         done = {}  # placed operation -> its completion
         sequences = [[] for _ in inst.machines]
         while len(done) < inst.num_operations:
@@ -195,7 +195,7 @@ def test_greedy_pick_matches_the_list_filter():
     ``rcl_alpha=0``, on random, tie-heavy (times in {1, 2}) and 60-150
     operation DAG and chain instances.  With ``rcl_alpha > 0`` the rules
     draw what the filter draws, from the same RNG state."""
-    from flexshop.constructive import _State, _ect, _est, _tables
+    from flexshop.constructive import _State, _ect, _est
 
     from test_behaviour_digest import _large_instances
 
@@ -209,7 +209,7 @@ def test_greedy_pick_matches_the_list_filter():
     for inst in cases:
         for rule, reference in rules:
             for rcl_alpha in (0.0, 0.5):
-                state = _State(inst, _tables(inst))
+                state = _State(inst)
                 while state.pairs:
                     draws = rng.getstate()
                     want = reference(state.pairs, rcl_alpha, rng)

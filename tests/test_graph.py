@@ -69,6 +69,32 @@ def test_build_arcs_fig2a(fig1, fig2a):
     assert arcs[6] == ()
 
 
+@pytest.mark.parametrize("arc_prob", (0.0, 0.2, 0.5))
+def test_build_arcs_matches_the_raw_data(arc_prob):
+    """On random schedules, ``build_arcs`` gives, as ascending successor
+    lists, the precedence arcs, s -> each operation without a predecessor,
+    each operation without a successor -> t and consecutive machine pairs,
+    all derived here from the instance's raw data."""
+    rng = random.Random(23)
+    isolated = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_ops=10, max_machines=4,
+                               arc_prob=arc_prob)
+        sequences = random_schedule(rng, inst).sequences
+        sink = inst.num_operations + 1
+        heads = {j for _, j in inst.precedence_arcs}
+        tails = {i for i, _ in inst.precedence_arcs}
+        isolated += sum(op not in heads | tails for op in inst.operations)
+        arcs = set(inst.precedence_arcs)
+        arcs |= {(SOURCE, op) for op in inst.operations if op not in heads}
+        arcs |= {(op, sink) for op in inst.operations if op not in tails}
+        arcs |= {(a, b) for seq in sequences for a, b in zip(seq, seq[1:])}
+        want = tuple(tuple(sorted(j for i, j in arcs if i == u))
+                     for u in range(sink + 1))
+        assert build_arcs(inst, sequences) == want
+    assert isolated
+
+
 def test_machine_order_against_precedence_raises(fig1):
     # machine sequence [2, 1] contradicts precedence arc 1 -> 2
     with pytest.raises(CycleError):

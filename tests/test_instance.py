@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +28,45 @@ def test_parse_fig1():
     assert inst.precedence_arcs == frozenset({(1, 2), (2, 3), (4, 5)})
     assert sorted(inst.predecessors(3)) == [2]
     assert sorted(inst.predecessors(1)) == []
+
+
+@pytest.mark.parametrize("arc_prob", (0.0, 0.2, 0.5))
+def test_tables_derive_from_the_arcs_and_eligibility(arc_prob):
+    """``Instance.tables`` holds, by operation with index 0 empty, the
+    predecessors and the successors in the precedence arcs' iteration
+    order and the eligible machines in ascending order, whatever their
+    order in ``eligible``; it is built once.  ``predecessors`` returns a
+    fresh list: mutating it changes neither the table nor the next call."""
+    rng = random.Random(17)
+    isolated = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_ops=10, max_machines=4,
+                               arc_prob=arc_prob)
+        shuffled = tuple(tuple(rng.sample(ks, len(ks))) for ks in inst.eligible)
+        inst = replace(inst, eligible=shuffled)
+        arcs = inst.precedence_arcs
+        ids = range(inst.num_operations + 1)
+        preds = tuple(tuple(i for i, j in arcs if j == op) for op in ids)
+        succs = tuple(tuple(j for i, j in arcs if i == op) for op in ids)
+        machines = ((),) + tuple(tuple(sorted(ks)) for ks in shuffled)
+        assert inst.tables == (preds, succs, machines)
+        assert inst.tables is inst.tables
+        assert inst.eligible == shuffled
+        for op in inst.operations:
+            isolated += not preds[op] and not succs[op]
+            got = inst.predecessors(op)
+            assert got == list(preds[op])
+            got.append(op)
+            assert inst.predecessors(op) == list(preds[op])
+        assert inst.tables == (preds, succs, machines)
+    assert isolated
+
+
+@pytest.mark.parametrize("op", (0, 6, -1, "1", True))
+def test_predecessors_rejects_an_unknown_id(op):
+    inst = parse_instance(FIG1_TEXT, "fig1")
+    with pytest.raises(ValueError, match=re.escape(f"unknown operation {op!r}")):
+        inst.predecessors(op)
 
 
 def test_comments_and_whitespace():
