@@ -15,18 +15,21 @@ of the RNG: one pass over the ready pairs takes the first, in ascending
 (operation, machine) order, with the least (start, time) for EST and the
 least completion for ECT, the pair that the list filter would keep first.
 
-Each step reads the start, the adjusted time and the completion that the
-construction keeps for every ready (operation, machine) pair; a placement
-re-prices only the pairs on the machine it used.  Each operation's
-predecessors, successors and sorted eligible machines come from the
-instance's ``Instance.tables``.  ``best_of_est_ect`` compares the two
-constructions' makespans and builds only the kept one's ``Schedule``,
-from the sequences, times and placement order that its construction
-recorded (``graph.schedule_from_placement``).
+Every construction, EST or ECT, greedy or randomized, runs in one
+placement engine, ``_placements``: a generator that keeps its state in
+local variables, yields the ready (operation, machine) pairs, each with
+its start, adjusted time and completion, and is sent the rule's pick.  A
+placement re-prices only the pairs on the machine it used, and an
+operation's release grows as each predecessor is placed.  Each
+operation's predecessors, successors and sorted eligible machines come
+from the instance's ``Instance.tables``.  The engine returns the
+sequences, times, placement order and makespan; ``best_of_est_ect``
+compares the two constructions' makespans and builds only the kept one's
+``Schedule`` from them (``graph.schedule_from_placement``).
 """
 
-import bisect
 import random
+from bisect import bisect_left
 from operator import itemgetter
 
 from .instance import Instance
@@ -40,87 +43,84 @@ _START_TIME = itemgetter(3, 4)
 _COMPLETION = itemgetter(5)
 
 
-class _State:
-    """A construction in progress.
+def _placements(inst: Instance):
+    """The placement engine: a generator that yields the ready pairs and
+    is sent the entry to place, until every operation is placed.
 
-    ``pairs`` holds one entry ``[operation, machine, release, start, time,
-    completion]`` per (operation, machine) pair whose operation has every
-    predecessor placed, in ascending (operation, machine) order.  ``start``
-    is ``max(release, machine release)``, ``time`` the learning-adjusted
-    time at the machine's next position and ``completion`` their sum; a
-    placement re-prices only the entries on the machine it used.  Each
-    operation's predecessors, successors and sorted eligible machines come
-    from ``Instance.tables``.  ``order`` holds the source and then
-    each operation as it is placed, ``weights`` the time it was placed
-    with, by vertex; ``makespan`` is the latest completion placed.
+    The yielded list holds one entry ``[operation, machine, release,
+    start, time, completion]`` per (operation, machine) pair whose
+    operation has every predecessor placed, in ascending (operation,
+    machine) order.  ``release`` is the latest completion among the
+    operation's predecessors, ``start`` is ``max(release, machine
+    release)``, ``time`` the learning-adjusted time at the machine's next
+    position and ``completion`` their sum.  Placing an entry appends its
+    operation to its machine at its start, re-prices in place only the
+    entries on that machine, raises its successors' releases to its
+    completion and prices the pairs of those it frees.  The state lives in
+    the generator's local variables (``makespan`` is the latest completion
+    placed).  The engine returns ``(sequences, weights, order,
+    makespan)``: the sequences as a tuple of tuples, the time each vertex
+    was placed with, the source, the operations as placed and the sink.
     """
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.preds, self.succs, self.machines = inst.tables
-        self.waiting = [len(preds) for preds in self.preds]
-        self.order = [SOURCE]
-        self.weights = [0] * (inst.num_operations + 2)
-        self.completion = {}
-        self.machine_release = [0] * inst.num_machines
-        self.next_position = [1] * inst.num_machines
-        self.sequences = [[] for _ in range(inst.num_machines)]
-        self.makespan = 0
-        self.pairs = []
-        # on_machine[k - 1]: ready operation -> its entry on machine k
-        self.on_machine = [{} for _ in range(inst.num_machines)]
-        for op in inst.operations:
-            if not self.waiting[op]:
-                self._release(op)
-
-    def _release(self, v):
-        """Price the pairs of ``v``, whose predecessors are all placed."""
-        release = max([self.completion[i] for i in self.preds[v]], default=0)
-        std, alpha = self.inst.std_time, self.inst.learning_rate
-        entries = []
-        for k in self.machines[v]:
-            free = self.machine_release[k - 1]
-            start = release if release > free else free
-            time = actual_time(std[(v, k)], self.next_position[k - 1], alpha)
-            entry = [v, k, release, start, time, start + time]
-            self.on_machine[k - 1][v] = entry
-            entries.append(entry)
-        at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
-        self.pairs[at:at] = entries
-
-    def place(self, entry):
-        """Append the entry's operation to its machine, at its start."""
-        v, k, _, _, time, end = entry
-        self.order.append(v)
-        self.weights[v] = time
-        self.completion[v] = end
-        if end > self.makespan:
-            self.makespan = end
-        self.sequences[k - 1].append(v)
-        machines = self.machines[v]
-        for m in machines:
-            del self.on_machine[m - 1][v]
-        at = bisect.bisect_left(self.pairs, v, key=_OPERATION)
-        del self.pairs[at:at + len(machines)]
-        self.machine_release[k - 1] = end
-        self.next_position[k - 1] += 1
-        std, alpha = self.inst.std_time, self.inst.learning_rate
-        position = self.next_position[k - 1]
-        for other in self.on_machine[k - 1].values():
+    preds, succs, machines = inst.tables
+    std, alpha = inst.std_time, inst.learning_rate
+    sink = inst.num_operations + 1
+    # a root waits only for the source: it is freed before the first pick
+    waiting = [len(ps) or 1 for ps in preds]
+    freed = [v for v in inst.operations if not preds[v]]
+    # release[j]: the latest completion among j's placed predecessors
+    release = [0] * sink
+    order = [SOURCE]
+    weights = [0] * (sink + 1)
+    # indexed by machine, index 0 unused
+    free = [0] * (inst.num_machines + 1)
+    position = [1] * (inst.num_machines + 1)
+    sequences = [[] for _ in range(inst.num_machines + 1)]
+    on_machine = [{} for _ in range(inst.num_machines + 1)]
+    pairs = []
+    makespan = end = 0
+    while True:
+        for j in freed:
+            if end > release[j]:
+                release[j] = end
+            waiting[j] -= 1
+            if waiting[j]:
+                continue
+            ready = release[j]
+            entries = []
+            for k in machines[j]:
+                start = free[k]
+                if ready > start:
+                    start = ready
+                time = actual_time(std[j, k], position[k], alpha)
+                entry = [j, k, ready, start, time, start + time]
+                on_machine[k][j] = entry
+                entries.append(entry)
+            at = bisect_left(pairs, j, key=_OPERATION)
+            pairs[at:at] = entries
+        if not pairs:
+            order.append(sink)
+            return (tuple(map(tuple, sequences[1:])), weights, order,
+                    makespan)
+        v, k, _, _, time, end = yield pairs
+        order.append(v)
+        weights[v] = time
+        if end > makespan:
+            makespan = end
+        sequences[k].append(v)
+        for m in machines[v]:
+            del on_machine[m][v]
+        at = bisect_left(pairs, v, key=_OPERATION)
+        del pairs[at:at + len(machines[v])]
+        free[k] = end
+        position[k] = next_position = position[k] + 1
+        for other in on_machine[k].values():
             start = other[2] if other[2] > end else end
-            time = actual_time(std[(other[0], k)], position, alpha)
-            other[3:] = start, time, start + time
-        for j in self.succs[v]:
-            self.waiting[j] -= 1
-            if not self.waiting[j]:
-                self._release(j)
-
-    def schedule(self) -> Schedule:
-        """The finished construction's ``Schedule``, timed in placement
-        order."""
-        return schedule_from_placement(
-            self.inst, tuple(map(tuple, self.sequences)), self.weights,
-            self.order + [self.inst.num_operations + 1])
+            time = actual_time(std[other[0], k], next_position, alpha)
+            other[3] = start
+            other[4] = time
+            other[5] = start + time
+        freed = succs[v]
 
 
 def _check(rcl_alpha, rng):
@@ -156,25 +156,35 @@ def _ect(pairs, rcl_alpha, rng):
                        if end <= threshold])
 
 
-def _construct(inst, rule, rcl_alpha, rng) -> _State:
-    """Place every operation by ``rule``."""
+def _construct(inst, rule, rcl_alpha, rng) -> tuple:
+    """Place every operation by ``rule``: the engine's ``(sequences,
+    weights, order, makespan)``."""
     _check(rcl_alpha, rng)
-    state = _State(inst)
-    while state.pairs:
-        state.place(rule(state.pairs, rcl_alpha, rng))
-    return state
+    engine = _placements(inst)
+    try:
+        pairs = next(engine)
+        while True:
+            pairs = engine.send(rule(pairs, rcl_alpha, rng))
+    except StopIteration as done:
+        return done.value
+
+
+def _schedule(inst, placed) -> Schedule:
+    """A finished construction's ``Schedule``, timed in placement order."""
+    sequences, weights, order, _ = placed
+    return schedule_from_placement(inst, sequences, weights, order)
 
 
 def construct_est(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-starting-time constructive heuristic."""
-    return _construct(inst, _est, rcl_alpha, rng).schedule()
+    return _schedule(inst, _construct(inst, _est, rcl_alpha, rng))
 
 
 def construct_ect(inst: Instance, rcl_alpha: float = 0.0,
                   rng: random.Random | None = None) -> Schedule:
     """Earliest-completion-time constructive heuristic."""
-    return _construct(inst, _ect, rcl_alpha, rng).schedule()
+    return _schedule(inst, _construct(inst, _ect, rcl_alpha, rng))
 
 
 def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
@@ -187,5 +197,4 @@ def best_of_est_ect(inst: Instance, rcl_alpha: float = 0.0,
     """
     ect = _construct(inst, _ect, rcl_alpha, rng)
     est = _construct(inst, _est, rcl_alpha, rng)
-    kept = ect if ect.makespan < est.makespan else est
-    return kept.schedule()
+    return _schedule(inst, ect if ect[3] < est[3] else est)

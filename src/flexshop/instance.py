@@ -101,8 +101,8 @@ def validate_instance(inst: Instance) -> list:
         violations.append("instance must have at least one operation")
     if inst.num_machines < 1:
         violations.append("instance must have at least one machine")
-    if not inst.learning_rate > 0:
-        violations.append(f"learning_rate must be > 0, got {inst.learning_rate}")
+    if not inst.learning_rate >= 0:
+        violations.append(f"learning_rate must be >= 0, got {inst.learning_rate}")
     elif not math.isfinite(inst.learning_rate):
         violations.append(f"learning_rate must be finite, got {inst.learning_rate}")
     if len(inst.eligible) != inst.num_operations:

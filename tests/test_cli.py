@@ -99,6 +99,26 @@ def test_alpha_override(instance_file, capsys):
     assert payload["makespan"] > FIG1_OPTIMUM
 
 
+def test_no_learning_rate_solves_and_validates(instance_file, tmp_path,
+                                               capsys):
+    """α = 0, the case without a learning effect: ``--alpha 0`` and a
+    native header of 0 are valid, and a TS solve at that rate passes
+    ``validate`` at that rate, from either source."""
+    header, rest = FIG1_TEXT.split("\n", 1)
+    zero = tmp_path / "zero.txt"
+    zero.write_text(" ".join(header.split()[:2] + ["0"]) + "\n" + rest)
+    assert main(["solve", "--instance", str(instance_file), "--algo", "ts",
+                 "--iterations", "5", "--alpha", "0"]) == 0
+    solution = tmp_path / "ts0.json"
+    solution.write_text(capsys.readouterr().out)
+    assert main(["validate", "--instance", str(instance_file), "--alpha",
+                 "0", "--solution", str(solution)]) == 0
+    assert main(["validate", "--instance", str(zero), "--solution",
+                 str(solution)]) == 0
+    assert main(["validate", "--instance", str(instance_file),
+                 "--solution", str(solution)]) == 1
+
+
 def test_bench_and_stats(instance_file, tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["bench", "--instances", str(instance_file.parent),
@@ -226,9 +246,10 @@ def _fails(argv, capsys, message):
     "text, extra, message",
     [
         ("5 2 x\n", [], "error: line 1: expected learning rate, got 'x'"),
-        (FIG1_TEXT, ["--alpha", "0"], "error: learning_rate must be > 0"),
+        (FIG1_TEXT, ["--alpha", "-0.1"],
+         "error: learning_rate must be >= 0, got -0.1"),
     ],
-    ids=["bad-token", "alpha-0"],
+    ids=["bad-token", "alpha-negative"],
 )
 def test_bad_instance_is_one_error_line(tmp_path, capsys, text, extra,
                                         message):

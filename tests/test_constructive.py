@@ -119,50 +119,75 @@ def test_best_of_pair_takes_the_minimum():
     assert tie_with_distinct_builds >= 0  # informational; ties may coincide
 
 
+def _ready_pairs(inst, done, sequences):
+    """The ready pairs by a scan of every unplaced operation, priced from
+    the placements: ``done`` maps each placed operation to its completion
+    and ``sequences`` lists each machine's placed operations."""
+    pairs = []
+    for v in inst.operations:
+        preds = inst.predecessors(v)
+        if v in done or any(i not in done for i in preds):
+            continue
+        release = max((done[i] for i in preds), default=0)
+        for k in sorted(inst.eligible_machines(v)):
+            seq = sequences[k - 1]
+            free = done[seq[-1]] if seq else 0
+            time = actual_time(inst.std_time[(v, k)], len(seq) + 1,
+                               inst.learning_rate)
+            start = max(release, free)
+            pairs.append([v, k, release, start, time, start + time])
+    return pairs
+
+
 def test_ready_pairs_match_a_full_scan():
-    """At every placement the kept ready pairs are those a scan of every
-    unplaced operation gives, in the same order and with the same
+    """At every placement the pairs that the engine yields are those a scan
+    of every unplaced operation gives, in the same order and with the same
     releases; each pair's start, time and completion equal max(release,
     machine release), the learning-adjusted time at the machine's next
-    position and their sum, recomputed from the placements; the running
-    makespan is the latest completion and, at the end, the built
-    schedule's."""
-    from flexshop.constructive import _State
+    position and their sum, recomputed from the placements.  The engine's
+    running makespan is the latest completion placed.  It returns the
+    sequences, the weights, the placement order and, as makespan, the built
+    schedule's.  Random DAGs and chains, single-machine ones included."""
+    from flexshop.constructive import _placements
+    from test_moves import _chain_instance
 
     rng = random.Random(29)
+    cases = [random_instance(rng, max_ops=14, max_machines=4,
+                             arc_prob=(0.0, 0.2, 0.5)[case % 3],
+                             max_time=2 if case % 2 else 10)
+             for case in range(40)]
+    cases += [_chain_instance(rng, 2 if case % 2 else 10)
+              for case in range(40)]
+    assert sum(inst.num_machines == 1 for inst in cases) > 5
     steps = 0
-    for case in range(40):
-        inst = random_instance(rng, max_ops=14, max_machines=4,
-                               arc_prob=(0.0, 0.2, 0.5)[case % 3],
-                               max_time=2 if case % 2 else 10)
-        state = _State(inst)
+    for inst in cases:
+        engine = _placements(inst)
         done = {}  # placed operation -> its completion
         sequences = [[] for _ in inst.machines]
-        while len(done) < inst.num_operations:
-            want = []
-            for v in inst.operations:
-                preds = inst.predecessors(v)
-                if v in done or any(i not in done for i in preds):
-                    continue
-                release = max((done[i] for i in preds), default=0)
-                for k in sorted(inst.eligible_machines(v)):
-                    seq = sequences[k - 1]
-                    free = done[seq[-1]] if seq else 0
-                    time = actual_time(inst.std_time[(v, k)], len(seq) + 1,
-                                       inst.learning_rate)
-                    start = max(release, free)
-                    want.append([v, k, release, start, time, start + time])
-            assert state.pairs == want
-            index = rng.randrange(len(want))
-            v, k, _, _, _, end = want[index]
-            state.place(state.pairs[index])
-            done[v] = end
-            sequences[k - 1].append(v)
-            assert state.makespan == max(done.values())
-            steps += 1
-        assert not state.pairs and state.sequences == sequences
-        assert state.makespan == build_schedule(inst, sequences).makespan
-    assert steps > 200
+        weights = [0] * (inst.num_operations + 2)
+        order = [0]
+        try:
+            pairs = next(engine)
+            while True:
+                assert pairs == _ready_pairs(inst, done, sequences)
+                index = rng.randrange(len(pairs))
+                v, k, _, _, time, end = pairs[index]
+                done[v] = end
+                sequences[k - 1].append(v)
+                weights[v] = time
+                order.append(v)
+                pairs = engine.send(pairs[index])
+                assert engine.gi_frame.f_locals["makespan"] == max(
+                    done.values())
+                steps += 1
+        except StopIteration as stop:
+            placed = stop.value
+        assert len(done) == inst.num_operations
+        assert placed == (tuple(map(tuple, sequences)), weights,
+                          order + [inst.num_operations + 1],
+                          max(done.values()))
+        assert placed[3] == build_schedule(inst, sequences).makespan
+    assert steps > 300
 
 
 def _reference_est(pairs, rcl_alpha, rng):
@@ -194,8 +219,9 @@ def test_greedy_pick_matches_the_list_filter():
     entry that the full restricted-list filter keeps first at
     ``rcl_alpha=0``, on random, tie-heavy (times in {1, 2}) and 60-150
     operation DAG and chain instances.  With ``rcl_alpha > 0`` the rules
-    draw what the filter draws, from the same RNG state."""
-    from flexshop.constructive import _State, _ect, _est
+    draw what the filter draws, from the same RNG state.  The engine is
+    driven by ``_construct``, which sends it each pick."""
+    from flexshop.constructive import _construct, _ect, _est
 
     from test_behaviour_digest import _large_instances
 
@@ -204,27 +230,32 @@ def test_greedy_pick_matches_the_list_filter():
                              max_time=2 if case % 2 else 10)
              for case in range(60)]
     cases += _large_instances()
-    rules = ((_est, _reference_est), (_ect, _reference_ect))
     ties = picks = 0
+
+    def checked(rule, reference):
+        def pick(pairs, rcl_alpha, rng):
+            nonlocal ties, picks
+            draws = rng.getstate()
+            want = reference(pairs, rcl_alpha, rng)
+            after = rng.getstate()
+            rng.setstate(draws)
+            got = rule(pairs, rcl_alpha, rng)
+            assert got is want
+            assert rng.getstate() == after
+            if not rcl_alpha:
+                key = (want[3], want[4]) if rule is _est else want[5]
+                keys = [(e[3], e[4]) if rule is _est else e[5]
+                        for e in pairs]
+                ties += keys.count(key) > 1
+                picks += 1
+            return got
+        return pick
+
+    rules = (checked(_est, _reference_est), checked(_ect, _reference_ect))
     for inst in cases:
-        for rule, reference in rules:
+        for rule in rules:
             for rcl_alpha in (0.0, 0.5):
-                state = _State(inst)
-                while state.pairs:
-                    draws = rng.getstate()
-                    want = reference(state.pairs, rcl_alpha, rng)
-                    after = rng.getstate()
-                    rng.setstate(draws)
-                    got = rule(state.pairs, rcl_alpha, rng)
-                    assert got is want
-                    assert rng.getstate() == after
-                    if not rcl_alpha:
-                        key = (want[3], want[4]) if rule is _est else want[5]
-                        keys = [(e[3], e[4]) if rule is _est else e[5]
-                                for e in state.pairs]
-                        ties += keys.count(key) > 1
-                        picks += 1
-                    state.place(got)
+                _construct(inst, rule, rcl_alpha, rng)
     assert picks > 2000 and ties > 100  # equal keys: the first one wins
 
 

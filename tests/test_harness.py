@@ -184,7 +184,7 @@ def test_load_instance_file_rejects_unknown_format(tmp_path):
         load_instance_file(path, "bogus")
 
 
-@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -0.1, -1.0])
 @pytest.mark.parametrize("fmt, text", [
     ("native", FIG1_TEXT),
     ("classical", "1 1\n2 1 1 5 1 1 3\n"),

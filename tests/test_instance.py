@@ -99,7 +99,7 @@ def test_round_trip_random_instances():
         ("1 1 1.0\n1 1 5\n1\n1 1", "self-loop"),
         ("2 1 1.0\n1 1 5\n1 1 5\n2\n1 2\n2 1", "cycle"),
         ("1 1 1.0\n0\n0", "empty eligibility"),
-        ("1 1 0.0\n1 1 5\n0", "learning_rate"),
+        ("1 1 -0.1\n1 1 5\n0", "learning_rate must be >= 0"),
         ("1 1 inf\n1 1 5\n0", "learning_rate must be finite, got inf"),
         ("2 1 1.0\n2 1 5 1 7\n1 1 5\n0",
          "operation 1 lists machine 1 more than once"),
@@ -119,7 +119,7 @@ def test_error_reports_line_number():
 
 def test_validate_reports_all_violations():
     inst = Instance(2, 1, ((1,), ()), {(1, 1): -3}, frozenset({(1, 2), (2, 1)}),
-                    0.0)
+                    -0.1)
     violations = validate_instance(inst)
     text = "\n".join(violations)
     assert "learning_rate" in text

@@ -82,6 +82,15 @@ def test_position_one_is_identity(p):
     assert actual_time(p, 1, 0.3) == 100 * p
 
 
+@given(st.integers(min_value=0, max_value=10**12),
+       st.integers(min_value=1, max_value=10**6),
+       st.sampled_from([0.0, -0.0]))
+def test_no_learning_keeps_every_time(p, r, alpha):
+    """At α = 0 (or -0.0), the case without a learning effect, every
+    position takes the standard time, scaled by 100."""
+    assert actual_time(p, r, alpha) == 100 * p
+
+
 @given(st.integers(min_value=1, max_value=100),
        st.floats(min_value=0.05, max_value=2.0))
 def test_zero_time_stays_zero(r, alpha):
@@ -95,8 +104,9 @@ def test_monotone_non_increasing_in_position(p, r, alpha):
     assert actual_time(p, r + 1, alpha) <= actual_time(p, r, alpha)
 
 
-@pytest.mark.parametrize("p, r, alpha", [(1, 0, 1.0), (-1, 1, 1.0), (1, 1, 0.0),
-                                         (1, 1, -0.5), (1, -2, 1.0)])
+@pytest.mark.parametrize("p, r, alpha", [(1, 0, 1.0), (-1, 1, 1.0),
+                                         (1, 1, math.nan), (1, 1, -0.5),
+                                         (1, -2, 1.0), (2, 3, math.inf)])
 def test_invalid_arguments(p, r, alpha):
     with pytest.raises(ValueError):
         actual_time(p, r, alpha)

@@ -329,7 +329,7 @@ def _tie_heavy(inst: Instance, rng: random.Random, alpha: float) -> Instance:
 
 def test_pricing_meets_every_case_of_the_pull_rule():
     """Full scans of tie-heavy chain and DAG instances, times in {1, 2},
-    at α 0.2, 1 and 3: every priced makespan is ``build_schedule``'s for
+    at α 0.2, 1, 3 and 0: every priced makespan is ``build_schedule``'s for
     its slot, on every move of small instances and every 20th of 200-300
     operation ones.  Counted from G⁻'s timing and the rebuilt G⁺'s, the
     scans meet three cases of the marking, which stales every successor of
@@ -348,9 +348,9 @@ def test_pricing_meets_every_case_of_the_pull_rule():
         cases.append((_large_instance(rng, layout), 20))
     priced = slack = setter_fell = v_sets = 0
     for index, (inst, stride) in enumerate(cases):
-        inst = _tie_heavy(inst, rng, (0.2, 1, 3)[index % 3])
+        inst = _tie_heavy(inst, rng, (0.2, 1, 3, 0)[index % 4])
         sched = best_of_est_ect(inst)
-        for _ in range(index % 4):  # leave the constructive start
+        for _ in range(index % 3):  # leave the constructive start
             sched = perturb(inst, sched, rng)
         for move in islice(enumerate_neighbors(inst, sched, "full"), 0, None,
                            stride):
