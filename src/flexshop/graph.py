@@ -14,9 +14,9 @@ weighs every operation and finds the order by a DFS (``time_graph``).
 order, which is topological since each operation is placed after its
 precedence and machine predecessors, with the times it was placed with:
 nothing is checked, weighed or searched again.  Both give the same times,
-tie flags and critical path.  ``critical_path`` walks the path of
-``build_schedule``'s order from any timing and settles its ties without
-timing the graph again.
+setters and critical path: a start that two predecessors finish at is
+marked ``TIED``.  ``critical_path`` walks the path of ``build_schedule``'s
+order from any timing and settles its ties without timing the graph again.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ from .learning import actual_time
 
 __all__ = [
     "SOURCE",
+    "TIED",
     "Schedule",
     "CycleError",
     "ScheduleError",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 SOURCE = 0  # dummy source vertex; the sink is num_operations + 1
+TIED = None  # Timing.setter of a start that two predecessors finish at
 
 
 class CycleError(ValueError):
@@ -177,19 +179,16 @@ class Timing(NamedTuple):
     preds: list  # predecessor lists, in an order that no reader relies on
     start: list  # earliest start: the latest completion of a predecessor
     completion: list
-    # a predecessor whose completion is the start (a forward pass: the
-    # first in its order; an edit: the first in preds); the critical path is
-    # walked back along these
+    # the one predecessor whose completion is the start, or TIED when two
+    # finish at it, the same in any order; the critical path is walked back
+    # along these, and critical_path settles a tie on it as
+    # topological_sort_plus's order would
     setter: list
-    # whether two predecessors finish at the start, so that another order
-    # could set it from another one: critical_path settles a tie on the
-    # path as topological_sort_plus's order would
-    tied: list
 
 
 def time_graph(adjacency, weights) -> Timing:
     """Earliest start and completion of every vertex, its rank in the
-    topological order and whether two predecessors tie at its start, by one
+    topological order and the predecessor that sets its start, by one
     forward pass in ``topological_sort_plus``'s order.
 
     ``weights[i]`` is vertex ``i``'s processing time; the dummies must
@@ -200,9 +199,8 @@ def time_graph(adjacency, weights) -> Timing:
 
 def _timed_in(adjacency, weights, order) -> Timing:
     """``time_graph``'s forward pass over ``order``, a topological order
-    of every vertex, the source first.  The times and tie flags do not
-    depend on the order; the setters of tied vertices and the order of
-    each predecessor list do."""
+    of every vertex, the source first.  The times and setters do not
+    depend on the order; the order of each predecessor list does."""
     size = len(adjacency)
     rank = [0] * size
     preds = [[] for _ in range(size)]
@@ -210,7 +208,6 @@ def _timed_in(adjacency, weights, order) -> Timing:
     start[SOURCE] = 0
     completion = [0] * size
     setter = [SOURCE] * size
-    tied = [False] * size
     for idx, i in enumerate(order):
         rank[i] = idx
         done = completion[i] = start[i] + weights[i]
@@ -219,11 +216,9 @@ def _timed_in(adjacency, weights, order) -> Timing:
             if start[j] < done:
                 start[j] = done
                 setter[j] = i
-                tied[j] = False
             elif start[j] == done:
-                tied[j] = True
-    return Timing(adjacency, order, rank, preds, start, completion, setter,
-                  tied)
+                setter[j] = TIED
+    return Timing(adjacency, order, rank, preds, start, completion, setter)
 
 
 def timing_of(inst: Instance, sched: Schedule) -> Timing:
@@ -239,11 +234,11 @@ def critical_path(timing: Timing, sequences) -> tuple:
     same graph gives it, walked back from ``t`` along the predecessors that
     set each start.
 
-    An untied vertex has one predecessor that finishes at its start, the
-    same in any order.  At a tied vertex ``build_schedule``'s pass keeps
-    the tied predecessor that comes first in ``topological_sort_plus``'s
-    order (``_timed_in``); the times and tie flags do not depend on the
-    order, so the walk settles each tie without timing the graph again:
+    An untied vertex has one predecessor that finishes at its start, its
+    setter.  At a vertex marked ``TIED`` the path goes on along the tied
+    predecessor that comes first in ``topological_sort_plus``'s order; the
+    times and setters do not depend on the order, so the walk settles each
+    tie without timing the graph again:
     - a tied predecessor that weighs 0, as a removed operation does, and
       that another tied predecessor finishes at the start of comes after
       that one in every order and drops out; when one is left, the walk
@@ -258,13 +253,13 @@ def critical_path(timing: Timing, sequences) -> tuple:
     from ``sequences`` (e.g. a removed one) never contribute to tau.
     """
     start, completion, preds = timing.start, timing.completion, timing.preds
-    tied, setter = timing.tied, timing.setter
+    setter = timing.setter
     on_path = bytearray(len(start))  # τ reads it
     path, i, rank = [], len(start) - 1, None
     while i != SOURCE:
         path.append(i)
         on_path[i] = 1
-        if not tied[i]:
+        if setter[i] is not TIED:
             i = setter[i]
             continue
         at = start[i]

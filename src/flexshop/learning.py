@@ -2,13 +2,14 @@
 
 An operation processed at position ``r`` of a machine's sequence takes
 ``floor(100 * p / r**alpha + 1/2)`` time units, where ``p`` is the standard
-processing time and ``alpha >= 0`` is the learning rate.  Position 1, and
-every position at ``alpha == 0`` (no learning effect, ``r**0.0 == 1.0``),
-yields ``100 * p``, exactly while ``100 * p`` is below 2**53.  Negative,
-NaN and infinite rates are rejected.  A valid instance keeps ``100 * p``
-within 2**1000 (``validate_instance``), so a divisor ``r**alpha`` too
-large for a float gives 0.  Values are cached, so that the schedules of a
-run share them.
+processing time and ``alpha >= 0`` is the learning rate.  The float
+divisor ``r**alpha`` is divided into ``100 * p`` and rounded in exact
+integer arithmetic, so position 1, and every position at ``alpha == 0``
+(no learning effect, ``r**0.0 == 1.0``), yields ``100 * p`` at any size.
+Negative, NaN and infinite rates are rejected.  A valid instance keeps
+``100 * p`` within 2**1000 (``validate_instance``), so a divisor
+``r**alpha`` too large for a float gives 0.  Values are cached, so that
+the schedules of a run share them.
 """
 
 import math
@@ -37,4 +38,5 @@ def actual_time(p: int, r: int, alpha: float) -> int:
         scale = r**alpha
     except OverflowError:  # r**alpha > 2**1023 and 100 * p <= 2**1000
         return 0
-    return math.floor(100.0 * p / scale + 0.5)
+    num, den = scale.as_integer_ratio()  # scale's exact value
+    return (200 * p * den + num) // (2 * num)

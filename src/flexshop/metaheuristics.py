@@ -222,14 +222,16 @@ perturb = random_relocation
 
 
 def _ils(inst: Instance, cfg: MetaConfig) -> RunRecord:
-    """Iterated local search: descend, perturb the local optimum, repeat."""
+    """Iterated local search: descend, perturb the local optimum, repeat.
+    A run that must stop stops after its descent, before a perturbation it
+    would not descend from."""
     run = _Run(inst, cfg)
     current = best_of_est_ect(inst)
     if run.offer(current):
         return run.finish()
     while not run.exhausted():
         current = run.descend(current)
-        if run.offer(current):
+        if run.offer(current) or run.exhausted():
             break
         for _ in range(run.rng.randint(cfg.ils_perturb_min,
                                        cfg.ils_perturb_max)):

@@ -32,15 +32,15 @@ Every re-timing, an edit's and a neighbor's pricing, follows one pull
 rule: the stale vertices, whose weight or predecessors changed, are
 visited in a topological order, each starts at the latest completion of
 its predecessors, and one whose completion changes makes every successor
-stale.  An edit also keeps setters and tie flags; a pricing
-(``_insertion_makespan``) keeps only times.
-Every timing flags the vertices that two predecessors finish at the start
-of.  An edit walks no critical path: a removal walks G⁻'s at once, for ξ,
-τ⁻ and P, and a built ``Schedule`` walks its own when it is first read,
-by a cropped scan or for a ``RunRecord``, with ``graph.critical_path``,
-which gives ``build_schedule``'s path for any timing.  A removal keeps the
-timing it derives, in G's order: the reduction's bounds, the windows and
-the pricing read only times, arcs and an order, which are G⁻'s.
+stale.  An edit also keeps setters, ``graph.TIED`` where two
+predecessors finish at a start, as a forward pass does; a pricing
+(``_insertion_makespan``) keeps only times.  An edit walks no critical
+path: a removal walks G⁻'s at once, for ξ, τ⁻ and P, and a built
+``Schedule`` walks its own when it is first read, by a cropped scan or for
+a ``RunRecord``, with ``graph.critical_path``, which gives
+``build_schedule``'s path for any timing.  A removal keeps the timing it
+derives, in G's order: the reduction's bounds, the windows and the
+pricing read only times, arcs and an order, which are G⁻'s.
 
 The insertion window on a machine lies between the last ancestor and the
 first descendant of the removed operation there.  No path that ends or
@@ -109,6 +109,7 @@ from typing import Callable, Iterator
 from .instance import Instance
 from .learning import actual_time
 from .graph import (
+    TIED,
     CycleError,
     Schedule,
     ScheduleError,
@@ -475,9 +476,9 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     both: before→after is an arc of G unless it is prev→next, which is v's
     own slot, never edited.  A second backward arc raises ValueError.  The
     ``stale`` vertices, which must hold every vertex whose weight or
-    predecessors changed, are re-timed by the pull rule, their tie flags
-    counted again; the rest keep ``base``'s times, setters and flags.  No
-    path is walked: the flags let ``critical_path`` walk it as
+    predecessors changed, are re-timed by the pull rule, their setters
+    found again; the rest keep ``base``'s times and setters.  No path is
+    walked: the setters let ``critical_path`` walk it as
     ``build_schedule``'s when it is read.
     """
     succs, preds, backward = _rewired(inst, base, drop, add)
@@ -491,7 +492,6 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
     start = base.start.copy()
     completion = base.completion.copy()
     setter = base.setter.copy()
-    tied = base.tied.copy()
     for u in islice(order, min(map(rank.__getitem__, stale)), None):
         if u not in stale:
             continue
@@ -501,9 +501,8 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
             if completion[i] > latest:
                 latest = completion[i]
                 setter[u] = i
-                tied[u] = False
             elif completion[i] == latest:
-                tied[u] = True
+                setter[u] = TIED
         start[u] = latest
         done = latest + weights[u]
         if done != completion[u]:
@@ -511,8 +510,7 @@ def _edited(inst: Instance, base: Timing, drop, add, weights: list,
             stale.update(succs[u])
         if not stale:
             break
-    return Timing(tuple(succs), order, rank, preds, start, completion,
-                  setter, tied)
+    return Timing(tuple(succs), order, rank, preds, start, completion, setter)
 
 
 def _window(rs: ReducedState, k: int, reduction_active: bool,

@@ -9,8 +9,8 @@ from flexshop import (
     parse_instance,
     reachable_from,
 )
-from flexshop.graph import (SOURCE, Schedule, build_arcs, critical_path,
-                            time_graph)
+from flexshop.graph import (SOURCE, TIED, Schedule, build_arcs,
+                            critical_path, time_graph)
 from flexshop.moves import ReducedState, _edited
 
 FIG1_TEXT = """\
@@ -187,23 +187,38 @@ def reach_bounds(seq, ancestors, descendants) -> tuple:
 
 
 def reference_critical_path(timing, sequences) -> tuple:
-    """The reference walk: the graph of ``timing`` timed again from scratch
-    (``time_graph``, each vertex weighing its completion minus its start),
-    so that each start is set as ``build_schedule``'s depth-first order
-    sets it, and walked back from ``t`` along those setters, with τ from
-    ``sequences``.  ``critical_path`` settles its ties without timing
-    anything; tests compare the two."""
+    """The reference walk, ``build_schedule``'s rule stated directly: the
+    graph of ``timing`` timed again from scratch (``time_graph``, each
+    vertex weighing its completion minus its start) and walked back from
+    ``t``, taking at each vertex the predecessor that finishes at its start
+    and comes first in ``time_graph``'s order, with τ from ``sequences``.
+    ``critical_path`` settles its ties without timing anything; tests
+    compare the two."""
     weights = [c - s for s, c in zip(timing.start, timing.completion)]
     scratch = time_graph(timing.succs, weights)
     path, i = [], len(scratch.start) - 1
     while i != SOURCE:
         path.append(i)
-        i = scratch.setter[i]
+        i = min((u for u in scratch.preds[i]
+                 if scratch.completion[u] == scratch.start[i]),
+                key=scratch.rank.__getitem__)
     path.append(SOURCE)
     on_path = set(path)
     tau = tuple(max((pos for pos, op in enumerate(seq, start=1)
                      if op in on_path), default=0) for seq in sequences)
     return tuple(reversed(path)), scratch.start[-1], tau
+
+
+def recounted_setters(timing) -> list:
+    """Each vertex's setter counted again from the timing's predecessor
+    lists and times: the one predecessor that finishes at its start,
+    ``TIED`` when two do, and the source's own for the source."""
+    setters = []
+    for preds, start in zip(timing.preds, timing.start):
+        finish = [u for u in preds if timing.completion[u] == start]
+        setters.append(SOURCE if not preds
+                       else finish[0] if len(finish) == 1 else TIED)
+    return setters
 
 
 def reference_loss(inst: Instance, rs: ReducedState, k: int,
@@ -244,7 +259,7 @@ def tie_walks(monkeypatch) -> list:
         if sorted_arcs:
             assert sorted_arcs == [timing.succs]
             kinds.append("order")
-        elif any(timing.tied[u] for u in result[0]):
+        elif any(timing.setter[u] is TIED for u in result[0]):
             kinds.append("zero-weight")
         else:
             kinds.append("tie-free")

@@ -11,6 +11,7 @@ from flexshop import (
     parse_instance,
     validate_schedule,
 )
+from flexshop.graph import TIED
 
 from conftest import random_instance
 
@@ -262,9 +263,9 @@ def test_greedy_pick_matches_the_list_filter():
 def test_every_construction_is_timed_as_build_schedule_times_it():
     """Greedy and randomized EST, ECT and best-of starts, on random,
     tie-heavy (times in {1, 2}) and chain instances, carry the
-    sequences, times, makespan, arcs, start and completion times, tie
-    flags and critical path that ``build_schedule`` gives their sequences;
-    only the order differs.  Each timing's order is the source, every
+    sequences, times, makespan, arcs, start and completion times, setters
+    and critical path that ``build_schedule`` gives their sequences; only
+    the order differs.  Each timing's order is the source, every
     operation once and the sink, in a topological order of the graph."""
     from test_moves import _chain_instance
 
@@ -289,14 +290,15 @@ def test_every_construction_is_timed_as_build_schedule_times_it():
                 assert list(map(set, got.preds)) == list(map(set, ref.preds))
                 assert got.start == ref.start
                 assert got.completion == ref.completion
-                assert got.tied == ref.tied
+                assert got.setter == ref.setter
                 assert sched.critical_path == want.critical_path
                 assert sorted(got.order) == list(range(sink + 1))
                 assert got.order[0] == 0 and got.order[-1] == sink
                 assert all(got.order[got.rank[u]] == u for u in got.order)
                 assert all(got.rank[u] < got.rank[j]
                            for u in got.order for j in got.succs[u])
-                tied += any(got.tied)
+                tied += TIED in got.setter
                 reordered += got.order != ref.order
-    # tie flags decide where a path read re-times; the orders differ
+    # TIED setters decide where a path walk settles a tie; the orders
+    # differ
     assert tied > 50 and reordered > 300

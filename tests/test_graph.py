@@ -17,8 +17,8 @@ from flexshop import (
     reachable_from,
     validate_schedule,
 )
-from flexshop.graph import (SOURCE, build_arcs, critical_path, time_graph,
-                            timing_of)
+from flexshop.graph import (SOURCE, TIED, build_arcs, critical_path,
+                            time_graph, timing_of)
 
 from conftest import random_instance, random_schedule, simulate_makespan
 
@@ -194,11 +194,11 @@ def test_critical_path_tie_break_follows_dfs_order():
 def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     """build_schedule walks no path; a Schedule walks its critical path
     from its timing when the path is first read, keeps it, and refuses to
-    without a timing.  On a tie along the walked path that no zero-weight
+    without a timing.  A start that two predecessors finish at carries the
+    ``TIED`` mark; on such a tie along the walked path that no zero-weight
     vertex settles, the timing's own arcs are sorted once and nothing is
-    timed again, so a timing whose setters broke the tie the other way
-    still gives the depth-first order's path and τ; without one nothing
-    is sorted."""
+    timed again, and the walk gives the depth-first order's path and τ;
+    without one nothing is sorted."""
     import flexshop.graph
 
     walks, timed, ordered = [], [], []
@@ -225,17 +225,13 @@ def test_critical_path_is_walked_when_first_read(fig1, monkeypatch):
     inst = parse_instance("4 2 0.2\n2 1 2 2 2\n1 2 2\n1 2 1\n1 1 1\n0\n")
     tied = build_schedule(inst, [[4, 1], [3, 2]])
     sink = len(tied.timing.start) - 1
-    assert tied.timing.tied[sink] and tied.timing.setter[sink] == 2
-    setter = tied.timing.setter.copy()
-    setter[sink] = 1  # the other tied predecessor
-    other = tied.timing._replace(setter=setter)
-    # its own setters lead back from t along 1 and 4: the path 0-4-1-5
-    assert (other.setter[1], other.setter[4]) == (4, SOURCE)
+    assert tied.timing.setter[sink] is TIED  # 1 and 2 both finish at 274
     timed.clear()
     ordered.clear()
-    assert critical_path(other, tied.sequences) == ((0, 3, 2, 5), 274, (0, 2))
-    assert timed == [] and ordered == [other.succs]
-    assert replace(tied, timing=other).critical_path == (0, 3, 2, 5)
+    assert critical_path(tied.timing, tied.sequences) == ((0, 3, 2, 5), 274,
+                                                          (0, 2))
+    assert timed == [] and ordered == [tied.timing.succs]
+    assert tied.critical_path == (0, 3, 2, 5)
     assert timed == [] and len(ordered) == 2
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,25 @@ def test_time_is_zero_once_the_divisor_overflows():
                              + mp.mpf(1) / 2))
         assert actual_time(p, r, alpha) == exact, (p, r, alpha)
     assert actual_time(largest, 2, 990.0) > 0
+
+
+def test_large_times_are_exact():
+    """Where ``100 * p`` reaches 2**53, a float quotient would round it
+    (to 100000000000000096 here); the time is still exact."""
+    assert actual_time(10**15 + 1, 1, 0.2) == 100000000000000100
+    for r in (1, 2, 7, 1000):
+        assert actual_time(2**950 + 1, r, 0.0) == 100 * (2**950 + 1)
+
+
+@given(st.integers(min_value=0, max_value=2**1000 // 100),
+       st.integers(min_value=1, max_value=10**6),
+       st.floats(min_value=0.0, max_value=3.0))
+def test_time_is_the_exact_quotient_rounded_half_up(p, r, alpha):
+    """Up to the largest standard time an instance may hold, the time is
+    ``100 * p`` over the float ``r**alpha``'s exact value, rounded half
+    up."""
+    exact = Fraction(100 * p) / Fraction(r**alpha)
+    assert actual_time(p, r, alpha) == math.floor(exact + Fraction(1, 2))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -227,6 +227,27 @@ def test_ils_tests_its_target_only_between_descents():
     assert record.schedule.sequences == descent.schedule.sequences
 
 
+def test_ils_stops_before_a_perturbation_it_would_discard(monkeypatch):
+    """A capped ILS run asks whether to stop right after each descent, so
+    it draws no perturbation that no descent follows: a cap-1 run makes
+    none, and a cap-c run makes 2-4 (the calibrated range) after each of
+    its first c - 1 descents."""
+    import flexshop.metaheuristics
+
+    calls = []
+    relocate = flexshop.metaheuristics.perturb
+    monkeypatch.setattr(flexshop.metaheuristics, "perturb",
+                        lambda *args: calls.append(1) or relocate(*args))
+    inst = random_instance(random.Random(4), max_ops=12, max_machines=3)
+    for cap in (0, 1, 2, 3):
+        calls.clear()
+        record = run_ils(inst, MetaConfig.calibrated("ils", max_iterations=cap,
+                                                     seed=cap))
+        assert (record.iterations, record.stop_reason) == (cap,
+                                                           "iteration-cap")
+        assert 2 * (cap - 1) <= len(calls) <= 4 * max(cap - 1, 0)
+
+
 def test_zero_budget_still_returns_a_feasible_solution(fig1):
     start = best_of_est_ect(fig1)
     for runner in (run_ils, run_ts, run_sa):

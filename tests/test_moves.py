@@ -22,12 +22,13 @@ from flexshop import (
     validate_schedule,
 )
 from flexshop.constructive import best_of_est_ect
-from flexshop.graph import build_arcs, critical_path, time_graph
+from flexshop.graph import TIED, build_arcs, critical_path, time_graph
 from flexshop.moves import NEIGHBORHOOD_MODES
 
 from conftest import (
     random_instance,
     reach_bounds,
+    recounted_setters,
     reference_critical_path,
     reference_insertion,
     reference_loss,
@@ -467,9 +468,8 @@ def test_head_tail_bound_never_exceeds_makespan():
 
 def test_derived_reduced_state_matches_rebuild(monkeypatch):
     """For every removal, the reduced graph derived from the schedule's
-    own graph, in G's order, has the arcs, times, tie flags, setters of
-    untied vertices, reach sets, windows, critical path, ξ and τ of the
-    one built from scratch; path walks without a tie, and ones that settle
+    own graph, in G's order, has the arcs, times, setters, reach sets,
+    windows, critical path, ξ and τ of the one built from scratch; path walks without a tie, and ones that settle
     ties by the zero-weight rule and by rank, all run on this fuzz set."""
     walks = tie_walks(monkeypatch)
     rng = random.Random(7)
@@ -496,10 +496,8 @@ def test_derived_reduced_state_matches_rebuild(monkeypatch):
             assert got.timing.completion == want.timing.completion
             assert ([sorted(p) for p in got.timing.preds]
                     == [sorted(p) for p in want.timing.preds])
-            # only the order and the setters of tied vertices may differ
-            assert got.timing.tied == want.timing.tied
-            assert all(got.timing.setter[u] == want.timing.setter[u]
-                       for u, tie in enumerate(want.timing.tied) if not tie)
+            # only the order may differ
+            assert got.timing.setter == want.timing.setter
             # derived: in G's order, which must suit G⁻
             assert got.timing.order is graph.order
             rank = got.timing.rank
@@ -632,13 +630,6 @@ def test_incremental_build_matches_build_schedule(monkeypatch):
     assert all(paths.values()), paths
 
 
-def _recounted_ties(timing) -> list:
-    """Each vertex's tie flag, counted again from the timing's times."""
-    finish = timing.completion.__getitem__
-    return [list(map(finish, preds)).count(start) > 1
-            for preds, start in zip(timing.preds, timing.start)]
-
-
 def test_every_scanned_move_builds_what_insert_op_builds():
     """In full, reduced and cropped scans of tie-heavy DAG and chain
     instances (standard times in {1, 2}), every neighbor's Schedule, edited
@@ -675,7 +666,7 @@ def test_every_scanned_move_builds_what_insert_op_builds():
                 want = reference_insertion(inst, rs, v, k, gamma)
                 assert got == want and got.key() == want.key()
                 assert got.critical_path == want.critical_path
-                for name in ("succs", "start", "completion", "tied"):
+                for name in ("succs", "start", "completion", "setter"):
                     assert getattr(got.timing, name) == getattr(want.timing,
                                                                 name)
     assert all(kinds.values()), kinds
@@ -687,7 +678,7 @@ def test_insert_op_builds_what_the_reference_insertion_builds():
     {1, 2}), from timed schedules and from ones built by hand without a
     timing, insert_op's Schedule, one edit of the removal's source G into
     G⁺, equals the reference insertion's, edited from G⁻: sequences,
-    times, makespan, the timing's arcs, times and tie flags, and the
+    times, makespan, the timing's arcs, times and setters, and the
     critical path.  The own slot returns the removal's source itself.
     Slots on another machine and on the own one both occur."""
     from flexshop import Schedule
@@ -728,7 +719,7 @@ def test_insert_op_builds_what_the_reference_insertion_builds():
                     assert got.sequences == want.sequences
                     assert got.actual_times == want.actual_times
                     assert got.makespan == want.makespan
-                    for name in ("succs", "start", "completion", "tied"):
+                    for name in ("succs", "start", "completion", "setter"):
                         assert (getattr(got.timing, name)
                                 == getattr(want.timing, name))
                     assert got.critical_path == want.critical_path
@@ -740,7 +731,7 @@ def test_scan_table_matches_reach_sets(monkeypatch):
     schedule and from a built move's carried timing, the scan table's
     windows on every machine are those of the reach sets of G⁻ built from
     scratch, its shifted times are actual_time's, each derived timing is
-    in G's ranks, and the tie flags of the scanned, derived, from-scratch
+    in G's ranks, and the setters of the scanned, derived, from-scratch
     and built timings are recounts; removals through the table, and path
     walks without a tie and that settle ties by the zero-weight rule and
     by rank, all occur."""
@@ -776,7 +767,7 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                 assert table is not None and table.graph is sched.timing
                 scanned = table.graph
                 paths["table"] += 1
-                assert scanned.tied == _recounted_ties(scanned)
+                assert scanned.setter == recounted_setters(scanned)
                 for k, seq in enumerate(sched.sequences, start=1):
                     assert table.earlier[k - 1] == [
                         actual_time(std[(op, k)], pos - 1, alpha)
@@ -791,8 +782,8 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                     assert rs.cycle_bounds(k) == want.cycle_bounds(k)
                 assert rs.timing.rank is scanned.rank
                 paths[walk] += 1
-                assert rs.timing.tied == _recounted_ties(rs.timing)
-                assert want.timing.tied == _recounted_ties(want.timing)
+                assert rs.timing.setter == recounted_setters(rs.timing)
+                assert want.timing.setter == recounted_setters(want.timing)
             for move in moves:
                 seq = move._rs.q_minus[move.machine - 1]
                 assert move._later == [
@@ -800,10 +791,49 @@ def test_scan_table_matches_reach_sets(monkeypatch):
                     for pos, op in enumerate(seq, start=1)]
             for move in moves[::3]:
                 timing = move.schedule.timing
-                assert timing.tied == _recounted_ties(timing)
+                assert timing.setter == recounted_setters(timing)
             if moves:  # the next scan starts from a built move's timing
                 sched = moves[rng.randrange(len(moves))].schedule
     assert all(paths.values()), paths
+
+
+def test_every_producer_sets_what_a_recount_gives():
+    """Every timing's ``setter`` is what a recount from its predecessor
+    lists and times gives (the one predecessor that finishes at a start,
+    ``TIED`` when two do), whichever producer made it: build_schedule's
+    forward pass, a construction's placement order, a removal's edit, a
+    scanned move's and a random relocation's.  On random, tie-heavy
+    (times in {1, 2}) and chain instances, each producer marks ties."""
+    from flexshop.constructive import construct_ect, construct_est
+    from flexshop.moves import random_relocation
+
+    producers = ("build", "construction", "removal", "scanned",
+                 "relocation")
+    ties = dict.fromkeys(producers, 0)
+
+    def check(kind, timing):
+        assert timing.setter == recounted_setters(timing), kind
+        ties[kind] += TIED in timing.setter
+
+    rng = random.Random(71)
+    for case in range(60):
+        max_time = 2 if case % 3 else 10  # mostly tie-heavy
+        if case % 2:
+            inst = _chain_instance(rng, max_time)
+        else:
+            inst = random_instance(rng, max_ops=12, max_machines=4,
+                                   max_time=max_time)
+        for construct in (construct_est, construct_ect):
+            sched = construct(inst, 0.5, random.Random(case))
+            check("construction", sched.timing)
+        check("build", build_schedule(inst, sched.sequences).timing)
+        for _ in range(5):
+            sched = random_relocation(inst, sched, rng)
+            check("relocation", sched.timing)
+        for move in enumerate_neighbors(inst, sched, "full"):
+            check("removal", move._rs.timing)
+            check("scanned", move.schedule.timing)
+    assert all(ties.values()), ties
 
 
 def test_carried_timings_are_never_mutated():
