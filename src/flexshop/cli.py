@@ -49,20 +49,46 @@ def _load(args):
 _TIMES = ("start", "completion")  # the time maps of schedule_to_json
 
 
+def _unique(pairs) -> dict:
+    """A JSON object; ScheduleError when it repeats a key, of which json
+    would keep only the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScheduleError(f"key {json.dumps(key)} appears twice")
+        obj[key] = value
+    return obj
+
+
+def _by_operation(kind: str, mapping) -> dict:
+    """``mapping`` keyed by operation id; ScheduleError on a key that is not
+    an id as ``str`` writes it, such as "01", which names operation 1 as
+    well as "1" does."""
+    ops = {}
+    for key, value in mapping.items():
+        if str(int(key)) != key:
+            raise ScheduleError(
+                f"{kind} key {json.dumps(key)} is not an operation id")
+        ops[int(key)] = value
+    return ops
+
+
 def _read_solution(path) -> tuple:
     """The assignment, machine sequences, makespan (None if absent) and
     start and completion maps (empty if absent) that a schedule JSON file
-    declares; ScheduleError when it declares none, or declares a machine,
-    time or makespan that is not an integer."""
+    declares; ScheduleError when it declares none, names an entry twice,
+    or declares a machine, time or makespan that is not an integer."""
     try:
-        data = json.loads(Path(path).read_text())
-        assignment = {int(op): k for op, k in data["assignment"].items()}
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique)
+        assignment = _by_operation("assignment", data["assignment"])
         sequences = [list(seq) for seq in data["sequences"]]
         makespan = data.get("makespan")
-        times = tuple({int(op): t for op, t in data.get(kind, {}).items()}
+        times = tuple(_by_operation(kind, data.get(kind, {}))
                       for kind in _TIMES)
     except KeyError as exc:
         raise ScheduleError(f"solution {path} has no {exc} entry") from None
+    except ScheduleError as exc:
+        raise ScheduleError(f"solution {path}: {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScheduleError(f"solution {path} is not a schedule: {exc}") from None
     declared = [(f"operation {op}'s machine", k)
@@ -308,7 +334,10 @@ def _dispatch(args) -> int:
             f"{assignment.get(op)}, sequences say machine {k}"
             for op, k in sched.assignment.items() if assignment.get(op) != k
         ]
-        if len(assignment) != len(sched.assignment):
+        unknown = sorted(set(assignment) - set(sched.assignment))
+        violations += [f"unknown operation {op}: assignment says machine "
+                       f"{assignment[op]}" for op in unknown]
+        if not unknown and len(assignment) != len(sched.assignment):
             violations.append(
                 f"assignment lists {len(assignment)} operations, "
                 f"the sequences {len(sched.assignment)}"
@@ -320,12 +349,18 @@ def _dispatch(args) -> int:
             )
         earliest = start_completion_times(inst, sched)
         for op in sorted(set().union(*times)):
-            wrong = [f"{kind} {given[op]} differs from recomputed {time}"
-                     for kind, given, time in zip(
-                         _TIMES, times, earliest.get(op, (None, None)))
-                     if op in given and given[op] != time]
+            if op in earliest:
+                head = f"operation {op}"
+                wrong = [f"{kind} {given[op]} differs from recomputed {time}"
+                         for kind, given, time in zip(_TIMES, times,
+                                                      earliest[op])
+                         if op in given and given[op] != time]
+            else:
+                head = f"unknown operation {op}"
+                wrong = [f"{kind} {given[op]}"
+                         for kind, given in zip(_TIMES, times) if op in given]
             if wrong:
-                violations.append(f"operation {op}: declared "
+                violations.append(f"{head}: declared "
                                   + ", declared ".join(wrong))
         for v in violations:
             print(v, file=sys.stderr)

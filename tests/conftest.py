@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -29,6 +30,30 @@ FIG1_TEXT = """\
 # optimal makespan of the instance above, frozen from the exhaustive oracle
 FIG1_OPTIMUM = 453
 
+# three operations on one machine, with the arc 1 -> 2
+ONE_MACHINE_TEXT = "3 1 0.2\n1 1 4\n1 1 3\n1 1 5\n1\n1 2\n"
+
+# a 6-operation DAG on two machines, where operations 1-4 may run on either
+DAG6_TEXT = """\
+6 2 0.2
+2 1 4 2 3
+2 1 3 2 5
+2 1 5 2 2
+2 1 2 2 4
+1 1 6
+1 2 3
+5
+1 3
+2 3
+3 5
+2 4
+4 6
+"""
+
+# one operation of standard time 10**15 + 1: its time 100 * p passes 2**53,
+# where a float quotient would give 100000000000000096
+HUGE_TIME_TEXT = "1 1 0.2\n1 1 1000000000000001\n0\n"
+
 
 @pytest.fixture
 def fig1():
@@ -45,6 +70,13 @@ def fig2a(fig1):
 def fig2b(fig1):
     """Machine 2 runs [1, 2, 4, 5, 3].  Makespan 528."""
     return build_schedule(fig1, [[], [1, 2, 4, 5, 3]])
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TickingClock:

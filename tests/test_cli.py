@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexshop
 from flexshop.cli import main
 from flexshop.constructive import best_of_est_ect
 from flexshop.graph import schedule_to_json
@@ -10,7 +15,14 @@ from flexshop.harness import emit_results
 from flexshop.instance import parse_instance
 from flexshop.metaheuristics import RunRecord
 
-from conftest import FIG1_OPTIMUM, FIG1_TEXT
+from conftest import (
+    DAG6_TEXT,
+    FIG1_OPTIMUM,
+    FIG1_TEXT,
+    HUGE_TIME_TEXT,
+    ONE_MACHINE_TEXT,
+    usable_cpus,
+)
 
 
 @pytest.fixture
@@ -18,6 +30,21 @@ def instance_file(tmp_path):
     path = tmp_path / "fig1.txt"
     path.write_text(FIG1_TEXT)
     return path
+
+
+@pytest.fixture
+def instance_dir(tmp_path, monkeypatch):
+    """A working directory that holds the instance files the command lines
+    of the tests name: t.txt, d2.txt and big.txt, and the directory d with
+    two copies of t.txt."""
+    for name, text in (("t.txt", ONE_MACHINE_TEXT), ("d2.txt", DAG6_TEXT),
+                       ("big.txt", HUGE_TIME_TEXT)):
+        (tmp_path / name).write_text(text)
+    (tmp_path / "d").mkdir()
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / "d" / name).write_text(ONE_MACHINE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 def test_construct(instance_file, capsys):
@@ -465,9 +492,12 @@ def test_validate_reports_an_operation_the_assignment_lacks(
           "--time-limit", "inf"], "error: solve needs a stop"),
         (["solve", "--instance", "{fig1}", "--algo", "ts",
           "--no-improve", "inf"], "error: solve needs a stop"),
-        (["bench", "--instances", "{dir}", "--algos", "ts", "--runs", "1",
-          "--time-limit", "inf", "--out", "{dir}/out.csv"],
+        ("bench --instances d --algos ts --runs 1 --time-limit inf".split(),
          "error: bench needs a stop: --time-limit or --iterations"),
+        ("bench --instances d --algos ts,ts --iterations 1 --runs 1 "
+         "--out x.csv".split(), "error: --algos names 'ts' more than once"),
+        ("solve --instance d2.txt --algo ts --iterations 5 "
+         "--alpha -0.1".split(), "error: learning_rate must be >= 0, got -0.1"),
     ],
     ids=["rcl-alpha", "rcl-alpha-best-range", "rcl-alpha-est-negative",
          "rcl-alpha-best-nan", "perturb-range", "unknown-algo",
@@ -477,10 +507,11 @@ def test_validate_reports_an_operation_the_assignment_lacks(
          "workers-0", "workers-negative", "oracle-limit-0",
          "oracle-limit-negative", "solve-no-stop", "solve-target-only",
          "solve-infinite-time-limit", "solve-infinite-no-improve",
-         "bench-infinite-time-limit"],
+         "bench-infinite-time-limit", "bench-algo-twice",
+         "solve-negative-alpha"],
 )
-def test_rejected_option_value_is_one_error_line(instance_file, capsys, argv,
-                                                 message):
+def test_rejected_option_value_is_one_error_line(instance_file, instance_dir,
+                                                 capsys, argv, message):
     argv = [a.format(fig1=instance_file, dir=instance_file.parent)
             for a in argv]
     _fails(argv, capsys, message)
@@ -521,3 +552,158 @@ def test_non_text_instance_file_is_one_error_line(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe5\x002\x00")
     _fails(["construct", "--instance", str(path)], capsys,
            f"error: {path} is not a text file")
+
+
+@pytest.mark.parametrize(
+    "command, makespan",
+    [
+        ("solve --instance t.txt --algo ts --iterations 2", None),
+        # random relocations often draw an operation's own slot
+        ("solve --instance t.txt --algo sa --iterations 300 --seed 3", None),
+        ("localsearch --instance t.txt --strategy first", None),
+        ("localsearch --instance t.txt --neighborhood full", None),
+        ("oracle --instance t.txt", None),
+        ("construct --instance d2.txt --rule est", None),
+        ("construct --instance d2.txt --rule ect", None),
+        ("construct --instance d2.txt --rule best --rcl-alpha 0.5 --seed 1",
+         None),
+        ("solve --instance d2.txt --algo grasp --iterations 5 --seed 3", None),
+        # random relocations move operations across machines
+        ("solve --instance d2.txt --algo sa --iterations 300 --seed 3", None),
+        # scans after a perturbation read a critical path walked when read
+        ("solve --instance d2.txt --algo ils --neighborhood cropped "
+         "--iterations 5 --seed 3", None),
+        # applied scanned moves are built by the edit of a random relocation
+        ("solve --instance d2.txt --algo ts --iterations 20 --seed 3", None),
+        ("oracle --instance d2.txt", None),
+        # exact above 2**53: a float quotient would give 100000000000000096
+        ("solve --instance big.txt --algo sa --iterations 1",
+         100000000000000100),
+    ],
+    ids=["t-ts", "t-sa", "t-first", "t-full", "t-oracle", "d2-est", "d2-ect",
+         "d2-best", "d2-grasp", "d2-sa", "d2-ils-cropped", "d2-ts",
+         "d2-oracle", "big-sa"],
+)
+def test_each_solution_producing_commands_output_validates(
+        instance_dir, capsys, command, makespan):
+    """The command exits 0, and ``validate`` accepts the schedule it wrote
+    on the same instance; ``makespan``, where given, is the exact one."""
+    argv = command.split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    Path("s.json").write_text(out)
+    instance = argv[argv.index("--instance") + 1]
+    assert main(["validate", "--instance", instance,
+                 "--solution", "s.json"]) == 0
+    written = json.loads(out)["makespan"]
+    assert capsys.readouterr().out == f"valid; makespan {written}\n"
+    assert makespan in (None, written)
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 CPUs")
+def test_bench_over_a_two_worker_pool_and_its_stats(instance_dir, capsys):
+    """All four metaheuristics over two instance files through the process
+    pool and the result CSV, which ``stats`` reads back."""
+    assert main("bench --instances d --algos ils,grasp,ts,sa --iterations 2 "
+                "--runs 2 --workers 2 --out r.csv".split()) == 0
+    assert capsys.readouterr().err == "wrote 16 records to r.csv\n"
+    assert "error" not in Path("r.csv").read_text()
+    assert main(["stats", "--in", "r.csv"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["per_instance"]) == {
+        "a", "b"}
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        ("assignment", 2,
+         "operation 1: assignment says machine 2, sequences say machine 1"),
+        ("assignment", "1", "operation 1's machine \"1\" is not an integer"),
+        ("completion", 1, "operation 1: declared completion 1 differs from "
+                          "recomputed 400"),
+    ],
+    ids=["machine", "machine-string", "completion"],
+)
+def test_validate_rejects_a_solve_output_with_one_entry_changed(
+        instance_dir, capsys, kind, value, message):
+    assert main(["solve", "--instance", "t.txt", "--algo", "ts",
+                 "--iterations", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload[kind]["1"] = value
+    Path("bad.json").write_text(json.dumps(payload))
+    _fails(["validate", "--instance", "t.txt", "--solution", "bad.json"],
+           capsys, message)
+
+
+def _validate_t(text, capsys) -> tuple:
+    """The exit code and stderr lines of ``validate`` on t.txt and a
+    solution file of ``text``."""
+    Path("s.json").write_text(text)
+    code = main(["validate", "--instance", "t.txt", "--solution", "s.json"])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"assignment": {"1":1,"01":1,"2":1,"3":1}, '
+         '"sequences": [[1,2,3]]}',
+         'error: solution s.json: assignment key "01" is not an operation '
+         'id'),
+        ('{"assignment": {"1":1,"2":1,"3":1}, "sequences": [[1,2,3]], '
+         '"start": {"1":0,"01":0}}',
+         'error: solution s.json: start key "01" is not an operation id'),
+        ('{"assignment": {"1":1,"1":1,"2":1,"3":1}, '
+         '"sequences": [[1,2,3]]}',
+         'error: solution s.json: key "1" appears twice'),
+        ('{"assignment": {"1":1,"2":1,"3":1}, "sequences": [[1,2,3]], '
+         '"makespan": 1, "makespan": 1062}',
+         'error: solution s.json: key "makespan" appears twice'),
+    ],
+    ids=["assignment-leading-zero", "start-leading-zero",
+         "repeated-operation", "repeated-makespan"],
+)
+def test_validate_rejects_a_file_that_names_an_entry_twice(
+        instance_dir, capsys, text, line):
+    """JSON keeps the last of two equal keys, and int() reads "01" as 1:
+    either would let a file name an operation twice and pass."""
+    assert _validate_t(text, capsys) == (1, [line])
+
+
+@pytest.mark.parametrize("op", [9, 0, -4])
+def test_validate_names_a_declared_time_of_an_unknown_operation(
+        instance_dir, capsys, op):
+    text = json.dumps({"assignment": {"1": 1, "2": 1, "3": 1},
+                       "sequences": [[1, 2, 3]],
+                       "start": {"1": 0, str(op): 0},
+                       "completion": {str(op): 4}})
+    assert _validate_t(text, capsys) == (1, [
+        f"unknown operation {op}: declared start 0, declared completion 4"])
+
+
+def test_validate_names_an_unknown_operation_in_the_assignment(
+        instance_dir, capsys):
+    text = json.dumps({"assignment": {"1": 1, "2": 1, "3": 1, "7": 1},
+                       "sequences": [[1, 2, 3]]})
+    assert _validate_t(text, capsys) == (1, [
+        "unknown operation 7: assignment says machine 1"])
+
+
+def test_python_m_flexshop_cli_hands_over_the_exit_code(instance_dir):
+    """``python -m flexshop.cli`` runs ``main`` and exits with its code."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(flexshop.__file__).resolve().parents[1])}
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "flexshop.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    solved = cli("solve", "--instance", "t.txt", "--algo", "ts",
+                 "--iterations", "2")
+    assert solved.returncode == 0
+    assert json.loads(solved.stdout)["makespan"] > 0
+    rejected = cli("solve", "--instance", "t.txt", "--algo", "ils")
+    assert rejected.returncode == 1
+    assert rejected.stderr == ("error: solve needs a stop: --time-limit, "
+                               "--iterations or --no-improve\n")

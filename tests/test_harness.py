@@ -14,7 +14,7 @@ from flexshop import (
 from flexshop.harness import CSV_COLUMNS, load_instance_file, read_results_csv
 from flexshop.metaheuristics import RunRecord
 
-from conftest import FIG1_TEXT
+from conftest import FIG1_TEXT, ONE_MACHINE_TEXT, usable_cpus
 
 
 def _record(instance, algorithm, seed, makespan):
@@ -258,14 +258,8 @@ def _dying_run(job):
     return _ONE_RUN(job)
 
 
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
-                    or _cpus() < 2,
+                    or usable_cpus() < 2,
                     reason="needs forked pool workers and 2 CPUs")
 def test_dead_worker_costs_only_the_runs_it_held(tmp_path, monkeypatch):
     """A pool worker that dies (``os._exit``, as the OOM killer or a crash
@@ -275,7 +269,7 @@ def test_dead_worker_costs_only_the_runs_it_held(tmp_path, monkeypatch):
     paths = []
     for name in ("a", "b"):
         paths.append(tmp_path / f"{name}.txt")
-        paths[-1].write_text("3 1 0.2\n1 1 4\n1 1 3\n1 1 5\n1\n1 2\n")
+        paths[-1].write_text(ONE_MACHINE_TEXT)
     configs = [MetaConfig(algo="ts", max_iterations=2)]
     serial = run_benchmark(paths, configs, runs=3)
     monkeypatch.setattr(flexshop.harness, "_one_run", _dying_run)
