@@ -96,7 +96,7 @@ def _read_solution(path) -> tuple:
     declared += [(f"operation {op}'s {kind}", t)
                  for kind, given in zip(_TIMES, times)
                  for op, t in given.items()]
-    if makespan is not None:
+    if "makespan" in data:
         declared.append(("makespan", makespan))
     for what, value in declared:
         if type(value) is not int:  # bool is an int subclass: excluded

@@ -13,6 +13,7 @@ only for the move that is applied.
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .instance import Instance
 from .graph import Schedule, solution_key
@@ -59,16 +60,21 @@ class LocalSearchResult:
 
 
 def local_search(inst: Instance, start: Schedule,
-                 cfg: LocalSearchConfig = LocalSearchConfig()
+                 cfg: LocalSearchConfig = LocalSearchConfig(),
+                 on_move: Callable[[Schedule], bool] | None = None
                  ) -> LocalSearchResult:
     """Descend from ``start`` until no neighbor strictly improves.
 
-    The result is monotone (makespan never increases) and deterministic:
-    ties among equally good neighbors break by scan order.  With a time
-    budget the clock is read before each neighbor and after each applied
-    move; a scan may be abandoned mid-neighborhood, and the best improving
-    move found so far, if any, is still applied.  Each scan derives its
-    removals from the timing its schedule carries.
+    The result is monotone (each applied move strictly lowers the
+    makespan) and deterministic: ties among equally good neighbors break
+    by scan order.  With a time budget the clock is read before each
+    neighbor and after each applied move; a scan may be abandoned
+    mid-neighborhood, and the best improving move found so far, if any,
+    is still applied.  ``on_move``, if given, is called with each applied
+    move's schedule, and a True return ends the descent after that move:
+    a caller that stops at a target or a limit sees each improvement as
+    it is made.  Each scan derives its removals from the timing its
+    schedule carries.
     """
     deadline = None
     if cfg.time_budget is not None:
@@ -92,7 +98,7 @@ def local_search(inst: Instance, start: Schedule,
         current = best.schedule
         result.iterations += 1
         result.iterates.append(current.sequences)
-        if out_of_time():
+        if (on_move is not None and on_move(current)) or out_of_time():
             break
     result.schedule = current
     return result

@@ -62,12 +62,11 @@ class MetaConfig:
     ils_perturb_max: int = 4
     grasp_alpha: float = 0.38
     ts_factor: float = 0.9
-    # stop once the incumbent reaches it.  ILS and GRASP test it only
-    # between descents, so a descent that reaches it runs on to its local
-    # optimum
+    # stop once the incumbent reaches it.  ILS and GRASP test it after
+    # each applied move of a descent and return that move's schedule
     target_makespan: int | None = None
-    # seconds; opt-in secondary stop.  ILS and GRASP test it only between
-    # descents, which report their improvements when they end
+    # seconds; opt-in secondary stop.  ILS and GRASP test it after each
+    # applied move of a descent, so a run stops within one scan of it
     no_improve_limit: float | None = None
 
     def __post_init__(self):
@@ -152,14 +151,22 @@ class _Run:
 
     def descend(self, start: Schedule) -> Schedule:
         """One iteration of ILS or GRASP: best-improvement local search
-        from ``start`` within the time left; its neighbors are counted."""
+        from ``start`` within the time left; its neighbors are counted.
+        Each applied move is offered as it is made, and the descent ends
+        at the first one after which the run must stop."""
         left = (None if self.deadline is None
                 else max(0.0, self.deadline - time.monotonic()))
         result = local_search(self.inst, start,
-                              LocalSearchConfig(self.cfg.mode, "best", left))
+                              LocalSearchConfig(self.cfg.mode, "best", left),
+                              self.must_stop)
         self.neighbors += result.neighbors_evaluated
         self.iterations += 1
         return result.schedule
+
+    def must_stop(self, sched: Schedule) -> bool:
+        """Offer one applied move of a descent; True when it reaches the
+        target or the run is out of time."""
+        return self.offer(sched) or self.out_of_time()
 
     def record_candidate(self) -> bool:
         """Count one candidate evaluation; True when the run must stop.

@@ -12,7 +12,7 @@ from flexshop.cli import main
 from flexshop.constructive import best_of_est_ect
 from flexshop.graph import schedule_to_json
 from flexshop.harness import emit_results
-from flexshop.instance import parse_instance
+from flexshop.instance import parse_instance, serialize_instance
 from flexshop.metaheuristics import RunRecord
 
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     ONE_MACHINE_TEXT,
     usable_cpus,
 )
+from test_metaheuristics import _large_instance
 
 
 @pytest.fixture
@@ -35,10 +36,11 @@ def instance_file(tmp_path):
 @pytest.fixture
 def instance_dir(tmp_path, monkeypatch):
     """A working directory that holds the instance files the command lines
-    of the tests name: t.txt, d2.txt and big.txt, and the directory d with
-    two copies of t.txt."""
+    of the tests name: t.txt, d2.txt, big.txt and r43.txt, and the
+    directory d with two copies of t.txt."""
     for name, text in (("t.txt", ONE_MACHINE_TEXT), ("d2.txt", DAG6_TEXT),
-                       ("big.txt", HUGE_TIME_TEXT)):
+                       ("big.txt", HUGE_TIME_TEXT),
+                       ("r43.txt", serialize_instance(_large_instance(43)))):
         (tmp_path / name).write_text(text)
     (tmp_path / "d").mkdir()
     for name in ("a.txt", "b.txt"):
@@ -579,10 +581,14 @@ def test_non_text_instance_file_is_one_error_line(tmp_path, capsys):
         # exact above 2**53: a float quotient would give 100000000000000096
         ("solve --instance big.txt --algo sa --iterations 1",
          100000000000000100),
+        # the start's makespan is 7280: the run stops at the first applied
+        # move, not at its descent's local optimum 6090
+        ("solve --instance r43.txt --algo ils --iterations 5 --target 7279",
+         6900),
     ],
     ids=["t-ts", "t-sa", "t-first", "t-full", "t-oracle", "d2-est", "d2-ect",
          "d2-best", "d2-grasp", "d2-sa", "d2-ils-cropped", "d2-ts",
-         "d2-oracle", "big-sa"],
+         "d2-oracle", "big-sa", "r43-ils-target"],
 )
 def test_each_solution_producing_commands_output_validates(
         instance_dir, capsys, command, makespan):
@@ -621,15 +627,22 @@ def test_bench_over_a_two_worker_pool_and_its_stats(instance_dir, capsys):
         ("assignment", "1", "operation 1's machine \"1\" is not an integer"),
         ("completion", 1, "operation 1: declared completion 1 differs from "
                           "recomputed 400"),
+        # a declared null is declared, not absent
+        ("makespan", None, "makespan null is not an integer"),
     ],
-    ids=["machine", "machine-string", "completion"],
+    ids=["machine", "machine-string", "completion", "makespan-null"],
 )
 def test_validate_rejects_a_solve_output_with_one_entry_changed(
         instance_dir, capsys, kind, value, message):
+    """``kind`` names a per-operation map, whose operation 1 changes, or
+    the makespan."""
     assert main(["solve", "--instance", "t.txt", "--algo", "ts",
                  "--iterations", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    payload[kind]["1"] = value
+    if kind == "makespan":
+        payload[kind] = value
+    else:
+        payload[kind]["1"] = value
     Path("bad.json").write_text(json.dumps(payload))
     _fails(["validate", "--instance", "t.txt", "--solution", "bad.json"],
            capsys, message)

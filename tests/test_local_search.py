@@ -180,6 +180,36 @@ def test_clock_run_out_after_a_move_ends_the_descent(fig1, fig2a,
     assert result.schedule.makespan < fig2a.makespan
 
 
+@pytest.mark.parametrize("strategy", ["best", "first"])
+def test_on_move_sees_each_applied_move_and_can_end_the_descent(strategy):
+    """``on_move`` is called with each applied move's schedule, in order.
+    One that never stops leaves the descent as it is without one; one that
+    stops at the second move ends the descent right after that move."""
+    inst = _dag_instance(random.Random(5), 60, 6)
+    start = best_of_est_ect(inst)
+    cfg = LocalSearchConfig("reduced", strategy)
+    plain = local_search(inst, start, cfg)
+    assert plain.iterations > 2
+    seen = []
+
+    def never(sched) -> bool:
+        seen.append(sched)
+        return False
+
+    watched = local_search(inst, start, cfg, never)
+    assert (watched.iterations, watched.neighbors_evaluated,
+            watched.trajectory) == (plain.iterations,
+                                    plain.neighbors_evaluated,
+                                    plain.trajectory)
+    assert [sched.sequences for sched in seen] == plain.iterates[1:]
+    assert seen[-1] is watched.schedule
+    cut = local_search(inst, start, cfg,
+                       lambda sched: sched.sequences != seen[0].sequences)
+    assert cut.iterations == 2
+    assert cut.iterates == plain.iterates[:3]
+    assert cut.schedule.makespan == seen[1].makespan > plain.schedule.makespan
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LocalSearchConfig("bogus", "best")

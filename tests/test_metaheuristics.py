@@ -3,14 +3,17 @@ import random
 import re
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 from flexshop import (
+    LocalSearchConfig,
     MetaConfig,
     best_of_est_ect,
     build_schedule,
     enumerate_neighbors,
+    local_search,
     parse_instance,
     perturb,
     run,
@@ -205,26 +208,57 @@ def test_target_makespan_stops_immediately(fig1):
     assert record.iterations == 0
 
 
-def test_ils_tests_its_target_only_between_descents():
-    """An ILS run whose target is one unit below its start reaches it with
-    the first move of its first descent, yet stops on "target" only when
-    that descent ends: it returns the descent's local optimum, several
-    moves past the target."""
-    from flexshop import LocalSearchConfig, local_search
-
+@pytest.mark.parametrize("algo", ["ils", "grasp"])
+def test_a_descent_ends_at_the_move_that_reaches_the_target(algo):
+    """A run whose target is one unit below its start reaches it with the
+    first applied move of its first descent and stops there, on "target":
+    it returns that move's schedule, not the descent's local optimum
+    several moves on, and counts the neighbors of one scan."""
     inst = _large_instance(43)
-    start = best_of_est_ect(inst)
+    cfg = MetaConfig.calibrated(algo, max_iterations=5, seed=1)
+    start = (best_of_est_ect(inst) if algo == "ils" else
+             best_of_est_ect(inst, cfg.grasp_alpha, random.Random(cfg.seed)))
     descent = local_search(inst, start, LocalSearchConfig("reduced", "best"))
-    target = start.makespan - 1
-    assert build_schedule(inst, descent.iterates[1]).makespan <= target
     assert descent.iterations > 2
-    record = run(inst, MetaConfig.calibrated(
-        "ils", max_iterations=5, seed=1, target_makespan=target))
+    record = run(inst, replace(cfg, target_makespan=start.makespan - 1))
     assert record.stop_reason == "target"
     assert record.iterations == 1
-    assert record.neighbors_evaluated == descent.neighbors_evaluated
-    assert record.best_makespan == descent.schedule.makespan < target
-    assert record.schedule.sequences == descent.schedule.sequences
+    assert record.schedule.sequences == descent.iterates[1]
+    assert record.best_makespan > descent.schedule.makespan
+    assert record.neighbors_evaluated == len(
+        list(enumerate_neighbors(inst, start, "reduced")))
+
+
+@pytest.mark.parametrize("limit, descents", [(0.5, 1), (2.5, 2)])
+def test_grasp_stops_within_one_scan_of_its_no_improve_limit(
+        limit, descents, monkeypatch):
+    """A descent tests the no-improvement limit after each applied move.
+    With a clock that ticks one second per read, each move that improves
+    the incumbent is one tick old when the limit is tested, and each that
+    does not is one tick older: a limit of 0.5 s stops the run after the
+    first move of its first descent, one of 2.5 s after the first move of
+    its second, which starts above the first descent's local optimum."""
+    import flexshop.metaheuristics
+
+    inst = _large_instance(43)
+    cfg = MetaConfig.calibrated("grasp", seed=0, no_improve_limit=limit)
+    rng = random.Random(cfg.seed)
+    starts = [best_of_est_ect(inst, cfg.grasp_alpha, rng) for _ in range(2)]
+    ls_cfg = LocalSearchConfig("reduced", "best")
+    first = local_search(inst, starts[0], ls_cfg)
+    one_move = local_search(inst, starts[1], ls_cfg, lambda sched: True)
+    assert one_move.schedule.makespan > first.schedule.makespan
+    # neither descent ends at its first move on its own
+    assert first.iterations > 1
+    assert local_search(inst, starts[1], ls_cfg).iterations > 1
+    neighbors = {
+        1: len(list(enumerate_neighbors(inst, starts[0], "reduced"))),
+        2: first.neighbors_evaluated + one_move.neighbors_evaluated}
+    monkeypatch.setattr(flexshop.metaheuristics, "time", TickingClock())
+    record = run(inst, cfg)
+    assert record.stop_reason == "no-improvement"
+    assert record.iterations == descents
+    assert record.neighbors_evaluated == neighbors[descents]
 
 
 def test_ils_stops_before_a_perturbation_it_would_discard(monkeypatch):
@@ -603,7 +637,6 @@ def test_a_mispriced_move_fails_at_once(search, monkeypatch):
     and the built makespan, within a second, instead of descending on
     moves that do not improve."""
     import flexshop.moves
-    from flexshop import LocalSearchConfig, local_search
     from flexshop.moves import PricingError, best_neighbor
 
     priced = flexshop.moves._insertion_makespan
